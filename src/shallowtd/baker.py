@@ -159,8 +159,8 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int,
                 elif problem == "vc":
                     local = dp_vc(nd, sd.graph)
                 else:
-                    core_slice = {sd.back_map.index(sl.back_map[i])
-                                  for i in sl.core}
+                    slice_id = {v: i for i, v in enumerate(sd.back_map)}
+                    core_slice = {slice_id[sl.back_map[i]] for i in sl.core}
                     local = dp_ds(nd, sd.graph, core_slice)
                 picked.update(sd.back_map[v] for v in local)
             return picked

@@ -52,48 +52,76 @@ def _is_tree(nodes: int, edges: list[tuple[int, int]]) -> bool:
 
 
 def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
-    """Check the three bag conditions; violations go into the report."""
+    """Check the three bag conditions; violations go into the report.
+
+    The checks run in a fixed order (bag count, tree shape, host vertex
+    range, vertex coverage, edge coverage, subtree condition) and the first
+    violation found is reported.  One pass over the bags builds
+    ``holding[v]``, the nodes whose bag holds v, in increasing order.  An edge
+    (u, v) is covered iff some node of the shorter of ``holding[u]`` and
+    ``holding[v]`` holds the other endpoint.  For the subtree condition: the
+    nodes holding v induce a forest in the tree, and a forest with k nodes and
+    s edges has k - s components, so they are connected iff
+    ``len(holding[v]) - shared[v] == 1``, where ``shared[v]`` counts the tree
+    edges whose two bags both hold v; each tree edge's bags are intersected
+    from the smaller one.  The total cost is O(total bag size + |E| * shorter
+    occurrence list).  Only the first vertex that fails gets a search of its
+    holding nodes, to name the witness (v, first holding node, first holding
+    node it cannot reach).
+    """
     width = td.width
     if len(td.bags) != td.nodes:
         return ValidationReport(False, width, "bag count does not match node count", None)
     if not _is_tree(td.nodes, td.tree_edges):
         return ValidationReport(False, width, "decomposition edges do not form a tree", None)
     bag_sets = [set(b) for b in td.bags]
-    for b in bag_sets:
+    holding: list[list[int]] = [[] for _ in range(g.n)]
+    for i, b in enumerate(bag_sets):
         for v in b:
             if not (0 <= v < g.n):
                 return ValidationReport(False, width, "bag references a non-host vertex", v)
+            holding[v].append(i)
 
-    covered = set().union(*bag_sets) if bag_sets else set()
     for v in range(g.n):
-        if v not in covered:
+        if not holding[v]:
             return ValidationReport(False, width, "vertex not covered by any bag", v)
 
     for u, v in g.edges:
-        if not any(u in b and v in b for b in bag_sets):
+        a, b = (u, v) if len(holding[u]) <= len(holding[v]) else (v, u)
+        if not any(b in bag_sets[i] for i in holding[a]):
             return ValidationReport(False, width, "edge endpoints never share a bag", (u, v))
 
+    shared = [0] * g.n
+    for a, b in td.tree_edges:
+        for v in bag_sets[a] & bag_sets[b]:    # iterates the smaller set
+            shared[v] += 1
+    for v in range(g.n):
+        if len(holding[v]) - shared[v] != 1:
+            return ValidationReport(False, width,
+                                    "bags containing a vertex do not form a subtree",
+                                    _subtree_witness(td, bag_sets, holding[v], v))
+    return ValidationReport(True, width)
+
+
+def _subtree_witness(td: TreeDecomposition, bag_sets: list[set[int]],
+                     holding: list[int], v: int) -> tuple[int, int, int]:
+    """(v, start, missing): search the tree from the first node holding v
+    through nodes holding v; missing is the first holding node not reached."""
     adj = [[] for _ in range(td.nodes)]
     for a, b in td.tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-    for v in range(g.n):
-        holding = [i for i in range(td.nodes) if v in bag_sets[i]]
-        start = holding[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen and v in bag_sets[y]:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(holding):
-            missing = next(i for i in holding if i not in seen)
-            return ValidationReport(False, width,
-                                    "bags containing a vertex do not form a subtree",
-                                    (v, start, missing))
-    return ValidationReport(True, width)
+    start = holding[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen and v in bag_sets[y]:
+                seen.add(y)
+                stack.append(y)
+    missing = next(i for i in holding if i not in seen)
+    return v, start, missing
 
 
 # ---------------------------------------------------------------------------

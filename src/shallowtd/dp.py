@@ -351,6 +351,8 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
     occurrence; windows are the maximal level runs between removed classes.
     All offsets are tried; the first witness in (offset, window) order wins.
     """
+    if e.euler_genus != 0:
+        raise GraphInputError("level slicing requires a planar embedding")
     if h.n == 0:
         return {}
     if h.n > MAX_PATTERN:

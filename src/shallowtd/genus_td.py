@@ -191,7 +191,10 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
         rot2 = [[2 * emap2[d >> 1] + (d & 1) for d in cyc if (d >> 1) in emap2]
                 for cyc in contracted.rotation]
         contracted = embed(build_graph(contracted.graph.n, edges2), rot2)
-        assert contracted.euler_genus == 0
+        if contracted.euler_genus != 0:
+            raise GenusPipelineError(
+                "dropping loops and parallel edges left genus "
+                f"{contracted.euler_genus}, expected 0")
     return contracted, old_to_new
 
 

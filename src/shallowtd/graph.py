@@ -11,6 +11,7 @@ follows from ``n - m + f = 2 - 2g`` on each connected component.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,15 +346,16 @@ def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, li
     return embed(sub, rotation), keep
 
 
-def contract_connected_set(e: EmbeddedGraph, vertices,
-                           cleanup: bool = True) -> tuple[EmbeddedGraph, list[int]]:
-    """Contract a connected vertex set to a single vertex, splicing rotations.
+def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, list[int]]:
+    """Contract a connected vertex set of a planar embedding to a single
+    vertex, splicing rotations.
 
-    Loops created by the contraction are deleted and parallel edges merged
-    (lowest edge id kept) unless ``cleanup`` is False.  Returns
-    (contracted embedding, old_to_new map).  The Euler genus of the result
-    is recomputed from the surviving rotation.
+    Loops are deleted and parallel edges merged down to their lowest edge id.
+    Returns (contracted embedding, old_to_new map).  The Euler genus of the
+    result is recomputed from the surviving rotation.
     """
+    if e.euler_genus != 0:
+        raise EmbeddingError("contract_connected_set requires a planar embedding")
     g = e.graph
     sset = sorted(set(vertices))
     if not sset:
@@ -366,9 +368,9 @@ def contract_connected_set(e: EmbeddedGraph, vertices,
     in_set = set(sset)
     tree_edges: list[int] = []
     seen = {sset[0]}
-    queue = [sset[0]]
+    queue = deque([sset[0]])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for eid in g.adj[v]:
             w = g.other_end(eid, v)
             if w in in_set and w not in seen:
@@ -380,8 +382,6 @@ def contract_connected_set(e: EmbeddedGraph, vertices,
 
     # mutable working copies
     rot = [list(c) for c in e.rotation]
-    ends = [list(uv) for uv in g.edges]
-    alive = [True] * g.m
     merged_into = list(range(g.n))  # union-find with path compression
 
     def find(v: int) -> int:
@@ -390,14 +390,8 @@ def contract_connected_set(e: EmbeddedGraph, vertices,
             v = merged_into[v]
         return v
 
-    def remove_edge(eid: int) -> None:
-        alive[eid] = False
-        for d in (2 * eid, 2 * eid + 1):
-            t = find(ends[eid][d & 1])
-            rot[t].remove(d)
-
     for eid in tree_edges:
-        u, v = find(ends[eid][0]), find(ends[eid][1])
+        u, v = find(g.edges[eid][0]), find(g.edges[eid][1])
         du, dv = 2 * eid, 2 * eid + 1
         iu = rot[u].index(du)
         iv = rot[v].index(dv)
@@ -406,77 +400,26 @@ def contract_connected_set(e: EmbeddedGraph, vertices,
         rot[u] = rot[u][:iu] + spliced + rot[u][iu + 1:]
         rot[v] = []
         merged_into[v] = u
-        alive[eid] = False
-        # re-tail v's darts: endpoint arrays are canonicalized via find()
 
-    # canonicalize endpoints
-    for eid in range(g.m):
-        if alive[eid]:
-            ends[eid][0] = find(ends[eid][0])
-            ends[eid][1] = find(ends[eid][1])
-
-    if cleanup:
-        # Delete loops and merge parallel classes down to their lowest edge id.
-        # Deleting an edge whose two sides lie on the same face merges no
-        # faces and drops the genus; deleting one with distinct side faces is
-        # genus-neutral.  Preferring same-face deletions lets the inherited
-        # rotation shed the handles the contraction crushed (e.g. contracting
-        # a cut graph of a torus must land at genus 0).
-        def removable_edges() -> list[int]:
-            out = []
-            lowest: dict[tuple[int, int], int] = {}
-            for eid in range(g.m):
-                if not alive[eid]:
-                    continue
-                if ends[eid][0] == ends[eid][1]:
-                    out.append(eid)
-                    continue
-                key = (min(ends[eid]), max(ends[eid]))
-                if key in lowest:
-                    out.append(max(eid, lowest[key]))
-                    lowest[key] = min(eid, lowest[key])
-                else:
-                    lowest[key] = eid
-            return sorted(set(out))
-
-        def face_ids() -> dict[int, int]:
-            succ: dict[int, int] = {}
-            for v in range(g.n):
-                cyc = rot[v]
-                for i, d in enumerate(cyc):
-                    succ[d] = cyc[(i + 1) % len(cyc)]
-            fid: dict[int, int] = {}
-            nf = 0
-            for d0 in succ:
-                if d0 in fid:
-                    continue
-                d = d0
-                while d not in fid:
-                    fid[d] = nf
-                    d = succ[d ^ 1]
-                nf += 1
-            return fid
-
-        while True:
-            rem = removable_edges()
-            if not rem:
-                break
-            fid = face_ids()
-            pick = next((eid for eid in rem if fid[2 * eid] == fid[2 * eid + 1]),
-                        rem[0])
-            remove_edge(pick)
-
-    # compact
+    # Compact, deleting in one pass every loop (the contracted tree edges
+    # among them) and every parallel duplicate after the lowest edge id.  On
+    # the sphere neither kind is a bridge, so each has two distinct faces
+    # beside it: deleting it merges them and keeps genus 0.
     survivors = sorted(v for v in range(g.n) if find(v) == v)
     new_vid = {v: i for i, v in enumerate(survivors)}
     new_eid: dict[int, int] = {}
-    new_edges = []
-    for eid in range(g.m):
-        if alive[eid]:
+    new_edges: list[tuple[int, int]] = []
+    kept_pairs: set[tuple[int, int]] = set()
+    for eid, (u, v) in enumerate(g.edges):
+        u, v = find(u), find(v)
+        key = (min(u, v), max(u, v))
+        if u != v and key not in kept_pairs:
+            kept_pairs.add(key)
             new_eid[eid] = len(new_edges)
-            new_edges.append((new_vid[ends[eid][0]], new_vid[ends[eid][1]]))
+            new_edges.append((new_vid[u], new_vid[v]))
     new_g = build_graph(len(survivors), new_edges)
-    new_rot = [[2 * new_eid[d >> 1] + (d & 1) for d in rot[v]] for v in survivors]
+    new_rot = [[2 * new_eid[d >> 1] + (d & 1) for d in rot[v] if d >> 1 in new_eid]
+               for v in survivors]
     result = embed(new_g, new_rot)
     old_to_new = [new_vid[find(v)] for v in range(g.n)]
     return result, old_to_new
@@ -570,7 +513,8 @@ def emit_graph(obj: Graph | EmbeddedGraph) -> str:
 
 def parse_graph(text: str) -> Graph | EmbeddedGraph:
     """Parse the `v/e/rot` format; returns an EmbeddedGraph when rotation
-    lines are present."""
+    lines are present.  Self-loop lines are rejected: the solvers and the
+    oracles disagree on what a loop means."""
     n = None
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}
@@ -584,7 +528,10 @@ def parse_graph(text: str) -> Graph | EmbeddedGraph:
                 raise GraphInputError(f"line {lineno}: duplicate v line")
             n = int(parts[1])
         elif parts[0] == "e" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
+            u, v = int(parts[1]), int(parts[2])
+            if u == v:
+                raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
+            edges.append((u, v))
         elif parts[0] == "rot" and len(parts) >= 2:
             rot[int(parts[1])] = [int(x) for x in parts[2:]]
         else:

@@ -4,7 +4,7 @@ The construction: triangulate, BFS from the root, build the spanning tree of
 the dual (triangles) crossing only non-BFS-tree edges, and give each
 triangle the bag formed by the union of its three corners' root paths.  The
 BFS tree and the dual tree interdigitate, so the dual tree reaches every
-triangle; this is asserted at runtime.
+triangle; this is checked at runtime.
 
 ``slice_td`` decomposes a BFS level band: outer levels are deleted, inner
 levels contracted to a super-root, and the super-root stripped from bags.
@@ -109,7 +109,9 @@ def _planar_td_arrays(e: EmbeddedGraph, root: int):
 
     tri = triangulate(e)
     pair = tree_cotree(tri, root)
-    assert not pair.leftover_edges  # tree-cotree on the sphere leaves nothing
+    if pair.leftover_edges:
+        raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
+                             "the embedding is invalid")
     lay = pair.layering
     nfaces = len(tri.faces)
     corners = np.empty((nfaces, 3), dtype=np.int64)
@@ -185,9 +187,10 @@ def min_eccentricity_root(g: Graph, samples: int = 16) -> int:
     step = max(1, g.n // samples)
     cands = list(range(0, g.n, step))
     best, best_ecc = cands[0], None
+    indptr, indices = g.csr()
     for v in cands:
-        lay = bfs_layering(g, v)
-        ecc = lay.depth if lay.complete else float("inf")
+        level, _parent = _kernels.bfs_levels(indptr, indices, v)
+        ecc = float("inf") if (level < 0).any() else int(level.max())
         if best_ecc is None or ecc < best_ecc:
             best, best_ecc = v, ecc
     return best

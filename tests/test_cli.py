@@ -1,12 +1,19 @@
 """Command-line interface: exit codes, JSON reports, artifact round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shallowtd.cli import run
 from shallowtd.decomp import parse_td, validate
-from shallowtd.graph import parse_graph
+from shallowtd.generators import grid
+from shallowtd.graph import emit_graph, parse_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, monkeypatch, argv, stdin=""):
@@ -145,3 +152,39 @@ class TestPipelines:
                             ["generate", "--kind", "grid", "--rows", "2",
                              "--cols", "2", "--dot", str(dot)])
         assert code == 0 and dot.read_text().startswith("graph G")
+
+    def test_self_loop_input_exit_one(self, capsys, monkeypatch):
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "mis"],
+                                stdin="v 2\ne 0 0\ne 0 1\n")
+        assert code == 1 and out == ""
+        assert "self-loop" in err and "Traceback" not in err
+
+
+def run_optimized(args, cwd):
+    """The CLI in a fresh interpreter under ``python -O``, which strips
+    assert statements: every check it needs must raise on its own."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "from shallowtd.cli import main; main()",
+         *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestOptimizedInterpreter:
+    def test_decompose_valid(self, tmp_path):
+        (tmp_path / "g.txt").write_text(emit_graph(grid(5, 5)))
+        res = run_optimized(["decompose", "--input", "g.txt"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert '"valid": true' in res.stdout
+
+    def test_validate_reports_broken_subtree(self, tmp_path):
+        (tmp_path / "g.txt").write_text("v 3\ne 0 1\ne 1 2\ne 2 0\n")
+        (tmp_path / "bad.td").write_text(
+            "td 3 1 3\nb 0 0 1\nb 1 1 2\nb 2 0 2\nt 0 1\nt 1 2\n")
+        res = run_optimized(["validate", "--graph", "g.txt", "--td", "bad.td"],
+                            tmp_path)
+        assert res.returncode == 1
+        report = json.loads(res.stdout)
+        assert not report["valid"]
+        assert report["violation"] == ("bags containing a vertex do not form "
+                                       "a subtree")

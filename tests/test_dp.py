@@ -130,6 +130,11 @@ class TestSubisoDriver:
         assert found is not None
         assert verify_subiso(e.graph, cycle_graph(4), found, False)
 
+    def test_nonplanar_host_rejected(self):
+        from shallowtd.generators import toroidal_grid
+        with pytest.raises(GraphInputError):
+            subiso_driver(toroidal_grid(3, 3), cycle_graph(3))
+
     def test_p5_in_p3_absent(self):
         e = embed_outerplanar(path_graph(3))
         assert subiso_driver(e, path_graph(5)) is None

@@ -116,6 +116,10 @@ class TestMinorOps:
         with pytest.raises(GraphInputError):
             contract_connected_set(embed_outerplanar(path_graph(4)), {0, 3})
 
+    def test_contract_nonplanar_rejected(self):
+        with pytest.raises(EmbeddingError):
+            contract_connected_set(toroidal_grid(3, 3), {0, 1})
+
     def test_contraction_never_increases_distance(self):
         e = grid(3, 3)
         c, vmap = contract_connected_set(e, {0, 1})
@@ -182,3 +186,5 @@ class TestTextFormat:
             parse_graph("e 0 1\n")
         with pytest.raises(GraphInputError):
             parse_graph("v 2\nq nonsense\n")
+        with pytest.raises(GraphInputError, match="self-loop"):
+            parse_graph("v 2\ne 0 0\ne 0 1\n")

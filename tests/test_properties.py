@@ -1,0 +1,158 @@
+"""Property tests: the linear validator against its quadratic reference,
+contraction of BFS level prefixes, and Euler genus against an independent
+planarity test."""
+
+from functools import cache
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_validate import validate_quadratic
+from shallowtd.decomp import TreeDecomposition, validate
+from shallowtd.generators import (grid, random_planar_triangulation, subdivide,
+                                  toroidal_grid, wall)
+from shallowtd.genus_td import genus_td
+from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
+                             induced_embedded_subgraph)
+from shallowtd.planar_td import planar_bfs_td
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# validate == validate_quadratic
+
+
+@st.composite
+def random_tree_decompositions(draw):
+    """A random host, a random tree with random bags, and sometimes a broken
+    tree shape or bag count, so that every check gets to report."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(0, n - 1) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10)) if n else []
+    nodes = draw(st.integers(1, 8))
+    labels = draw(st.permutations(range(nodes)))
+    tree_edges = []
+    for i in range(1, nodes):
+        a, b = labels[draw(st.integers(0, i - 1))], labels[i]
+        tree_edges.append((a, b) if draw(st.booleans()) else (b, a))
+    entry = st.integers(-1, n) if draw(st.integers(0, 9)) == 0 else vertex
+    bags = [tuple(sorted(draw(st.lists(entry, max_size=n + 1)))) if n else ()
+            for _ in range(nodes)]
+    damage = draw(st.sampled_from(["none"] * 6 + ["drop_edge", "add_edge",
+                                                  "drop_bag"]))
+    if damage == "drop_edge" and tree_edges:
+        tree_edges.pop(draw(st.integers(0, len(tree_edges) - 1)))
+    elif damage == "add_edge":
+        tree_edges.append((draw(st.integers(0, nodes - 1)),
+                           draw(st.integers(0, nodes - 1))))
+    elif damage == "drop_bag":
+        bags.pop()
+    return build_graph(n, edges), TreeDecomposition(nodes, tree_edges, bags)
+
+
+@PROPERTY
+@given(random_tree_decompositions())
+def test_validate_matches_reference_on_random_bags(case):
+    g, td = case
+    assert validate(td, g) == validate_quadratic(td, g)
+
+
+def _torus_td():
+    e = toroidal_grid(4, 4)
+    return e.graph, genus_td(e, 0)
+
+
+def _planar_td(e, root=0):
+    return e.graph, planar_bfs_td(e, root)
+
+
+_DECOMPOSED = [
+    lambda: _planar_td(grid(4, 5)),
+    lambda: _planar_td(grid(1, 6), 2),
+    lambda: _planar_td(wall(2)[1], 3),
+    lambda: _planar_td(random_planar_triangulation(30, 4), 7),
+    lambda: _planar_td(subdivide(grid(3, 3), 2)),
+    _torus_td,
+]
+
+
+@cache
+def _decomposed(i: int):
+    return _DECOMPOSED[i]()
+
+
+@PROPERTY
+@given(st.data())
+def test_validate_matches_reference_on_one_entry_changes(data):
+    g, td = _decomposed(data.draw(st.integers(0, len(_DECOMPOSED) - 1)))
+    assert validate(td, g).valid
+    bags = [list(b) for b in td.bags]
+    kind = data.draw(st.sampled_from(["drop", "add", "move"]))
+    node = data.draw(st.integers(0, td.nodes - 1))
+    if kind == "add":
+        v = data.draw(st.integers(0, g.n - 1))
+    else:
+        v = bags[node].pop(data.draw(st.integers(0, len(bags[node]) - 1)))
+        if kind == "move":
+            node = data.draw(st.integers(0, td.nodes - 1))
+    if kind != "drop":
+        bags[node] = sorted(set(bags[node]) | {v})
+    changed = TreeDecomposition(td.nodes, td.tree_edges, [tuple(b) for b in bags])
+    assert validate(changed, g) == validate_quadratic(changed, g)
+
+
+# ---------------------------------------------------------------------------
+# Contraction of connected level prefixes
+
+
+@PROPERTY
+@given(n=st.integers(3, 60), seed=st.integers(0, 10**6), data=st.data())
+def test_contracting_a_level_prefix_stays_simple_and_planar(n, seed, data):
+    e = random_planar_triangulation(n, seed)
+    lay = bfs_layering(e.graph, data.draw(st.integers(0, n - 1)))
+    top = data.draw(st.integers(0, lay.depth))
+    prefix = [v for v in range(n) if lay.level[v] <= top]
+    c, old_to_new = contract_connected_set(e, prefix)
+    assert c.euler_genus == 0
+    assert len({old_to_new[v] for v in prefix}) == 1
+    assert c.graph.n == n - len(prefix) + 1
+    assert all(u != v for u, v in c.graph.edges)
+    assert len({(min(u, v), max(u, v)) for u, v in c.graph.edges}) == c.graph.m
+
+
+# ---------------------------------------------------------------------------
+# Euler genus 0 against networkx's planarity test
+
+
+def _generated_host(draw):
+    kind = draw(st.sampled_from(["grid", "wall", "triangulation",
+                                 "subdivided", "torus", "induced"]))
+    if kind == "grid":
+        return grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if kind == "wall":
+        return wall(draw(st.integers(1, 3)))[1]
+    if kind == "triangulation":
+        return random_planar_triangulation(draw(st.integers(3, 40)),
+                                           draw(st.integers(0, 10**6)))
+    if kind == "subdivided":
+        return subdivide(grid(draw(st.integers(2, 4)), draw(st.integers(2, 4))),
+                         draw(st.integers(1, 3)))
+    if kind == "torus":
+        return toroidal_grid(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+    host = random_planar_triangulation(draw(st.integers(3, 40)),
+                                       draw(st.integers(0, 10**6)))
+    keep = draw(st.sets(st.integers(0, host.n - 1), min_size=1))
+    return induced_embedded_subgraph(host, keep)[0]
+
+
+@PROPERTY
+@given(st.data())
+def test_genus_zero_agrees_with_networkx_planarity(data):
+    e = _generated_host(data.draw)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(e.n))
+    nxg.add_edges_from(e.graph.edges)
+    planar, _ = nx.check_planarity(nxg)
+    assert (e.euler_genus == 0) == planar
