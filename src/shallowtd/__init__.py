@@ -6,7 +6,8 @@ __version__ = "0.1.0"
 from .baker import SliceFamily, build_slices, ptas_ds, ptas_mis, ptas_vc
 from .decomp import (NiceDecomposition, TreeDecomposition, emit_td,
                      heuristic_td, make_nice, parse_td, validate)
-from .dp import dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver, verify_subiso
+from .dp import (SolutionCheckError, check_mapping, check_solution, dp_ds,
+                 dp_mis, dp_subiso, dp_vc, subiso_driver, verify_subiso)
 from .generators import (apex_over_grid, grid, hex_set_graph,
                          random_planar_triangulation, subdivide,
                          toroidal_grid, wall)
@@ -17,7 +18,7 @@ from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
                     emit_graph, parse_graph, triangulate)
 from .oracles import (OracleBudgetError, exact_treewidth, oracle_solve,
                       subiso_backtracking)
-from .planar_td import (SliceDecomposition, min_eccentricity_root,
+from .planar_td import (BandHost, Slice, band_host, min_eccentricity_root,
                         planar_bfs_td, slice_td, tree_cotree)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,25 +1,11 @@
-"""Hot numeric kernels: BFS layering and three-path bag assembly.
-
-Both kernels exist in two flavours: a numba ``@njit``-compiled version and a
-pure Python/numpy fallback.  The fallback is selected when numba is missing
-or when the environment variable ``SHALLOWTD_NO_NUMBA`` is set to a truthy
-value ("1", "true", "yes").  Both flavours run the identical algorithm, so
-results are byte-for-byte equal; `shallowtd bench` compares their speed.
-"""
+"""Hot numeric kernels: BFS layering and three-path bag assembly."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("SHALLOWTD_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-def _bfs_levels_impl(indptr, indices, root):
+def bfs_levels(indptr, indices, root):
     # Level-synchronous BFS.  Frontiers are kept sorted ascending so that the
     # first discoverer of a vertex is its lowest-numbered neighbor in the
     # preceding level (the deterministic parent rule).
@@ -51,7 +37,7 @@ def _bfs_levels_impl(indptr, indices, root):
     return level, parent
 
 
-def _three_path_bags_impl(parent, corners):
+def three_path_bags(parent, corners):
     # For each face (row of `corners`) collect the union of the BFS-tree
     # root paths of its corners.  A per-vertex stamp deduplicates: once the
     # walk from a corner reaches a vertex already stamped for this face, the
@@ -84,32 +70,3 @@ def _three_path_bags_impl(parent, corners):
                 v = parent[v]
         data[indptr[f]:indptr[f + 1]] = np.sort(data[indptr[f]:indptr[f + 1]])
     return indptr, data
-
-
-USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        _bfs_levels_jit = njit(cache=True)(_bfs_levels_impl)
-        _three_path_bags_jit = njit(cache=True)(_three_path_bags_impl)
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an optional extra
-        pass
-
-if USING_NUMBA:
-    bfs_levels = _bfs_levels_jit
-    three_path_bags = _three_path_bags_jit
-else:
-    bfs_levels = _bfs_levels_impl
-    three_path_bags = _three_path_bags_impl
-
-
-def bfs_levels_python(indptr, indices, root):
-    """Fallback-path BFS, callable regardless of the env flag (for bench)."""
-    return _bfs_levels_impl(indptr, indices, root)
-
-
-def three_path_bags_python(parent, corners):
-    """Fallback-path bag assembly, callable regardless of the env flag."""
-    return _three_path_bags_impl(parent, corners)

@@ -9,30 +9,21 @@ each widened by one halo level per side so a core vertex's best dominator is
 always inside its band).
 
 All three try every offset and return the best result; ties go to the
-smaller offset, so concurrent evaluation of offsets cannot change the
-answer.  Disconnected inputs are handled per component; the additive
+smaller offset.  Each connected component is decomposed once
+(``planar_td.band_host``) and every band gets that decomposition restricted
+to its levels.  Disconnected inputs are handled per component; the additive
 guarantees compose (dominating set requires a connected input).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomp import make_nice
-from .dp import dp_ds, dp_mis, dp_vc
-from .graph import (EmbeddedGraph, Graph, GraphInputError, Layering,
-                    bfs_layering, connected_components,
+from .dp import check_solution, dp_ds, dp_mis, dp_vc
+from .graph import (EmbeddedGraph, GraphInputError, connected_components,
                     induced_embedded_subgraph, is_connected)
-from .planar_td import slice_td
-
-
-@dataclass
-class Slice:
-    window: tuple[int, int]          # inclusive level range
-    graph: Graph                     # induced subgraph, local vertex ids
-    back_map: list[int]              # local id -> host vertex id
-    core: tuple[int, ...]            # local ids whose constraint must be met
+from .planar_td import BandHost, Slice, band_host, slice_td
 
 
 @dataclass
@@ -77,44 +68,37 @@ def _windows(depth: int, k: int, offset: int, mode: str) -> list[tuple[int, int,
     return out
 
 
-def build_slices(g: Graph, layering: Layering, k: int, offset: int,
-                 mode: str) -> SliceFamily:
-    """Induced level-band subgraphs for one offset; see the mode invariants
-    in the module docstring."""
+def build_slices(host: BandHost, k: int, offset: int, mode: str) -> SliceFamily:
+    """The decomposed level bands of one offset; see the mode invariants in
+    the module docstring."""
     if k < 2:
         raise GraphInputError(f"slicing parameter k must be >= 2, got {k}")
     if not (0 <= offset < k):
         raise GraphInputError(f"offset {offset} out of range [0, {k})")
+    level = host.layering.level
     slices = []
-    for lo, hi, (clo, chi) in _windows(layering.depth, k, offset, mode):
-        verts = [v for v in range(g.n) if lo <= layering.level[v] <= hi]
-        sub, back = _induced(g, verts)
-        core = tuple(i for i, v in enumerate(back)
-                     if clo <= layering.level[v] <= chi)
-        slices.append(Slice(window=(lo, hi), graph=sub, back_map=back,
-                            core=core))
+    for lo, hi, (clo, chi) in _windows(host.layering.depth, k, offset, mode):
+        sl = slice_td(host, lo, hi)
+        sl.core = tuple(i for i, v in enumerate(sl.back_map)
+                        if clo <= level[v] <= chi)
+        slices.append(sl)
     return SliceFamily(k=k, offset=offset, mode=mode, slices=slices)
-
-
-def _induced(g: Graph, verts: list[int]) -> tuple[Graph, list[int]]:
-    from .graph import induced_subgraph
-    return induced_subgraph(g, verts)
 
 
 # ---------------------------------------------------------------------------
 # The three schemes.
 
 
-def ptas_mis(e: EmbeddedGraph, k: int, jobs: int = 1) -> set[int]:
-    return _ptas_detail(e, "mis", k, jobs).chosen
+def ptas_mis(e: EmbeddedGraph, k: int) -> set[int]:
+    return _ptas_detail(e, "mis", k).chosen
 
 
-def ptas_vc(e: EmbeddedGraph, k: int, jobs: int = 1) -> set[int]:
-    return _ptas_detail(e, "vc", k, jobs).chosen
+def ptas_vc(e: EmbeddedGraph, k: int) -> set[int]:
+    return _ptas_detail(e, "vc", k).chosen
 
 
-def ptas_ds(e: EmbeddedGraph, k: int, jobs: int = 1) -> set[int]:
-    return _ptas_detail(e, "ds", k, jobs).chosen
+def ptas_ds(e: EmbeddedGraph, k: int) -> set[int]:
+    return _ptas_detail(e, "ds", k).chosen
 
 
 @dataclass
@@ -128,8 +112,7 @@ _MODES = {"mis": ("delete", False), "vc": ("duplicate", True),
           "ds": ("dominate", True)}
 
 
-def _ptas_detail(e: EmbeddedGraph, problem: str, k: int,
-                 jobs: int = 1) -> PtasResult:
+def _ptas_detail(e: EmbeddedGraph, problem: str, k: int) -> PtasResult:
     if problem not in _MODES:
         raise GraphInputError(f"unknown problem {problem!r}")
     if k < 2:
@@ -146,30 +129,20 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int,
     per_offset_all: list[list[int]] = []
     for comp in connected_components(g):
         sub, back = induced_embedded_subgraph(e, comp)
-        lay = bfs_layering(sub.graph, 0)
-
-        def run(offset: int) -> set[int]:
-            fam = build_slices(sub.graph, lay, k, offset, mode)
+        host = band_host(sub, 0)
+        results = []
+        for offset in range(k):
             picked: set[int] = set()
-            for sl in fam.slices:
-                sd = slice_td(sub, lay, *sl.window)
-                nd = make_nice(sd.td)
+            for sl in build_slices(host, k, offset, mode).slices:
+                nd = make_nice(sl.td)
                 if problem == "mis":
-                    local = dp_mis(nd, sd.graph)
+                    local = dp_mis(nd, sl.graph)
                 elif problem == "vc":
-                    local = dp_vc(nd, sd.graph)
+                    local = dp_vc(nd, sl.graph)
                 else:
-                    slice_id = {v: i for i, v in enumerate(sd.back_map)}
-                    core_slice = {slice_id[sl.back_map[i]] for i in sl.core}
-                    local = dp_ds(nd, sd.graph, core_slice)
-                picked.update(sd.back_map[v] for v in local)
-            return picked
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, range(k)))
-        else:
-            results = [run(o) for o in range(k)]
+                    local = dp_ds(nd, sl.graph, set(sl.core))
+                picked.update(sl.back_map[v] for v in local)
+            results.append(picked)
         values = [len(r) for r in results]
         per_offset_all.append(values)
         best = min(range(k), key=lambda o: (values[o], o)) if minimize \
@@ -177,24 +150,6 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int,
         offsets_used.append(best)
         chosen.update(back[v] for v in results[best])
 
-    _assert_feasible(g, problem, chosen)
+    check_solution(problem, g, chosen)
     return PtasResult(chosen=chosen, per_component_offsets=offsets_used,
                       per_offset_values=per_offset_all)
-
-
-def _assert_feasible(g: Graph, problem: str, s: set[int]) -> None:
-    if problem == "mis":
-        bad = next(((u, v) for u, v in g.edges if u in s and v in s), None)
-        if bad is not None:
-            raise AssertionError(f"result not independent at edge {bad}")
-    elif problem == "vc":
-        bad = next(((u, v) for u, v in g.edges
-                    if u not in s and v not in s), None)
-        if bad is not None:
-            raise AssertionError(f"result misses edge {bad}")
-    else:
-        nbr = g.neighbor_sets()
-        bad = next((v for v in range(g.n)
-                    if v not in s and not (nbr[v] & s)), None)
-        if bad is not None:
-            raise AssertionError(f"vertex {bad} not dominated")

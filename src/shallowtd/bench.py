@@ -1,11 +1,9 @@
 """Scaling benchmark for the planar decomposition pipeline.
 
 Runs the raw-array decomposition path on square grids whose edge counts
-double from roughly 10^3 up to 10^5, once with the active kernels (compiled
-when the jit extra is installed and SHALLOWTD_NO_NUMBA is unset) and once
-with the pure-Python fallback, and reports the growth ratio per doubling.
-Near-linear behaviour means ratios stay around 2; the acceptance suite
-reports ratios above 2.5 without failing.
+double from roughly 10^3 up to 10^5 and reports the growth ratio per
+doubling.  Near-linear behaviour means ratios stay around 2; the acceptance
+suite reports ratios above 2.5 without failing.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 
-from . import _kernels
 from .generators import grid
 from .planar_td import _planar_td_arrays
 
@@ -41,33 +38,20 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
         targets.append(t)
         t *= 2
     rows = []
-    python_kernels = (_kernels.bfs_levels_python, _kernels.three_path_bags_python)
-    active_kernels = (_kernels.bfs_levels, _kernels.three_path_bags)
-    if _kernels.USING_NUMBA:
-        # trigger compilation outside the timed region
-        _planar_td_arrays(grid(4, 4), 0)
     for target in targets:
         n = _grid_for_edges(target)
         e = grid(n, n)
-        t_active = _time_once(e, repeats)
-        try:
-            _kernels.bfs_levels, _kernels.three_path_bags = python_kernels
-            t_python = _time_once(e, repeats)
-        finally:
-            _kernels.bfs_levels, _kernels.three_path_bags = active_kernels
         rows.append({
             "target_edges": target,
             "grid_side": n,
             "edges": e.graph.m,
-            "time_active": round(t_active, 6),
-            "time_python": round(t_python, 6),
+            "time": round(_time_once(e, repeats), 6),
         })
     ratios = []
     for prev, cur in zip(rows, rows[1:]):
-        ratio = cur["time_active"] / max(prev["time_active"], 1e-9)
+        ratio = cur["time"] / max(prev["time"], 1e-9)
         ratios.append(round(ratio, 3))
     return {
-        "using_numba": _kernels.USING_NUMBA,
         "rows": rows,
         "doubling_ratios": ratios,
         "ratio_bound": RATIO_BOUND,

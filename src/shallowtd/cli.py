@@ -19,18 +19,19 @@ from . import __version__
 from .baker import _ptas_detail
 from .decomp import (TreeDecomposition, emit_td, heuristic_td, make_nice,
                      parse_td, validate)
-from .dp import dp_ds, dp_mis, dp_vc, subiso_driver, verify_subiso
+from .dp import (SolutionCheckError, check_solution, dp_ds, dp_mis, dp_vc,
+                 subiso_driver, verify_subiso)
 from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
 from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
-                    bfs_layering, emit_graph, parse_graph)
+                    eccentricity, emit_graph, parse_graph)
 from .oracles import (OracleBudgetError, exact_treewidth, oracle_solve,
                       subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
 
 _DOMAIN_ERRORS = (GraphInputError, EmbeddingError, GenusPipelineError,
-                  OracleBudgetError, ValueError)
+                  SolutionCheckError, OracleBudgetError, ValueError)
 
 
 def _read_graph(path: str | None) -> Graph | EmbeddedGraph:
@@ -137,11 +138,11 @@ def _cmd_decompose(args) -> int:
         "nodes": td.nodes,
     }
     if args.method in ("planar-bfs", "genus"):
-        lay = bfs_layering(g, root)
-        payload["depth"] = lay.depth
+        depth = eccentricity(g, root)
+        payload["depth"] = depth
         if args.method == "planar-bfs":
-            payload["width_bound"] = 3 * lay.depth
-            payload["bound_checked"] = td.width <= 3 * lay.depth
+            payload["width_bound"] = 3 * depth
+            payload["bound_checked"] = td.width <= 3 * depth
     if not args.out:
         payload["decomposition"] = td_text
     _report(payload, started)
@@ -177,12 +178,11 @@ def _solvers():
 
 
 def _feasible(problem: str, g: Graph, s: set[int]) -> bool:
-    nbr = g.neighbor_sets()
-    if problem == "mis":
-        return all(u not in s or v not in s for u, v in g.edges)
-    if problem == "vc":
-        return all(u in s or v in s for u, v in g.edges)
-    return all(v in s or nbr[v] & s for v in range(g.n))
+    try:
+        check_solution(problem, g, s)
+    except SolutionCheckError:
+        return False
+    return True
 
 
 def _cmd_solve(args) -> int:
@@ -210,7 +210,7 @@ def _cmd_ptas(args) -> int:
     started = time.perf_counter()
     text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
     e = _need_embedding(parse_graph(text))
-    detail = _ptas_detail(e, args.problem, args.k, jobs=args.jobs)
+    detail = _ptas_detail(e, args.problem, args.k)
     _report({
         "command": "ptas",
         "input_fingerprint": _fingerprint(text),
@@ -323,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("ptas", help="level-slicing approximation scheme")
     pt.add_argument("--problem", required=True, choices=["mis", "vc", "ds"])
     pt.add_argument("--k", type=int, required=True)
-    pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--input", default=None)
     pt.set_defaults(func=_cmd_ptas)
 

@@ -16,12 +16,38 @@ from __future__ import annotations
 
 from .decomp import (FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition,
                      make_nice)
-from .graph import (EmbeddedGraph, Graph, GraphInputError, bfs_layering,
-                    connected_components, diameter, eccentricity,
-                    induced_embedded_subgraph)
-from .planar_td import slice_td
+from .graph import (EmbeddedGraph, Graph, GraphInputError,
+                    connected_components, diameter, induced_embedded_subgraph)
+from .planar_td import band_host, slice_td
 
 MAX_PATTERN = 8
+
+
+class SolutionCheckError(RuntimeError):
+    """A result failed the independent check that guards it: the
+    decomposition or the solver is broken.  Never silently ignored."""
+
+
+def check_solution(problem: str, g: Graph, s, required=None) -> None:
+    """Raise SolutionCheckError unless s is an independent set of g ("mis"),
+    a vertex cover ("vc"), or dominates `required` (every vertex when None;
+    "ds")."""
+    if problem == "mis":
+        bad = next(((u, v) for u, v in g.edges if u in s and v in s), None)
+        if bad is not None:
+            raise SolutionCheckError(f"result not independent at edge {bad}")
+    elif problem == "vc":
+        bad = next(((u, v) for u, v in g.edges
+                    if u not in s and v not in s), None)
+        if bad is not None:
+            raise SolutionCheckError(f"result misses edge {bad}")
+    else:
+        nbr = g.neighbor_sets()
+        targets = range(g.n) if required is None else sorted(required)
+        bad = next((v for v in targets if v not in s and not (nbr[v] & s)),
+                   None)
+        if bad is not None:
+            raise SolutionCheckError(f"vertex {bad} not dominated")
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +58,7 @@ def dp_mis(nd: NiceDecomposition, g: Graph) -> set[int]:
     """Maximum independent set of g; witness returned and self-consistent."""
     table = _run_subset_dp(nd, g, minimize=False)
     witness = table[frozenset()]
-    assert _independent(g, witness)
+    check_solution("mis", g, witness)
     return set(witness)
 
 
@@ -40,16 +66,8 @@ def dp_vc(nd: NiceDecomposition, g: Graph) -> set[int]:
     """Minimum vertex cover of g."""
     table = _run_subset_dp(nd, g, minimize=True)
     witness = table[frozenset()]
-    assert _covers(g, witness)
+    check_solution("vc", g, witness)
     return set(witness)
-
-
-def _independent(g: Graph, s: frozenset[int]) -> bool:
-    return not any(u in s and v in s for u, v in g.edges)
-
-
-def _covers(g: Graph, s: frozenset[int]) -> bool:
-    return all(u in s or v in s for u, v in g.edges)
 
 
 def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
@@ -194,7 +212,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
             raise GraphInputError("dominating-set dynamic program ran out of "
                                   "states: no feasible assignment exists")
     witness = tables[nd.root][()]
-    assert _dominates(g, witness, required)
+    check_solution("ds", g, witness, required)
     return set(witness)
 
 
@@ -202,11 +220,6 @@ def _keep_min(out, state, wit):
     cur = out.get(state)
     if cur is None or len(wit) < len(cur):
         out[state] = wit
-
-
-def _dominates(g: Graph, s: frozenset[int], required: set[int]) -> bool:
-    nbr = g.neighbor_sets()
-    return all(v in s or (nbr[v] & s) for v in required)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +327,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     if hit is None:
         return None
     mapping = dict(hit)
-    assert verify_subiso(g, h, mapping, induced)
+    check_mapping(g, h, mapping, induced)
     return mapping
 
 
@@ -336,6 +349,15 @@ def verify_subiso(g: Graph, h: Graph, mapping: dict[int, int],
             if induced and gedge and not pedge:
                 return False
     return True
+
+
+def check_mapping(g: Graph, h: Graph, mapping: dict[int, int],
+                  induced: bool) -> None:
+    """Raise SolutionCheckError unless verify_subiso accepts mapping."""
+    if not verify_subiso(g, h, mapping, induced):
+        kind = "induced " if induced else ""
+        raise SolutionCheckError(f"mapping {mapping} is not an {kind}"
+                                 "embedding of the pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +392,17 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
         if len(comp) < h.n:
             continue
         sub, back = induced_embedded_subgraph(e, comp)
-        lay = bfs_layering(sub.graph, 0)
+        host = band_host(sub, 0)
         for offset in range(k):
-            for lo, hi in _runs_avoiding(lay.depth, k, offset):
-                sd = slice_td(sub, lay, lo, hi)
-                if sd.graph.n < h.n:
+            for lo, hi in _runs_avoiding(host.layering.depth, k, offset):
+                sl = slice_td(host, lo, hi)
+                if sl.graph.n < h.n:
                     continue
-                found = dp_subiso(make_nice(sd.td), sd.graph, h, induced)
+                found = dp_subiso(make_nice(sl.td), sl.graph, h, induced)
                 if found is not None:
-                    mapping = {q: back[sd.back_map[v]]
+                    mapping = {q: back[sl.back_map[v]]
                                for q, v in found.items()}
-                    assert verify_subiso(g, h, mapping, induced)
+                    check_mapping(g, h, mapping, induced)
                     return mapping
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition
-from .graph import EmbeddedGraph, build_graph, embed
+from .graph import EmbeddedGraph, bfs_layering, build_graph, embed
 from .planar_td import planar_bfs_td, tree_cotree
 
 
@@ -34,8 +34,8 @@ class CutGraph:
 
 def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
     """Tree-cotree cut graph; |leftover| = 2g, |X| <= 2g*(2*depth+1) + 1."""
-    pair = tree_cotree(e, root)
-    lay = pair.layering
+    lay = bfs_layering(e.graph, root)
+    pair = tree_cotree(e, lay)
     leftover = list(pair.leftover_edges)
     if len(leftover) != 2 * e.euler_genus:
         raise GenusPipelineError(

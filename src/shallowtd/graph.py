@@ -135,10 +135,12 @@ def bfs_layering(g: Graph, root: int) -> Layering:
 
 
 def eccentricity(g: Graph, v: int) -> float:
-    lay = bfs_layering(g, v)
-    if not lay.complete:
-        return math.inf
-    return lay.depth
+    """Largest distance from v; infinite when g is disconnected."""
+    if not (0 <= v < g.n):
+        raise GraphInputError(f"vertex {v} out of range [0, {g.n})")
+    indptr, indices = g.csr()
+    level, _parent = _kernels.bfs_levels(indptr, indices, v)
+    return math.inf if (level < 0).any() else int(level.max())
 
 
 def diameter(g: Graph) -> float:

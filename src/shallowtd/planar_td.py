@@ -1,13 +1,20 @@
 """Width <= 3*depth tree decompositions of embedded planar graphs.
 
-The construction: triangulate, BFS from the root, build the spanning tree of
-the dual (triangles) crossing only non-BFS-tree edges, and give each
-triangle the bag formed by the union of its three corners' root paths.  The
-BFS tree and the dual tree interdigitate, so the dual tree reaches every
-triangle; this is checked at runtime.
+The construction: triangulate, take a BFS tree from the root, build the
+spanning tree of the dual (triangles) crossing only non-BFS-tree edges, and
+give each triangle the bag formed by the union of its three corners' root
+paths.  The BFS tree and the dual tree interdigitate, so the dual tree
+reaches every triangle; this is checked at runtime.  Any spanning tree of the
+triangulation gives a valid decomposition; a BFS tree bounds every root path
+to one vertex per level.
 
-``slice_td`` decomposes a BFS level band: outer levels are deleted, inner
-levels contracted to a super-root, and the super-root stripped from bags.
+Level bands use one host decomposition per connected component
+(``band_host``): the triangulated component with the BFS tree of the
+component itself, whose levels define the bands.  ``slice_td`` restricts the
+host bags to the levels [lo, hi] of a band.  Restricting a tree decomposition
+to a vertex set decomposes the subgraph it induces, and each root path meets
+the band in at most hi - lo + 1 vertices, so the band's width is at most
+3(hi - lo + 1) - 1 (Baker's bounded-treewidth bands).
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .graph import (
     GraphInputError,
     Layering,
     bfs_layering,
-    contract_connected_set,
-    induced_embedded_subgraph,
+    dart_tail,
+    eccentricity,
     induced_subgraph,
     is_connected,
     triangulate,
@@ -35,24 +42,22 @@ from .graph import (
 
 @dataclass
 class DualTreePair:
-    """BFS tree of the triangulated host plus the dual spanning tree that
-    crosses only non-BFS-tree edges.  On planar hosts nothing is left over."""
+    """The dual spanning tree that crosses only edges outside a given
+    spanning tree of the host.  On planar hosts nothing is left over."""
 
-    layering: Layering
     dual_parent: list[int]          # per face, parent face (-1 at the root face)
     dual_parent_edge: list[int]     # per face, crossed primal edge id
     leftover_edges: list[int]       # edges in neither tree; empty iff genus 0
 
 
-def tree_cotree(e: EmbeddedGraph, root: int) -> DualTreePair:
-    """Partition edges into BFS-tree, dual-tree-crossed, and leftover."""
+def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
+    """Partition edges into tree (the parent edges of `layering`, which must
+    span e.graph), dual-tree-crossed, and leftover."""
     g = e.graph
-    lay = bfs_layering(g, root)
-    if not lay.complete:
+    if not layering.complete:
         raise GraphInputError("graph is not connected")
     is_tree_edge = [False] * g.m
-    for v in range(g.n):
-        pe = lay.parent_edge[v]
+    for pe in layering.parent_edge:
         if pe is not None:
             is_tree_edge[pe] = True
 
@@ -81,7 +86,7 @@ def tree_cotree(e: EmbeddedGraph, root: int) -> DualTreePair:
                              "embedding is invalid")
     leftover = [eid for eid in range(g.m)
                 if not is_tree_edge[eid] and not crossed[eid]]
-    return DualTreePair(layering=lay, dual_parent=dual_parent,
+    return DualTreePair(dual_parent=dual_parent,
                         dual_parent_edge=dual_parent_edge, leftover_edges=leftover)
 
 
@@ -95,27 +100,40 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
 
 def _planar_td_arrays(e: EmbeddedGraph, root: int):
     """Raw-array form of planar_bfs_td (the bench path): returns
-    (node_count, tree_edges, bag_indptr, bag_data, depth)."""
-    if e.euler_genus != 0:
-        raise EmbeddingError("planar_bfs_td requires a planar embedding")
-    g = e.graph
-    if not (0 <= root < g.n):
-        raise GraphInputError(f"root {root} out of range")
-    if not is_connected(g):
-        raise GraphInputError("graph is not connected")
-    if g.n <= 2:
-        bag = np.arange(g.n, dtype=np.int64)
-        return 1, [], np.array([0, g.n], dtype=np.int64), bag, 0
-
+    (node_count, tree_edges, bag_indptr, bag_data, depth).  The BFS runs on
+    the triangulation, whose depth is at most the host's."""
+    _check_planar_component(e, root)
+    if e.graph.n <= 2:
+        return (*_single_bag(e.graph.n), 0)
     tri = triangulate(e)
-    pair = tree_cotree(tri, root)
+    lay = bfs_layering(tri.graph, root)
+    return (*_three_path_td(tri, lay), lay.depth)
+
+
+def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
+    if e.euler_genus != 0:
+        raise EmbeddingError("the three-path decomposition requires a planar "
+                             "embedding")
+    if not (0 <= root < e.graph.n):
+        raise GraphInputError(f"root {root} out of range")
+    if not is_connected(e.graph):
+        raise GraphInputError("graph is not connected")
+
+
+def _single_bag(n: int):
+    return 1, [], np.array([0, n], dtype=np.int64), np.arange(n, dtype=np.int64)
+
+
+def _three_path_td(tri: EmbeddedGraph, lay: Layering):
+    """(node_count, tree_edges, bag_indptr, bag_data) of the triangulation
+    `tri`: one node per triangle, joined by the dual tree that avoids the
+    spanning tree of `lay`, whose root paths form the bags."""
+    pair = tree_cotree(tri, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
                              "the embedding is invalid")
-    lay = pair.layering
     nfaces = len(tri.faces)
     corners = np.empty((nfaces, 3), dtype=np.int64)
-    from .graph import dart_tail
     for f, cyc in enumerate(tri.faces):
         for i in range(3):
             corners[f, i] = dart_tail(tri.graph, cyc[i])
@@ -123,61 +141,98 @@ def _planar_td_arrays(e: EmbeddedGraph, root: int):
     indptr, data = _kernels.three_path_bags(parent, corners)
     tree_edges = [(pair.dual_parent[f], f) for f in range(nfaces)
                   if pair.dual_parent[f] >= 0]
-    return nfaces, tree_edges, indptr, data, lay.depth
+    return nfaces, tree_edges, indptr, data
+
+
+# ---------------------------------------------------------------------------
+# Level bands
 
 
 @dataclass
-class SliceDecomposition:
-    """Decomposition of the subgraph induced by a BFS level window."""
+class BandHost:
+    """One connected planar component, decomposed once for all its bands."""
 
+    graph: Graph
+    layering: Layering           # BFS levels of graph; they define the bands
+    tree_edges: list[tuple[int, int]]
+    bag_indptr: np.ndarray       # bags of the nodes, CSR, ascending ids
+    bag_data: np.ndarray
+
+
+def band_host(e: EmbeddedGraph, root: int) -> BandHost:
+    """Host decomposition of a connected planar embedding whose bags are
+    root paths in the BFS tree of e.graph from `root` (not of its
+    triangulation), so that every bag meets each level at most three times."""
+    _check_planar_component(e, root)
+    lay = bfs_layering(e.graph, root)
+    if e.graph.n <= 2:
+        _nodes, tree_edges, indptr, data = _single_bag(e.graph.n)
+    else:
+        _nodes, tree_edges, indptr, data = _three_path_td(triangulate(e), lay)
+    return BandHost(graph=e.graph, layering=lay, tree_edges=tree_edges,
+                    bag_indptr=indptr, bag_data=data)
+
+
+@dataclass
+class Slice:
+    """A level band [lo, hi] of a host: the subgraph its vertices induce, with
+    local ids, and the host decomposition restricted to it."""
+
+    window: tuple[int, int]      # inclusive level range
+    graph: Graph
+    back_map: list[int]          # local id -> host vertex id
     td: TreeDecomposition
-    graph: Graph                 # the induced slice, with its own vertex ids
-    back_map: list[int]          # slice id -> original vertex id
-    window: tuple[int, int]
+    core: tuple[int, ...]        # local ids whose constraint must be met
 
 
-def slice_td(e: EmbeddedGraph, layering: Layering, lo: int, hi: int) -> SliceDecomposition:
-    """Decompose the levels [lo, hi] band; width <= 3 * (hi - lo + 2).
+def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
+    """Decompose the band of levels [lo, hi]; width <= 3 * (hi - lo + 1) - 1.
 
-    Levels above hi are deleted, levels below lo contracted to a super-root
-    (they are connected: every BFS level hangs off the previous one), and the
-    super-root is stripped from the bags.
+    Every host bag is cut to the band, then each tree edge whose one bag is
+    a subset of the other is contracted into the larger bag, which removes
+    the empty bags.  The core is the whole band.
     """
-    if not (0 <= lo <= hi <= layering.depth):
+    if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
-    g = e.graph
-    keep = [v for v in range(g.n) if 0 <= layering.level[v] <= hi]
-    inner, inner_map = induced_embedded_subgraph(e, keep)
-    old_of = inner_map  # new id -> original id
-    slice_old = [v for v in old_of if layering.level[v] >= lo]
-    slice_graph, slice_back = induced_subgraph(g, slice_old)
-    slice_id = {v: i for i, v in enumerate(slice_back)}
+    level = np.asarray(host.layering.level)
+    in_band = (level >= lo) & (level <= hi)
+    graph, back_map = induced_subgraph(host.graph, np.flatnonzero(in_band).tolist())
+    local = np.cumsum(in_band) - 1            # ascending, so bags stay sorted
 
-    if lo == 0:
-        td_inner = planar_bfs_td(inner, old_of.index(layering.root))
-        bags = [tuple(sorted(slice_id[old_of[v]] for v in bag))
-                for bag in td_inner.bags]
-        td = TreeDecomposition(nodes=td_inner.nodes, tree_edges=td_inner.tree_edges,
-                               bags=bags)
-        return SliceDecomposition(td=td, graph=slice_graph, back_map=slice_back,
-                                  window=(lo, hi))
+    nodes = len(host.bag_indptr) - 1
+    keep = in_band[host.bag_data]
+    cut = local[host.bag_data[keep]].tolist()
+    kept_before = np.concatenate(([0], np.cumsum(keep)))[host.bag_indptr].tolist()
+    bags = [tuple(cut[kept_before[i]:kept_before[i + 1]]) for i in range(nodes)]
+    sets = [set(b) for b in bags]
 
-    core = {i for i, v in enumerate(old_of) if layering.level[v] < lo}
-    contracted, old_to_new = contract_connected_set(inner, core)
-    super_root = old_to_new[next(iter(core))]
-    # invert for survivors
-    new_to_old: dict[int, int] = {}
-    for i, v in enumerate(old_of):
-        if i not in core:
-            new_to_old[old_to_new[i]] = v
-    td_c = planar_bfs_td(contracted, super_root)
-    bags = []
-    for bag in td_c.bags:
-        bags.append(tuple(sorted(slice_id[new_to_old[w]]
-                                 for w in bag if w != super_root)))
-    td = TreeDecomposition(nodes=td_c.nodes, tree_edges=td_c.tree_edges, bags=bags)
-    return SliceDecomposition(td=td, graph=slice_graph, back_map=slice_back,
-                              window=(lo, hi))
+    rep = list(range(nodes))
+
+    def find(x: int) -> int:
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    for a, b in host.tree_edges:
+        ra, rb = find(a), find(b)
+        if sets[ra] <= sets[rb]:
+            rep[ra] = rb
+        elif sets[rb] <= sets[ra]:
+            rep[rb] = ra
+    kept = [x for x in range(nodes) if find(x) == x]
+    new_id = {x: i for i, x in enumerate(kept)}
+    tree_edges = [(new_id[find(a)], new_id[find(b)]) for a, b in host.tree_edges
+                  if find(a) != find(b)]
+    td = TreeDecomposition(nodes=len(kept), tree_edges=tree_edges,
+                           bags=[bags[x] for x in kept])
+    bound = 3 * (hi - lo + 1) - 1
+    if td.width > bound:
+        raise EmbeddingError(f"band [{lo}, {hi}] decomposition has width "
+                             f"{td.width} > {bound}: the host bags are not "
+                             "root paths of its BFS tree")
+    return Slice(window=(lo, hi), graph=graph, back_map=back_map, td=td,
+                 core=tuple(range(graph.n)))
 
 
 def min_eccentricity_root(g: Graph, samples: int = 16) -> int:
@@ -185,12 +240,4 @@ def min_eccentricity_root(g: Graph, samples: int = 16) -> int:
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
     step = max(1, g.n // samples)
-    cands = list(range(0, g.n, step))
-    best, best_ecc = cands[0], None
-    indptr, indices = g.csr()
-    for v in cands:
-        level, _parent = _kernels.bfs_levels(indptr, indices, v)
-        ecc = float("inf") if (level < 0).any() else int(level.max())
-        if best_ecc is None or ecc < best_ecc:
-            best, best_ecc = v, ecc
-    return best
+    return min(range(0, g.n, step), key=lambda v: eccentricity(g, v))

@@ -211,7 +211,7 @@ def test_criterion_7_torus_pipeline():
         for c in (3, 4, 5):
             e = toroidal_grid(r, c)
             assert e.euler_genus == 1, f"torus {r}x{c}: genus {e.euler_genus}"
-            pair = tree_cotree(e, 0)
+            pair = tree_cotree(e, bfs_layering(e.graph, 0))
             assert len(pair.leftover_edges) == 2
             cg = cut_graph(e, 0)
             contracted, _ = contract_cut_graph(cg)
@@ -258,5 +258,4 @@ def test_criterion_9_scaling_trend():
     # soft criterion: the trend is reported, never failed
     _report(9, True,
             f"doubling ratios [{ratios}] {status} the 2.5x target "
-            f"(numba={'on' if result['using_numba'] else 'off'}; "
-            "soft criterion, reported only)")
+            "(soft criterion, reported only)")

@@ -7,9 +7,13 @@ import pytest
 
 from conftest import (cycle_graph, embed_outerplanar, path_graph, star_graph)
 from shallowtd.baker import build_slices, ptas_ds, ptas_mis, ptas_vc
+from shallowtd import baker
+from shallowtd.decomp import validate
+from shallowtd.dp import SolutionCheckError
 from shallowtd.generators import grid, random_planar_triangulation
-from shallowtd.graph import GraphInputError, bfs_layering, build_graph, embed
+from shallowtd.graph import GraphInputError, build_graph, embed
 from shallowtd.oracles import oracle_solve
+from shallowtd.planar_td import band_host
 
 
 def _p10():
@@ -18,23 +22,20 @@ def _p10():
 
 class TestBuildSlices:
     def test_delete_windows(self):
-        e = _p10()
-        lay = bfs_layering(e.graph, 0)
-        fam = build_slices(e.graph, lay, 3, 2, "delete")
+        host = band_host(_p10(), 0)
+        fam = build_slices(host, 3, 2, "delete")
         assert [s.window for s in fam.slices] == [(0, 1), (3, 4), (6, 7), (9, 9)]
 
     def test_duplicate_windows(self):
-        e = _p10()
-        lay = bfs_layering(e.graph, 0)
-        fam = build_slices(e.graph, lay, 3, 0, "duplicate")
+        host = band_host(_p10(), 0)
+        fam = build_slices(host, 3, 0, "duplicate")
         assert [s.window for s in fam.slices] == [(0, 3), (3, 6), (6, 9)]
 
     def test_deleted_levels_partition(self):
-        e = _p10()
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(_p10(), 0)
         deleted = []
         for o in range(3):
-            fam = build_slices(e.graph, lay, 3, o, "delete")
+            fam = build_slices(host, 3, o, "delete")
             kept = set()
             for s in fam.slices:
                 kept.update(range(s.window[0], s.window[1] + 1))
@@ -43,31 +44,32 @@ class TestBuildSlices:
 
     def test_duplicate_covers_every_edge(self):
         e = grid(5, 5)
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(e, 0)
+        lay = host.layering
         for o in range(4):
-            fam = build_slices(e.graph, lay, 4, o, "duplicate")
+            fam = build_slices(host, 4, o, "duplicate")
             for u, v in e.graph.edges:
                 assert any(s.window[0] <= lay.level[u] <= s.window[1] and
                            s.window[0] <= lay.level[v] <= s.window[1]
                            for s in fam.slices), (o, u, v)
+            for s in fam.slices:
+                assert validate(s.td, s.graph).valid, (o, s.window)
 
     def test_dominate_cores_partition_levels(self):
-        e = _p10()
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(_p10(), 0)
         for o in range(3):
-            fam = build_slices(e.graph, lay, 3, o, "dominate")
+            fam = build_slices(host, 3, o, "dominate")
             cores = sorted(s.back_map[i] for s in fam.slices for i in s.core)
             assert cores == list(range(10)), o
 
     def test_bad_parameters(self):
-        e = _p10()
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(_p10(), 0)
         with pytest.raises(GraphInputError):
-            build_slices(e.graph, lay, 1, 0, "delete")
+            build_slices(host, 1, 0, "delete")
         with pytest.raises(GraphInputError):
-            build_slices(e.graph, lay, 3, 3, "delete")
+            build_slices(host, 3, 3, "delete")
         with pytest.raises(GraphInputError):
-            build_slices(e.graph, lay, 3, 0, "bogus")
+            build_slices(host, 3, 0, "bogus")
 
 
 class TestPtasMis:
@@ -95,9 +97,12 @@ class TestPtasMis:
         with pytest.raises(GraphInputError):
             ptas_mis(toroidal_grid(3, 3), 2)
 
-    def test_jobs_deterministic(self):
-        e = grid(5, 4)
-        assert ptas_mis(e, 3, jobs=1) == ptas_mis(e, 3, jobs=3)
+    def test_infeasible_union_raises(self, monkeypatch):
+        # bands of two grid levels hold edges, so taking every band vertex
+        # breaks independence
+        monkeypatch.setattr(baker, "dp_mis", lambda nd, g: set(range(g.n)))
+        with pytest.raises(SolutionCheckError, match="not independent"):
+            ptas_mis(grid(3, 3), 3)
 
 
 class TestPtasVc:

@@ -146,6 +146,16 @@ class TestPipelines:
                               stdin=ttext)
         assert code == 1 and "error" in err
 
+    def test_failed_result_check_exit_one(self, capsys, monkeypatch):
+        from shallowtd import dp
+        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
+                            {frozenset(): frozenset(range(g.n))})
+        gtext = self._grid_text(capsys, monkeypatch, 3, 3)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "mis"], stdin=gtext)
+        assert code == 1 and out == ""
+        assert "not independent" in err and "Traceback" not in err
+
     def test_dot_export(self, capsys, monkeypatch, tmp_path):
         dot = tmp_path / "g.dot"
         code, _, _ = invoke(capsys, monkeypatch,

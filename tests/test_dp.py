@@ -6,8 +6,10 @@ import pytest
 
 from conftest import (complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph)
+from shallowtd import dp
 from shallowtd.decomp import heuristic_td, make_nice
-from shallowtd.dp import (dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
+from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
+                          dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
                           verify_subiso)
 from shallowtd.generators import grid, wall
 from shallowtd.graph import GraphInputError, build_graph
@@ -159,3 +161,44 @@ class TestSubisoDriver:
             found = subiso_driver(e, h, induced=induced)
             ref = subiso_backtracking(e.graph, h, induced).mapping
             assert (found is not None) == expect == (ref is not None)
+
+
+class TestResultChecks:
+    """Infeasible results raise SolutionCheckError, not an assert that
+    python -O strips."""
+
+    @pytest.mark.parametrize("problem, good, bad", [
+        ("mis", {0, 2}, {0, 1}),
+        ("vc", {1, 2}, {1}),
+        ("ds", {1, 2}, {0}),
+    ])
+    def test_check_solution(self, problem, good, bad):
+        g = path_graph(4)
+        check_solution(problem, g, good)
+        with pytest.raises(SolutionCheckError):
+            check_solution(problem, g, bad)
+
+    def test_ds_checks_only_required(self):
+        g = path_graph(4)
+        check_solution("ds", g, {0}, required={0, 1})
+        with pytest.raises(SolutionCheckError, match="vertex 2"):
+            check_solution("ds", g, {0}, required={1, 2})
+
+    def test_check_mapping(self):
+        g, h = path_graph(4), path_graph(3)
+        check_mapping(g, h, {0: 0, 1: 1, 2: 2}, False)
+        with pytest.raises(SolutionCheckError):
+            check_mapping(g, h, {0: 0, 1: 2, 2: 3}, False)   # 0-2 not an edge
+        with pytest.raises(SolutionCheckError):
+            check_mapping(g, h, {0: 0, 1: 1, 2: 0}, False)   # not injective
+        with pytest.raises(SolutionCheckError):
+            check_mapping(cycle_graph(3), h, {0: 0, 1: 1, 2: 2}, True)
+
+    def test_solvers_check_their_witness(self, monkeypatch):
+        g = path_graph(4)
+        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
+                            {frozenset(): frozenset({0, 1})})
+        with pytest.raises(SolutionCheckError, match="not independent"):
+            dp_mis(nice(g), g)
+        with pytest.raises(SolutionCheckError, match="misses edge"):
+            dp_vc(nice(g), g)

@@ -7,15 +7,16 @@ from shallowtd.decomp import validate
 from shallowtd.generators import grid, random_planar_triangulation, wall
 from shallowtd.graph import (GraphInputError, bfs_layering, build_graph,
                              embed, triangulate)
-from shallowtd.planar_td import (min_eccentricity_root, planar_bfs_td,
-                                 slice_td, tree_cotree)
+from shallowtd.planar_td import (band_host, min_eccentricity_root,
+                                 planar_bfs_td, slice_td, tree_cotree)
 
 
 class TestTreeCotree:
     def test_partition_on_planar(self):
         e = triangulate(grid(3, 3))
-        pair = tree_cotree(e, 0)
-        tree_edges = {lay_e for lay_e in pair.layering.parent_edge
+        lay = bfs_layering(e.graph, 0)
+        pair = tree_cotree(e, lay)
+        tree_edges = {lay_e for lay_e in lay.parent_edge
                       if lay_e is not None}
         crossed = {eid for eid in pair.dual_parent_edge if eid >= 0}
         leftover = set(pair.leftover_edges)
@@ -74,44 +75,49 @@ class TestPlanarBfsTd:
 class TestSliceTd:
     def test_full_range(self):
         e = grid(4, 4)
-        lay = bfs_layering(e.graph, 0)
-        sd = slice_td(e, lay, 0, lay.depth)
+        host = band_host(e, 0)
+        lay = host.layering
+        sd = slice_td(host, 0, lay.depth)
         assert sd.graph.n == e.graph.n
         assert validate(sd.td, sd.graph).valid
-        assert sd.td.width <= 3 * (lay.depth + 2)
+        assert sd.td.width <= 3 * (lay.depth + 1) - 1
 
     def test_middle_band(self):
         e = grid(6, 6)
-        lay = bfs_layering(e.graph, 0)
-        sd = slice_td(e, lay, 2, 4)
+        host = band_host(e, 0)
+        lay = host.layering
+        sd = slice_td(host, 2, 4)
         assert validate(sd.td, sd.graph).valid
-        assert sd.td.width <= 15
+        assert sd.td.width <= 8
         assert all(2 <= lay.level[sd.back_map[v]] <= 4
                    for v in range(sd.graph.n))
+        assert sd.graph.n == sum(2 <= l <= 4 for l in lay.level)
 
     def test_outermost_level(self):
         e = grid(6, 6)
-        lay = bfs_layering(e.graph, 0)
-        sd = slice_td(e, lay, lay.depth, lay.depth)
+        host = band_host(e, 0)
+        lay = host.layering
+        sd = slice_td(host, lay.depth, lay.depth)
         assert validate(sd.td, sd.graph).valid
-        assert sd.td.width <= 9
+        assert sd.td.width <= 2
 
     def test_bad_range(self):
-        e = grid(3, 3)
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(grid(3, 3), 0)
         with pytest.raises(GraphInputError):
-            slice_td(e, lay, 2, 1)
+            slice_td(host, 2, 1)
         with pytest.raises(GraphInputError):
-            slice_td(e, lay, 0, lay.depth + 1)
+            slice_td(host, 0, host.layering.depth + 1)
 
     def test_slice_edges_covered(self):
         e = random_planar_triangulation(50, 9)
-        lay = bfs_layering(e.graph, 0)
+        host = band_host(e, 0)
+        lay = host.layering
         for lo, hi in [(0, 1), (1, 2), (1, lay.depth)]:
             if hi > lay.depth:
                 continue
-            sd = slice_td(e, lay, lo, hi)
+            sd = slice_td(host, lo, hi)
             assert validate(sd.td, sd.graph).valid
+            assert sd.td.width <= 3 * (hi - lo + 1) - 1
 
 
 class TestRootSelection:

@@ -1,6 +1,6 @@
 """Property tests: the linear validator against its quadratic reference,
-contraction of BFS level prefixes, and Euler genus against an independent
-planarity test."""
+contraction of BFS level prefixes, Euler genus against an independent
+planarity test, and level-band decompositions against the oracle."""
 
 from functools import cache
 
@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_validate import validate_quadratic
-from shallowtd.decomp import TreeDecomposition, validate
+from shallowtd.decomp import TreeDecomposition, make_nice, validate
+from shallowtd.dp import dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation, subdivide,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import genus_td
 from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
                              induced_embedded_subgraph)
-from shallowtd.planar_td import planar_bfs_td
+from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
+from shallowtd.planar_td import band_host, planar_bfs_td, slice_td
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -156,3 +158,30 @@ def test_genus_zero_agrees_with_networkx_planarity(data):
     nxg.add_edges_from(e.graph.edges)
     planar, _ = nx.check_planarity(nxg)
     assert (e.euler_genus == 0) == planar
+
+
+# ---------------------------------------------------------------------------
+# Level bands: the host decomposition restricted to levels [lo, hi]
+
+
+@PROPERTY
+@given(st.data())
+def test_band_is_valid_narrow_and_exact(data):
+    if data.draw(st.booleans()):
+        e = random_planar_triangulation(data.draw(st.integers(3, 60)),
+                                        data.draw(st.integers(0, 10**6)))
+    else:
+        e = subdivide(grid(data.draw(st.integers(1, 6)),
+                           data.draw(st.integers(2, 6))),
+                      data.draw(st.integers(1, 3)))
+    host = band_host(e, data.draw(st.integers(0, e.n - 1)))
+    lo = data.draw(st.integers(0, host.layering.depth))
+    hi = data.draw(st.integers(lo, host.layering.depth))
+    sl = slice_td(host, lo, hi)
+    assert sl.back_map == [v for v in range(e.n)
+                           if lo <= host.layering.level[v] <= hi]
+    assert validate(sl.td, sl.graph).valid
+    assert sl.td.width <= 3 * (hi - lo + 1) - 1
+    if sl.graph.n <= MAX_SET_PROBLEM:
+        assert (len(dp_mis(make_nice(sl.td), sl.graph))
+                == oracle_solve("mis", sl.graph)[0])
