@@ -16,8 +16,8 @@ from .genus_td import (CutGraph, GenusPipelineError, contract_cut_graph,
 from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
                     Layering, bfs_layering, build_graph, diameter, embed,
                     emit_graph, parse_graph, triangulate)
-from .oracles import (OracleBudgetError, exact_treewidth, oracle_solve,
-                      subiso_backtracking)
+from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
+                      oracle_solve, subiso_backtracking)
 from .planar_td import (BandHost, Slice, band_host, min_eccentricity_root,
                         planar_bfs_td, slice_td, tree_cotree)
 

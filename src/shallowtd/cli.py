@@ -26,12 +26,13 @@ from .generators import (apex_over_grid, grid, random_planar_triangulation,
 from .genus_td import GenusPipelineError, genus_td
 from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
                     eccentricity, emit_graph, parse_graph)
-from .oracles import (OracleBudgetError, exact_treewidth, oracle_solve,
-                      subiso_backtracking)
+from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
+                      oracle_solve, subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
 
 _DOMAIN_ERRORS = (GraphInputError, EmbeddingError, GenusPipelineError,
-                  SolutionCheckError, OracleBudgetError, ValueError)
+                  SolutionCheckError, OracleBudgetError, OracleCheckError,
+                  ValueError)
 
 
 def _read_graph(path: str | None) -> Graph | EmbeddedGraph:

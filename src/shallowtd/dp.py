@@ -10,6 +10,17 @@ introduce nodes: the minimal node whose bag contains both endpoints of a host
 edge is an introduce of one endpoint with the other present, so checking a
 newly introduced vertex against its bag suffices to see every edge exactly
 once per branch.
+
+The MIS, VC and DS tables are keyed by Python-int bitmasks over vertex ids
+(bit v for vertex v): the chosen bag vertices for MIS and VC, the black and
+undominated bag vertices for DS.  A table entry holds the optimum value of
+its state and one O(1) link of a witness chain shared with the child tables;
+the witness set is rebuilt once, at the root.  Transitions run in a fixed
+order and only a strictly better value replaces an entry (the first of
+equal values stays), so among several optima each solver returns one fixed
+witness.  The property tests hold it equal to the witness of a reference
+engine that copies a full witness set into every entry, so the level-slicing
+unions built from band witnesses do not drift when the engine changes.
 """
 
 from __future__ import annotations
@@ -51,175 +62,211 @@ def check_solution(problem: str, g: Graph, s, required=None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Table entries shared by the MIS / VC and DS engines.
+#
+# An entry is (value, v, rest): the size of the best partial solution below
+# the node and the last link of its witness chain.  A link records a chosen
+# vertex v on top of the child's entry rest; a join records
+# (value, None, left, right), the union of its children's chains; a leaf is
+# (0, None, None).  Links are shared, never copied, so a transition costs
+# O(1) besides the mask arithmetic, and the witness is rebuilt once, from
+# the root entry, by `_unroll`.
+
+_LEAF_ENTRY = (0, None, None)
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit u of entry v is set iff u is a neighbour of v."""
+    return [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
+
+
+def _unroll(entry: tuple) -> set[int]:
+    """The vertex set that the witness chain ending in `entry` spells."""
+    out: set[int] = set()
+    stack = [entry]
+    while stack:
+        link = stack.pop()
+        while link is not None:
+            if link[1] is not None:
+                out.add(link[1])
+            elif len(link) == 4:                  # join: follow both sides
+                stack.append(link[3])
+            link = link[2]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Independent set / vertex cover: states are subsets of the bag.
 
 
 def dp_mis(nd: NiceDecomposition, g: Graph) -> set[int]:
     """Maximum independent set of g; witness returned and self-consistent."""
-    table = _run_subset_dp(nd, g, minimize=False)
-    witness = table[frozenset()]
+    witness = _unroll(_run_subset_dp(nd, g, minimize=False)[0])
     check_solution("mis", g, witness)
-    return set(witness)
+    return witness
 
 
 def dp_vc(nd: NiceDecomposition, g: Graph) -> set[int]:
     """Minimum vertex cover of g."""
-    table = _run_subset_dp(nd, g, minimize=True)
-    witness = table[frozenset()]
+    witness = _unroll(_run_subset_dp(nd, g, minimize=True)[0])
     check_solution("vc", g, witness)
-    return set(witness)
+    return witness
 
 
 def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
-    """Shared engine: states are the bag vertices chosen (into the IS, or
-    into the cover); values are full witness sets.  For MIS a new vertex may
-    join the chosen set only with no chosen bag neighbor; for VC a new vertex
-    may stay out only with all bag neighbors chosen.  Both rules keep exactly
-    the states extendable to feasible solutions."""
-    nbr = g.neighbor_sets()
-    better = min if minimize else max
-    tables: dict[int, dict[frozenset[int], frozenset[int]]] = {}
+    """Shared engine; returns the root table {0: entry}.
+
+    A state is the bitmask (bit v for vertex v) of the bag vertices chosen
+    into the independent set, or into the cover.  For MIS a new vertex may
+    join the chosen set only with no chosen bag neighbour; for VC a new
+    vertex may stay out only with all bag neighbours chosen.  Both rules keep
+    exactly the states extendable to feasible solutions.  A join's value is
+    left + right - |state|, as the two witnesses share exactly the chosen
+    bag vertices.
+
+    Introduces try "stay out" before "chosen", joins follow the left table's
+    order, and only a strictly better value replaces an entry: this order
+    and tie rule fix which optimal witness is returned.
+    """
+    nmask = _neighbour_masks(g)
+    tables: dict[int, dict[int, tuple]] = {}
 
     for node in nd.postorder():
         kind = nd.kind[node]
         if kind == LEAF:
-            tables[node] = {frozenset(): frozenset()}
+            out = {0: _LEAF_ENTRY}
         elif kind == INTRODUCE:
+            # v is in no child state, so no two outputs share a key.
             v = nd.vertex[node]
-            child = tables.pop(nd.children[node][0])
-            out: dict[frozenset[int], frozenset[int]] = {}
-            bag_nbrs = nbr[v] & set(nd.bag[node])
-            for state, wit in child.items():
-                if minimize:
-                    if bag_nbrs <= state:          # every bag edge at v covered
-                        _keep(out, state, wit, better)
-                    _keep(out, state | {v}, wit | {v}, better)
-                else:
-                    _keep(out, state, wit, better)
-                    if not (bag_nbrs & state):     # v independent of chosen bag
-                        _keep(out, state | {v}, wit | {v}, better)
-            tables[node] = out
-        elif kind == FORGET:
-            v = nd.vertex[node]
+            bit = 1 << v
+            bag_nbrs = nmask[v] & sum(1 << u for u in nd.bag[node])
             child = tables.pop(nd.children[node][0])
             out = {}
-            for state, wit in child.items():
-                _keep(out, state - {v}, wit, better)
-            tables[node] = out
-        else:  # JOIN: subtrees overlap exactly in the bag, so witnesses
-            # agree there and are disjoint elsewhere; union is optimal per key.
+            if minimize:
+                for state, entry in child.items():
+                    if not bag_nbrs & ~state:      # every bag edge at v covered
+                        out[state] = entry
+                    out[state | bit] = (entry[0] + 1, v, entry)
+            else:
+                for state, entry in child.items():
+                    out[state] = entry
+                    if not bag_nbrs & state:       # v independent of chosen bag
+                        out[state | bit] = (entry[0] + 1, v, entry)
+        elif kind == FORGET:
+            keep = ~(1 << nd.vertex[node])
+            child = tables.pop(nd.children[node][0])
+            out = {}
+            for state, entry in child.items():
+                state &= keep
+                cur = out.get(state)
+                if cur is None or (entry[0] < cur[0] if minimize
+                                   else entry[0] > cur[0]):
+                    out[state] = entry
+        else:  # JOIN: one right state matches each left state.
             left = tables.pop(nd.children[node][0])
             right = tables.pop(nd.children[node][1])
             out = {}
-            for state, wit in left.items():
+            for state, entry in left.items():
                 other = right.get(state)
                 if other is not None:
-                    _keep(out, state, wit | other, better)
-            tables[node] = out
-        if not tables[node]:
+                    out[state] = (entry[0] + other[0] - state.bit_count(),
+                                  None, entry, other)
+        if not out:
             raise GraphInputError("dynamic program ran out of states: "
                                   "the decomposition does not match the graph")
+        tables[node] = out
     return tables[nd.root]
-
-
-def _keep(out, state, wit, better):
-    cur = out.get(state)
-    if cur is None or better(len(cur), len(wit)) == len(wit):
-        if cur is None or len(cur) != len(wit):
-            out[state] = wit
 
 
 # ---------------------------------------------------------------------------
 # Dominating set: three states per bag vertex.
-
-_BLACK, _DOM, _UNDOM = 0, 1, 2
 
 
 def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
     """Minimum set S with every required vertex in S or adjacent to S.
 
     Per bag vertex: chosen (black), not chosen but already dominated, or not
-    chosen and so far undominated.  Introducing a black vertex upgrades its
-    bag neighbors; forgetting an undominated required vertex kills the state;
-    joins OR the domination flags of matching black patterns.
+    chosen and so far undominated.  A state is the pair of bitmasks (black,
+    undominated) over vertex ids, packed into one int as
+    black | undominated << n; a bag vertex in neither is dominated.
+    Introducing a black vertex v clears its neighbours from the undominated
+    mask; introducing v plain makes it undominated unless it has a black bag
+    neighbour; forgetting an undominated required vertex kills the state; a
+    join pairs states with equal black masks, and a vertex stays undominated
+    only if it is undominated on both sides (the AND of the two states).  A
+    join's value is left + right - |black|.
+
+    Introduces try black before plain, joins follow the left table's order
+    and, per left state, the right table's order among equal black masks,
+    and only a strictly smaller value replaces an entry: this order and tie
+    rule fix which optimal witness is returned.
     """
     required = set(required)
     if not required:
         return set()
-    nbr = g.neighbor_sets()
-    tables: dict[int, dict[tuple[int, ...], frozenset[int]]] = {}
+    nmask = _neighbour_masks(g)
+    n = g.n
+    low = (1 << n) - 1                    # the black half of a state
+    tables: dict[int, dict[int, tuple]] = {}
 
     for node in nd.postorder():
         kind = nd.kind[node]
-        bag = nd.bag[node]
         if kind == LEAF:
-            tables[node] = {(): frozenset()}
+            out = {0: _LEAF_ENTRY}
         elif kind == INTRODUCE:
             v = nd.vertex[node]
-            cbag = nd.bag[nd.children[node][0]]
+            bit = 1 << v
+            ubit = bit << n
+            vnbr = nmask[v]
+            clear = ~(vnbr << n)
             child = tables.pop(nd.children[node][0])
-            pos = bag.index(v)
-            vnbr = nbr[v]
-            out: dict[tuple[int, ...], frozenset[int]] = {}
-            for state, wit in child.items():
-                # v chosen: upgrade undominated bag neighbors of v.
-                black = list(state)
-                for i, u in enumerate(cbag):
-                    if u in vnbr and black[i] == _UNDOM:
-                        black[i] = _DOM
-                black.insert(pos, _BLACK)
-                _keep_min(out, tuple(black), wit | {v})
-                # v not chosen, dominated now iff some bag neighbor is black.
-                dom = any(u in vnbr and state[i] == _BLACK
-                          for i, u in enumerate(cbag))
-                plain = list(state)
-                plain.insert(pos, _DOM if dom else _UNDOM)
-                _keep_min(out, tuple(plain), wit)
-                if not dom:
-                    # Also track v as "will be dominated later" only via the
-                    # undominated state; upgrades happen at later introduces.
-                    pass
-            tables[node] = out
+            out = {}
+            for state, entry in child.items():
+                # v chosen: its undominated bag neighbours become dominated.
+                key = (state & clear) | bit
+                cur = out.get(key)
+                if cur is None or entry[0] + 1 < cur[0]:
+                    out[key] = (entry[0] + 1, v, entry)
+                # v not chosen, dominated now iff some bag neighbour is black;
+                # no other output has this key.
+                out[state if state & vnbr else state | ubit] = entry
         elif kind == FORGET:
             v = nd.vertex[node]
-            cbag = nd.bag[nd.children[node][0]]
+            bit = 1 << v
+            dead = bit << n if v in required else 0
+            keep = ~(bit | bit << n)
             child = tables.pop(nd.children[node][0])
-            pos = cbag.index(v)
             out = {}
-            for state, wit in child.items():
-                if state[pos] == _UNDOM and v in required:
+            for state, entry in child.items():
+                if state & dead:
                     continue
-                _keep_min(out, state[:pos] + state[pos + 1:], wit)
-            tables[node] = out
+                key = state & keep
+                cur = out.get(key)
+                if cur is None or entry[0] < cur[0]:
+                    out[key] = entry
         else:  # JOIN
             left = tables.pop(nd.children[node][0])
             right = tables.pop(nd.children[node][1])
-            buckets: dict[tuple[int, ...], list] = {}
-            for state, wit in right.items():
-                key = tuple(s == _BLACK for s in state)
-                buckets.setdefault(key, []).append((state, wit))
+            buckets: dict[int, list] = {}
+            for state, entry in right.items():
+                buckets.setdefault(state & low, []).append((state, entry))
             out = {}
-            for state, wit in left.items():
-                key = tuple(s == _BLACK for s in state)
-                for rstate, rwit in buckets.get(key, ()):
-                    merged = tuple(
-                        _BLACK if a == _BLACK else
-                        (_DOM if _DOM in (a, b) else _UNDOM)
-                        for a, b in zip(state, rstate))
-                    _keep_min(out, merged, wit | rwit)
-            tables[node] = out
-        if not tables[node]:
+            for state, entry in left.items():
+                black = state & low
+                base = entry[0] - black.bit_count()
+                for rstate, other in buckets.get(black, ()):
+                    key = state & rstate           # equal black halves
+                    value = base + other[0]
+                    cur = out.get(key)
+                    if cur is None or value < cur[0]:
+                        out[key] = (value, None, entry, other)
+        if not out:
             raise GraphInputError("dominating-set dynamic program ran out of "
                                   "states: no feasible assignment exists")
-    witness = tables[nd.root][()]
+        tables[node] = out
+    witness = _unroll(tables[nd.root][0])
     check_solution("ds", g, witness, required)
-    return set(witness)
-
-
-def _keep_min(out, state, wit):
-    cur = out.get(state)
-    if cur is None or len(wit) < len(cur):
-        out[state] = wit
+    return witness
 
 
 # ---------------------------------------------------------------------------

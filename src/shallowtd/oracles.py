@@ -23,6 +23,16 @@ class OracleBudgetError(RuntimeError):
     """The instance exceeds what the brute-force path is allowed to attempt."""
 
 
+class OracleCheckError(RuntimeError):
+    """An oracle's witness failed the oracle's own feasibility check.  Kept
+    apart from the solvers' checks, so the oracles share no code with them."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise OracleCheckError(message)
+
+
 def _adj_sets(g: Graph) -> list[set[int]]:
     adj = [set() for _ in range(g.n)]
     for u, v in g.edges:
@@ -43,15 +53,15 @@ def oracle_solve(problem: str, g: Graph) -> tuple[int, set[int]]:
             f"{problem} oracle limited to {MAX_SET_PROBLEM} vertices, got {g.n}")
     if problem == "mis":
         wit = _best_is(_adj_sets(g), set(range(g.n)))
-        assert _is_independent(g, wit)
+        _check(_is_independent(g, wit), "oracle set is not independent")
         return len(wit), wit
     if problem == "vc":
         wit = _best_vc(g)
-        assert _is_cover(g, wit)
+        _check(_is_cover(g, wit), "oracle vertex cover misses an edge")
         return len(wit), wit
     if problem == "ds":
         wit = _best_ds(g)
-        assert _is_dominating(g, wit)
+        _check(_is_dominating(g, wit), "oracle dominating set misses a vertex")
         return len(wit), wit
     raise ValueError(f"unknown problem {problem!r}")
 
@@ -252,6 +262,7 @@ def subiso_backtracking(g: Graph, h: Graph, induced: bool = False) -> IsoResult:
 
     rec(0, [], set())
     if first is not None:
-        assert all(first[p] in gadj[first[q]]
-                   for p in range(h.n) for q in hadj[p])
+        _check(all(first[p] in gadj[first[q]]
+                   for p in range(h.n) for q in hadj[p]),
+               "oracle pattern embedding misses a pattern edge")
     return IsoResult(first, count)

@@ -1,4 +1,5 @@
-"""Shared fixtures: small named graphs and embedded variants."""
+"""Shared fixtures: small named graphs, embedded variants, and a DP table
+entry with a given witness."""
 
 from __future__ import annotations
 
@@ -29,6 +30,15 @@ def embed_outerplanar(g: Graph):
     rot = [[2 * e + (0 if g.edges[e][0] == v else 1) for e in g.adj[v]]
            for v in range(g.n)]
     return embed(g, rot)
+
+
+def witness_entry(vertices):
+    """A root entry of the subset DP engine whose witness chain spells
+    `vertices`: one (value, vertex, rest) link per vertex on a leaf entry."""
+    entry = (0, None, None)
+    for v in vertices:
+        entry = (entry[0] + 1, v, entry)
+    return entry
 
 
 @pytest.fixture

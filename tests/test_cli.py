@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import parse_td, validate
 from shallowtd.generators import grid
@@ -149,10 +150,20 @@ class TestPipelines:
     def test_failed_result_check_exit_one(self, capsys, monkeypatch):
         from shallowtd import dp
         monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
-                            {frozenset(): frozenset(range(g.n))})
+                            {0: witness_entry(range(g.n))})
         gtext = self._grid_text(capsys, monkeypatch, 3, 3)
         code, out, err = invoke(capsys, monkeypatch,
                                 ["solve", "--problem", "mis"], stdin=gtext)
+        assert code == 1 and out == ""
+        assert "not independent" in err and "Traceback" not in err
+
+    def test_failed_oracle_check_exit_one(self, capsys, monkeypatch):
+        from shallowtd import oracles
+        monkeypatch.setattr(oracles, "_best_is",
+                            lambda adj, remaining: set(remaining))
+        gtext = self._grid_text(capsys, monkeypatch, 3, 3)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["oracle", "--problem", "mis"], stdin=gtext)
         assert code == 1 and out == ""
         assert "not independent" in err and "Traceback" not in err
 
@@ -198,3 +209,19 @@ class TestOptimizedInterpreter:
         assert not report["valid"]
         assert report["violation"] == ("bags containing a vertex do not form "
                                        "a subtree")
+
+    def test_solve_ds(self, tmp_path):
+        (tmp_path / "g.txt").write_text(emit_graph(grid(4, 4)))
+        res = run_optimized(["solve", "--problem", "ds", "--input", "g.txt"],
+                            tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["verified"]
+        assert report["value"] == 4        # domination number of the 4x4 grid
+
+    def test_ptas_ds(self, tmp_path):
+        (tmp_path / "g.txt").write_text(emit_graph(grid(4, 4)))
+        res = run_optimized(["ptas", "--problem", "ds", "--k", "2",
+                             "--input", "g.txt"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["bound_checked"]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (complete_graph, cycle_graph, embed_outerplanar,
-                      path_graph, star_graph)
+                      path_graph, star_graph, witness_entry)
 from shallowtd import dp
 from shallowtd.decomp import heuristic_td, make_nice
 from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
@@ -197,7 +197,7 @@ class TestResultChecks:
     def test_solvers_check_their_witness(self, monkeypatch):
         g = path_graph(4)
         monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
-                            {frozenset(): frozenset({0, 1})})
+                            {0: witness_entry([0, 1])})
         with pytest.raises(SolutionCheckError, match="not independent"):
             dp_mis(nice(g), g)
         with pytest.raises(SolutionCheckError, match="misses edge"):

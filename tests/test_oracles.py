@@ -3,11 +3,13 @@
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from shallowtd import oracles
 from shallowtd.decomp import validate
 from shallowtd.generators import apex_over_grid, grid
 from shallowtd.graph import build_graph
-from shallowtd.oracles import (OracleBudgetError, exact_treewidth,
-                               oracle_solve, subiso_backtracking)
+from shallowtd.oracles import (OracleBudgetError, OracleCheckError,
+                               exact_treewidth, oracle_solve,
+                               subiso_backtracking)
 
 
 class TestOracleSolve:
@@ -32,6 +34,12 @@ class TestOracleSolve:
     def test_unknown_problem(self, triangle):
         with pytest.raises(ValueError):
             oracle_solve("coloring", triangle)
+
+    def test_broken_witness_raises(self, triangle, monkeypatch):
+        monkeypatch.setattr(oracles, "_best_is",
+                            lambda adj, remaining: set(remaining))
+        with pytest.raises(OracleCheckError, match="not independent"):
+            oracle_solve("mis", triangle)
 
 
 class TestExactTreewidth:

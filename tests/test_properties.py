@@ -1,6 +1,7 @@
 """Property tests: the linear validator against its quadratic reference,
 contraction of BFS level prefixes, Euler genus against an independent
-planarity test, and level-band decompositions against the oracle."""
+planarity test, level-band decompositions against the oracle, and the exact
+DP against its frozenset reference and the oracle."""
 
 from functools import cache
 
@@ -8,10 +9,13 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_dp
 from reference_validate import validate_quadratic
-from shallowtd.decomp import TreeDecomposition, make_nice, validate
-from shallowtd.dp import dp_mis
-from shallowtd.generators import (grid, random_planar_triangulation, subdivide,
+from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
+                              validate)
+from shallowtd.dp import dp_ds, dp_mis, dp_vc
+from shallowtd.generators import (apex_over_grid, grid,
+                                  random_planar_triangulation, subdivide,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import genus_td
 from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
@@ -185,3 +189,42 @@ def test_band_is_valid_narrow_and_exact(data):
     if sl.graph.n <= MAX_SET_PROBLEM:
         assert (len(dp_mis(make_nice(sl.td), sl.graph))
                 == oracle_solve("mis", sl.graph)[0])
+
+
+# ---------------------------------------------------------------------------
+# Exact DP: the bitmask engine against the frozenset reference and the oracle
+
+
+def _dp_instance(draw):
+    kind = draw(st.sampled_from(["triangulation", "subdivided", "torus",
+                                 "apex"]))
+    if kind == "triangulation":
+        e = random_planar_triangulation(draw(st.integers(3, 40)),
+                                        draw(st.integers(0, 10**6)))
+        return e.graph, planar_bfs_td(e, draw(st.integers(0, e.n - 1)))
+    if kind == "subdivided":
+        e = subdivide(grid(draw(st.integers(1, 4)), draw(st.integers(2, 4))),
+                      draw(st.integers(1, 2)))
+        return e.graph, planar_bfs_td(e, draw(st.integers(0, e.n - 1)))
+    if kind == "torus":
+        e = toroidal_grid(3, draw(st.integers(3, 4)))
+        return e.graph, genus_td(e, draw(st.integers(0, e.n - 1)))
+    g = apex_over_grid(draw(st.integers(1, 4)))
+    return g, heuristic_td(g)
+
+
+@PROPERTY
+@given(st.data())
+def test_dp_matches_reference_and_oracle(data):
+    g, td = _dp_instance(data.draw)
+    nd = make_nice(td)
+    mis, vc, ds = dp_mis(nd, g), dp_vc(nd, g), dp_ds(nd, g, set(range(g.n)))
+    assert mis == reference_dp.reference_mis(nd, g)
+    assert vc == reference_dp.reference_vc(nd, g)
+    assert ds == reference_dp.dp_ds(nd, g, set(range(g.n)))
+    required = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert dp_ds(nd, g, required) == reference_dp.dp_ds(nd, g, required)
+    if g.n <= MAX_SET_PROBLEM:
+        assert len(mis) == oracle_solve("mis", g)[0]
+        assert len(vc) == oracle_solve("vc", g)[0]
+        assert len(ds) == oracle_solve("ds", g)[0]
