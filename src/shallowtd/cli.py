@@ -25,7 +25,7 @@ from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
 from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
-                    eccentricity, emit_graph, parse_graph)
+                    eccentricity, emit_graph, is_connected, parse_graph)
 from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
                       oracle_solve, subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
@@ -191,7 +191,8 @@ def _cmd_solve(args) -> int:
     text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
     obj = parse_graph(text)
     g = _plain(obj)
-    if isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n:
+    if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
+            and is_connected(g)):
         td = planar_bfs_td(obj, min_eccentricity_root(g))
     else:
         td = heuristic_td(g)

@@ -275,6 +275,14 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
 _UNSEEN, _DONE = -2, -1
 
 
+def _split(state: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(state with finished marks cleared, bitmask of finished positions)."""
+    if _DONE not in state:
+        return state, 0
+    return (tuple(_UNSEEN if x == _DONE else x for x in state),
+            sum(1 << i for i, x in enumerate(state) if x == _DONE))
+
+
 def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
               induced: bool = False) -> dict[int, int] | None:
     """Injective map V(h) -> V(g) preserving edges (and non-edges if
@@ -292,10 +300,9 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
         return None
     gnbr = g.neighbor_sets()
     hnbr = h.neighbor_sets()
-    hedge = {(min(a, b), max(a, b)) for a, b in h.edges}
-
-    def hadj(p: int, q: int) -> bool:
-        return (min(p, q), max(p, q)) in hedge
+    # hmask[q]: pattern neighbours of q as a bitmask over pattern vertices
+    hmask = [sum(1 << p for p in hnbr[q]) for q in range(h.n)]
+    pattern = range(h.n)
 
     start = tuple([_UNSEEN] * h.n)
     tables: dict[int, dict[tuple[int, ...], tuple]] = {}
@@ -306,43 +313,43 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
             tables[node] = {start: ()}
         elif kind == INTRODUCE:
             v = nd.vertex[node]
+            gv = gnbr[v]
             child = tables.pop(nd.children[node][0])
             out: dict[tuple[int, ...], tuple] = {}
-            deg_ok = [len(gnbr[v]) >= len(hnbr[q]) for q in range(h.n)]
+            free = [q for q in pattern if len(gv) >= len(hnbr[q])]
             for state, wit in child.items():
                 out.setdefault(state, wit)       # v stays outside the image
-                for q in range(h.n):
-                    if state[q] != _UNSEEN or not deg_ok[q]:
-                        continue
-                    ok = True
-                    for p in range(h.n):
-                        u = state[p]
-                        if u < 0:
-                            continue
-                        gedge = u in gnbr[v]
-                        pedge = hadj(p, q)
-                        if pedge and not gedge:
-                            ok = False
-                            break
-                        if gedge and not pedge and induced:
-                            ok = False
-                            break
-                    if ok:
+                # q may take v iff every mapped pattern neighbour of q has
+                # its image adjacent to v (and, if induced, every mapped
+                # image adjacent to v is the image of a pattern neighbour)
+                mapped = near = 0
+                for p in pattern:
+                    u = state[p]
+                    if u >= 0:
+                        mapped |= 1 << p
+                        if u in gv:
+                            near |= 1 << p
+                far = mapped & ~near
+                for q in free:
+                    if (state[q] == _UNSEEN and not hmask[q] & far
+                            and not (induced and near & ~hmask[q])):
                         ns = state[:q] + (v,) + state[q + 1:]
-                        out.setdefault(ns, wit + ((q, v),))
+                        if ns not in out:
+                            out[ns] = wit + ((q, v),)
             tables[node] = out
         elif kind == FORGET:
             v = nd.vertex[node]
+            gv = gnbr[v]
             child = tables.pop(nd.children[node][0])
             out = {}
             for state, wit in child.items():
-                q = next((i for i, x in enumerate(state) if x == v), None)
-                if q is None:
+                if v not in state:
                     out.setdefault(state, wit)
                     continue
+                q = state.index(v)
                 # all pattern edges at q must be settled before v disappears
                 if any(state[p] == _UNSEEN or
-                       (state[p] >= 0 and state[p] not in gnbr[v])
+                       (state[p] >= 0 and state[p] not in gv)
                        for p in hnbr[q]):
                     continue
                 ns = state[:q] + (_DONE,) + state[q + 1:]
@@ -353,18 +360,20 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
             right = tables.pop(nd.children[node][1])
             buckets: dict[tuple[int, ...], list] = {}
             for state, wit in right.items():
-                key = tuple(x if x >= 0 else _UNSEEN for x in state)
-                buckets.setdefault(key, []).append((state, wit))
+                key, rdone = _split(state)
+                buckets.setdefault(key, []).append((rdone, state, wit))
             out = {}
             for state, wit in left.items():
-                key = tuple(x if x >= 0 else _UNSEEN for x in state)
-                for rstate, rwit in buckets.get(key, ()):
-                    if any(a == _DONE and b == _DONE
-                           for a, b in zip(state, rstate)):
+                key, done = _split(state)
+                for rdone, rstate, rwit in buckets.get(key, ()):
+                    if done & rdone:
                         continue
-                    merged = tuple(b if a == _UNSEEN else a
-                                   for a, b in zip(state, rstate))
-                    out.setdefault(merged, wit + rwit)
+                    # with equal images, only the right's finished
+                    # vertices can change the left state
+                    merged = state if not rdone else tuple(
+                        b if a == _UNSEEN else a for a, b in zip(state, rstate))
+                    if merged not in out:
+                        out[merged] = wit + rwit
             tables[node] = out
         if not tables[node]:
             return None

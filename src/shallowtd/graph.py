@@ -14,8 +14,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels
 
 
@@ -35,7 +33,7 @@ class Graph:
     edges: list[tuple[int, int]]
     adj: list[list[int]]
     _nbr_sets: list[set[int]] | None = field(default=None, repr=False, compare=False)
-    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _nbr_lists: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -46,29 +44,26 @@ class Graph:
         return w if v == u else u
 
     def neighbors(self, v: int) -> list[int]:
-        return [self.other_end(e, v) for e in self.adj[v]]
+        return self.neighbor_lists()[v]
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Per vertex, the other end of each incident edge in `adj` order (a
+        loop lists its vertex twice).  Cached and shared: do not mutate."""
+        if self._nbr_lists is None:
+            edges = self.edges
+            self._nbr_lists = [[edges[e][1] if edges[e][0] == v else edges[e][0]
+                                for e in incident]
+                               for v, incident in enumerate(self.adj)]
+        return self._nbr_lists
 
     def neighbor_sets(self) -> list[set[int]]:
         if self._nbr_sets is None:
-            self._nbr_sets = [set(self.neighbors(v)) - {v} for v in range(self.n)]
+            self._nbr_sets = [set(nb) - {v}
+                              for v, nb in enumerate(self.neighbor_lists())]
         return self._nbr_sets
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets()[u]
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for v in range(self.n):
-                indptr[v + 1] = indptr[v] + len(self.adj[v])
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            pos = indptr[:-1].copy()
-            for v in range(self.n):
-                for e in self.adj[v]:
-                    indices[pos[v]] = self.other_end(e, v)
-                    pos[v] += 1
-            self._csr = (indptr, indices)
-        return self._csr
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -121,10 +116,8 @@ def bfs_layering(g: Graph, root: int) -> Layering:
     neighbor in the preceding level."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
-    indptr, indices = g.csr()
-    level_arr, parent_arr = _kernels.bfs_levels(indptr, indices, root)
-    level = [int(x) for x in level_arr]
-    parent: list[int | None] = [int(p) if p >= 0 else None for p in parent_arr]
+    level, parent_ids = _kernels.bfs_levels(g.neighbor_lists(), root)
+    parent: list[int | None] = [p if p >= 0 else None for p in parent_ids]
     parent_edge: list[int | None] = [None] * g.n
     for v in range(g.n):
         p = parent[v]
@@ -138,9 +131,8 @@ def eccentricity(g: Graph, v: int) -> float:
     """Largest distance from v; infinite when g is disconnected."""
     if not (0 <= v < g.n):
         raise GraphInputError(f"vertex {v} out of range [0, {g.n})")
-    indptr, indices = g.csr()
-    level, _parent = _kernels.bfs_levels(indptr, indices, v)
-    return math.inf if (level < 0).any() else int(level.max())
+    level, _parent = _kernels.bfs_levels(g.neighbor_lists(), v)
+    return math.inf if min(level) < 0 else max(level)
 
 
 def diameter(g: Graph) -> float:

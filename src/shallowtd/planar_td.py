@@ -32,7 +32,6 @@ from .graph import (
     GraphInputError,
     Layering,
     bfs_layering,
-    dart_tail,
     eccentricity,
     induced_subgraph,
     is_connected,
@@ -93,8 +92,8 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     """Valid tree decomposition of e.graph with width <= 3 * BFS depth."""
     nodes, tree_edges, indptr, data, _depth = _planar_td_arrays(e, root)
-    bags = [tuple(int(x) for x in data[indptr[i]:indptr[i + 1]])
-            for i in range(nodes)]
+    flat, ptr = data.tolist(), indptr.tolist()
+    bags = [tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(nodes)]
     return TreeDecomposition(nodes=nodes, tree_edges=tree_edges, bags=bags)
 
 
@@ -133,11 +132,9 @@ def _three_path_td(tri: EmbeddedGraph, lay: Layering):
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
                              "the embedding is invalid")
     nfaces = len(tri.faces)
-    corners = np.empty((nfaces, 3), dtype=np.int64)
-    for f, cyc in enumerate(tri.faces):
-        for i in range(3):
-            corners[f, i] = dart_tail(tri.graph, cyc[i])
-    parent = np.array([-1 if p is None else p for p in lay.parent], dtype=np.int64)
+    edges = tri.graph.edges
+    corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
+    parent = [-1 if p is None else p for p in lay.parent]
     indptr, data = _kernels.three_path_bags(parent, corners)
     tree_edges = [(pair.dual_parent[f], f) for f in range(nfaces)
                   if pair.dual_parent[f] >= 0]

@@ -1,13 +1,16 @@
-"""Frozenset reference for the MIS / VC / DS engines of ``shallowtd.dp``.
+"""Frozenset reference for the MIS / VC / DS engines of ``shallowtd.dp``,
+and the pairwise-check reference for ``dp_subiso``.
 
 Every table entry carries its full witness as a frozenset, and every
 introduce and join copies it, so each transition costs O(n).  The property
 tests require ``dp_mis``, ``dp_vc`` and ``dp_ds`` to return the same witness
-set on every input.
+set on every input.  ``dp_subiso`` here tests every mapped pattern vertex
+against every candidate one pair at a time; the property tests require the
+bitmask version to return the same mapping (or None) on every input.
 """
 
 from shallowtd.decomp import FORGET, INTRODUCE, LEAF, NiceDecomposition
-from shallowtd.dp import check_solution
+from shallowtd.dp import MAX_PATTERN, check_mapping, check_solution
 from shallowtd.graph import Graph, GraphInputError
 
 
@@ -166,3 +169,109 @@ def _keep_min(out, state, wit):
     cur = out.get(state)
     if cur is None or len(wit) < len(cur):
         out[state] = wit
+
+
+_UNSEEN, _DONE = -2, -1
+
+
+def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
+              induced: bool = False) -> dict[int, int] | None:
+    """Injective map V(h) -> V(g) preserving edges (and non-edges if
+    induced), or None.  State: per pattern vertex, unseen / finished / its
+    bag image.  A pattern vertex may be assigned only when its image is
+    introduced; forgetting an image requires every pattern neighbor to be
+    finished or mapped to an adjacent bag vertex.
+    """
+    if h.n == 0:
+        return {}
+    if h.n > MAX_PATTERN:
+        raise GraphInputError(
+            f"pattern has {h.n} vertices; at most {MAX_PATTERN} supported")
+    if h.n > g.n:
+        return None
+    gnbr = g.neighbor_sets()
+    hnbr = h.neighbor_sets()
+    hedge = {(min(a, b), max(a, b)) for a, b in h.edges}
+
+    def hadj(p: int, q: int) -> bool:
+        return (min(p, q), max(p, q)) in hedge
+
+    start = tuple([_UNSEEN] * h.n)
+    tables: dict[int, dict[tuple[int, ...], tuple]] = {}
+
+    for node in nd.postorder():
+        kind = nd.kind[node]
+        if kind == LEAF:
+            tables[node] = {start: ()}
+        elif kind == INTRODUCE:
+            v = nd.vertex[node]
+            child = tables.pop(nd.children[node][0])
+            out: dict[tuple[int, ...], tuple] = {}
+            deg_ok = [len(gnbr[v]) >= len(hnbr[q]) for q in range(h.n)]
+            for state, wit in child.items():
+                out.setdefault(state, wit)       # v stays outside the image
+                for q in range(h.n):
+                    if state[q] != _UNSEEN or not deg_ok[q]:
+                        continue
+                    ok = True
+                    for p in range(h.n):
+                        u = state[p]
+                        if u < 0:
+                            continue
+                        gedge = u in gnbr[v]
+                        pedge = hadj(p, q)
+                        if pedge and not gedge:
+                            ok = False
+                            break
+                        if gedge and not pedge and induced:
+                            ok = False
+                            break
+                    if ok:
+                        ns = state[:q] + (v,) + state[q + 1:]
+                        out.setdefault(ns, wit + ((q, v),))
+            tables[node] = out
+        elif kind == FORGET:
+            v = nd.vertex[node]
+            child = tables.pop(nd.children[node][0])
+            out = {}
+            for state, wit in child.items():
+                q = next((i for i, x in enumerate(state) if x == v), None)
+                if q is None:
+                    out.setdefault(state, wit)
+                    continue
+                # all pattern edges at q must be settled before v disappears
+                if any(state[p] == _UNSEEN or
+                       (state[p] >= 0 and state[p] not in gnbr[v])
+                       for p in hnbr[q]):
+                    continue
+                ns = state[:q] + (_DONE,) + state[q + 1:]
+                out.setdefault(ns, wit)
+            tables[node] = out
+        else:  # JOIN: bag images must agree; finished sets must be disjoint.
+            left = tables.pop(nd.children[node][0])
+            right = tables.pop(nd.children[node][1])
+            buckets: dict[tuple[int, ...], list] = {}
+            for state, wit in right.items():
+                key = tuple(x if x >= 0 else _UNSEEN for x in state)
+                buckets.setdefault(key, []).append((state, wit))
+            out = {}
+            for state, wit in left.items():
+                key = tuple(x if x >= 0 else _UNSEEN for x in state)
+                for rstate, rwit in buckets.get(key, ()):
+                    if any(a == _DONE and b == _DONE
+                           for a, b in zip(state, rstate)):
+                        continue
+                    merged = tuple(b if a == _UNSEEN else a
+                                   for a, b in zip(state, rstate))
+                    out.setdefault(merged, wit + rwit)
+            tables[node] = out
+        if not tables[node]:
+            return None
+
+    goal = tuple([_DONE] * h.n)
+    hit = tables[nd.root].get(goal)
+    if hit is None:
+        return None
+    mapping = dict(hit)
+    check_mapping(g, h, mapping, induced)
+    return mapping

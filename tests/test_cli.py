@@ -181,6 +181,20 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert "self-loop" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
+    def test_solve_disconnected_with_and_without_rotations(
+            self, capsys, monkeypatch, problem):
+        plain = "v 4\ne 0 1\ne 2 3\n"
+        embedded = plain + "rot 0 0\nrot 1 1\nrot 2 2\nrot 3 3\n"
+        values = []
+        for text in (plain, embedded):
+            code, out, err = invoke(capsys, monkeypatch,
+                                    ["solve", "--problem", problem], stdin=text)
+            report = json.loads(out)
+            assert code == 0 and err == "" and report["verified"]
+            values.append(report["value"])
+        assert values == [2, 2]
+
 
 def run_optimized(args, cwd):
     """The CLI in a fresh interpreter under ``python -O``, which strips

@@ -1,25 +1,31 @@
 """Property tests: the linear validator against its quadratic reference,
-contraction of BFS level prefixes, Euler genus against an independent
-planarity test, level-band decompositions against the oracle, and the exact
-DP against its frozenset reference and the oracle."""
+the list kernels against their numpy-scalar reference, contraction of BFS
+level prefixes, Euler genus against an independent planarity test, width
+bounds of whole-host and level-band decompositions, the exact DP against its
+frozenset reference and the oracle, and the pattern DP against its
+pairwise-check reference."""
 
 from functools import cache
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_dp
+import reference_kernels
 from reference_validate import validate_quadratic
+from shallowtd import _kernels
 from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
                               validate)
-from shallowtd.dp import dp_ds, dp_mis, dp_vc
+from shallowtd.dp import dp_ds, dp_mis, dp_subiso, dp_vc
 from shallowtd.generators import (apex_over_grid, grid,
                                   random_planar_triangulation, subdivide,
                                   toroidal_grid, wall)
-from shallowtd.genus_td import genus_td
+from shallowtd.genus_td import cut_graph, genus_td
 from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
-                             induced_embedded_subgraph)
+                             eccentricity, induced_embedded_subgraph,
+                             triangulate)
 from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
 from shallowtd.planar_td import band_host, planar_bfs_td, slice_td
 
@@ -107,6 +113,109 @@ def test_validate_matches_reference_on_one_entry_changes(data):
         bags[node] = sorted(set(bags[node]) | {v})
     changed = TreeDecomposition(td.nodes, td.tree_edges, [tuple(b) for b in bags])
     assert validate(changed, g) == validate_quadratic(changed, g)
+
+
+# ---------------------------------------------------------------------------
+# Kernels: plain lists against the numpy-scalar reference
+
+
+def _kernel_host(draw):
+    """A host graph and, when it is planar and connected, the corner lists
+    of its triangulation's faces (None otherwise)."""
+    kind = draw(st.sampled_from(["triangulation", "subdivided", "torus",
+                                 "disconnected"]))
+    if kind == "triangulation":
+        e = random_planar_triangulation(draw(st.integers(3, 60)),
+                                        draw(st.integers(0, 10**6)))
+    elif kind == "subdivided":
+        e = subdivide(grid(draw(st.integers(1, 5)), draw(st.integers(2, 5))),
+                      draw(st.integers(1, 3)))
+    elif kind == "torus":
+        return toroidal_grid(draw(st.integers(3, 6)),
+                             draw(st.integers(3, 6))).graph, None
+    else:
+        a = random_planar_triangulation(draw(st.integers(3, 30)),
+                                        draw(st.integers(0, 10**6))).graph
+        b = subdivide(grid(draw(st.integers(1, 4)), draw(st.integers(2, 4))),
+                      draw(st.integers(1, 2))).graph
+        isolated = draw(st.integers(1, 3))
+        edges = a.edges + [(u + a.n, v + a.n) for u, v in b.edges]
+        return build_graph(a.n + b.n + isolated, edges), None
+    if e.n < 3:
+        return e.graph, None
+    tri = triangulate(e)
+    corners = [[tri.graph.edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
+    # the pipeline runs the BFS on the triangulation (planar_bfs_td) or on
+    # the host itself (band_host); both span the same vertices
+    return (tri.graph if draw(st.booleans()) else e.graph), corners
+
+
+@PROPERTY
+@given(st.data())
+def test_kernels_match_numpy_reference(data):
+    g, corners = _kernel_host(data.draw)
+    root = data.draw(st.integers(0, g.n - 1))
+    level, parent = _kernels.bfs_levels(g.neighbor_lists(), root)
+    ref_level, ref_parent = reference_kernels.bfs_levels(
+        *reference_kernels.csr(g), root)
+    assert (level, parent) == (ref_level.tolist(), ref_parent.tolist())
+    if corners is None:
+        vertex = st.integers(0, g.n - 1)
+        corners = data.draw(st.lists(st.lists(vertex, min_size=3, max_size=3),
+                                     max_size=40))
+    indptr, bags = _kernels.three_path_bags(parent, corners)
+    ref_indptr, ref_bags = reference_kernels.three_path_bags(
+        np.array(parent, dtype=np.int64),
+        np.array(corners, dtype=np.int64).reshape(-1, 3))
+    assert indptr.dtype == bags.dtype == np.int64
+    assert indptr.tolist() == ref_indptr.tolist()
+    assert bags.tolist() == ref_bags.tolist()
+
+
+def test_kernels_leave_unreached_vertices_at_minus_one():
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert _kernels.bfs_levels(g.neighbor_lists(), 1) == ([1, 0, 1, -1, -1],
+                                                          [1, -1, 1, -1, -1])
+    indptr, bags = _kernels.three_path_bags([1, -1, 1, -1, -1],
+                                            [[0, 2, 3], [4, 4, 3]])
+    assert indptr.tolist() == [0, 4, 6] and bags.tolist() == [0, 1, 2, 3, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Whole-host width bounds
+
+
+@PROPERTY
+@given(st.data())
+def test_planar_bfs_td_is_valid_within_three_times_depth(data):
+    kind = data.draw(st.sampled_from(["grid", "wall", "triangulation",
+                                      "subdivided"]))
+    if kind == "grid":
+        e = grid(data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
+    elif kind == "wall":
+        e = wall(data.draw(st.integers(1, 4)))[1]
+    elif kind == "triangulation":
+        e = random_planar_triangulation(data.draw(st.integers(3, 80)),
+                                        data.draw(st.integers(0, 10**6)))
+    else:
+        e = subdivide(grid(data.draw(st.integers(1, 5)),
+                           data.draw(st.integers(2, 5))),
+                      data.draw(st.integers(1, 3)))
+    root = data.draw(st.integers(0, e.n - 1))
+    td = planar_bfs_td(e, root)
+    assert validate(td, e.graph).valid
+    assert td.width <= 3 * eccentricity(e.graph, root)
+
+
+@PROPERTY
+@given(rows=st.integers(3, 6), cols=st.integers(3, 6), data=st.data())
+def test_genus_td_on_tori_is_valid_within_its_bound(rows, cols, data):
+    e = toroidal_grid(rows, cols)
+    root = data.draw(st.integers(0, e.n - 1))
+    td = genus_td(e, root)
+    cg = cut_graph(e, root)
+    assert validate(td, e.graph).valid
+    assert td.width <= 3 * (cg.depth + 1) + len(cg.x_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +337,21 @@ def test_dp_matches_reference_and_oracle(data):
         assert len(mis) == oracle_solve("mis", g)[0]
         assert len(vc) == oracle_solve("vc", g)[0]
         assert len(ds) == oracle_solve("ds", g)[0]
+
+
+@PROPERTY
+@given(st.data())
+def test_dp_subiso_matches_reference(data):
+    g, td = _dp_instance(data.draw)
+    # a connected pattern, as the level-window driver requires: a random
+    # spanning tree plus random chords
+    k = data.draw(st.integers(1, 5))
+    pattern_edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, k)}
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    pattern_edges |= {(min(a, b), max(a, b))
+                      for a, b in data.draw(st.lists(pair, max_size=4)) if a != b}
+    h = build_graph(k, sorted(pattern_edges))
+    induced = data.draw(st.booleans())
+    nd = make_nice(td)
+    assert (dp_subiso(nd, g, h, induced)
+            == reference_dp.dp_subiso(nd, g, h, induced))
