@@ -10,8 +10,7 @@ fixed cost in array calls per level: the 16 BFS runs of the root search took
 ``np.unique`` walks every root path in full and sorts all the
 (face, vertex) keys at once: on the triangulated 100x100 grid it took
 0.93 s and 53 MB of extra peak memory against 0.15 s and 2.4 MB for one
-small sort per bag.  Only the finished bags become numpy arrays, because
-the level-band code masks them as a whole.
+small sort per bag.
 """
 
 from __future__ import annotations
@@ -45,9 +44,10 @@ def bfs_levels(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int]]:
     return level, parent
 
 
-def three_path_bags(parent: list[int], corners: list[list[int]]):
+def three_path_bags(parent: list[int],
+                    corners: list[list[int]]) -> list[tuple[int, ...]]:
     """Per face (one entry of `corners`), the sorted union of the BFS-tree
-    root paths of its corners, as CSR arrays (indptr, data).
+    root paths of its corners, as a tuple.
 
     A per-vertex stamp deduplicates: once the walk from a corner reaches a
     vertex already stamped for this face, the rest of its root path is
@@ -56,8 +56,7 @@ def three_path_bags(parent: list[int], corners: list[list[int]]):
     the root without a separate bounds test.
     """
     stamp = [-1] * (len(parent) + 1)
-    indptr = [0]
-    data: list[int] = []
+    bags = []
     for f, face in enumerate(corners):
         stamp[-1] = f
         bag = []
@@ -67,11 +66,5 @@ def three_path_bags(parent: list[int], corners: list[list[int]]):
                 bag.append(v)
                 v = parent[v]
         bag.sort()
-        data += bag
-        indptr.append(len(data))
-    # Imported here, not at module level: graph imports this module, and
-    # numpy first imported from here (one import level deeper than from
-    # graph or planar_td) made a fresh `import shallowtd.cli` about 25 ms
-    # slower on CPython 3.11 (30 alternating runs).
-    import numpy as np
-    return np.array(indptr, dtype=np.int64), np.array(data, dtype=np.int64)
+        bags.append(tuple(bag))
+    return bags

@@ -23,7 +23,8 @@ from .decomp import make_nice
 from .dp import check_solution, dp_ds, dp_mis, dp_vc
 from .graph import (EmbeddedGraph, GraphInputError, connected_components,
                     induced_embedded_subgraph, is_connected)
-from .planar_td import BandHost, Slice, band_host, slice_td
+from .planar_td import (BandHost, Slice, band_host, level_windows,
+                        slice_td)
 
 
 @dataclass
@@ -32,40 +33,6 @@ class SliceFamily:
     offset: int
     mode: str                        # delete | duplicate | dominate
     slices: list[Slice]
-
-
-def _windows(depth: int, k: int, offset: int, mode: str) -> list[tuple[int, int, tuple[int, int]]]:
-    """(lo, hi, core-range) triples per mode; ranges are inclusive levels."""
-    out = []
-    if mode == "delete":
-        lo = None
-        for lvl in range(depth + 2):
-            wall = lvl > depth or lvl % k == offset
-            if wall:
-                if lo is not None:
-                    out.append((lo, lvl - 1, (lo, lvl - 1)))
-                    lo = None
-            elif lo is None:
-                lo = lvl
-    elif mode == "duplicate":
-        start = offset - k if offset else 0
-        while True:
-            lo, hi = max(0, start), min(depth, start + k)
-            out.append((lo, hi, (lo, hi)))
-            if hi == depth:
-                break
-            start += k
-    elif mode == "dominate":
-        start = offset - k if offset else 0
-        while True:
-            clo, chi = max(0, start), min(depth, start + k - 1)
-            out.append((max(0, clo - 1), min(depth, chi + 1), (clo, chi)))
-            if chi == depth:
-                break
-            start += k
-    else:
-        raise GraphInputError(f"unknown slicing mode {mode!r}")
-    return out
 
 
 def build_slices(host: BandHost, k: int, offset: int, mode: str) -> SliceFamily:
@@ -77,7 +44,8 @@ def build_slices(host: BandHost, k: int, offset: int, mode: str) -> SliceFamily:
         raise GraphInputError(f"offset {offset} out of range [0, {k})")
     level = host.layering.level
     slices = []
-    for lo, hi, (clo, chi) in _windows(host.layering.depth, k, offset, mode):
+    for lo, hi, (clo, chi) in level_windows(host.layering.depth, k, offset,
+                                            mode):
         sl = slice_td(host, lo, hi)
         sl.core = tuple(i for i, v in enumerate(sl.back_map)
                         if clo <= level[v] <= chi)

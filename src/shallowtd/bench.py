@@ -1,9 +1,9 @@
 """Scaling benchmark for the planar decomposition pipeline.
 
-Runs the raw-array decomposition path on square grids whose edge counts
-double from roughly 10^3 up to 10^5 and reports the growth ratio per
-doubling.  Near-linear behaviour means ratios stay around 2; the acceptance
-suite reports ratios above 2.5 without failing.
+Runs ``planar_bfs_td`` on square grids whose edge counts double from
+roughly 10^3 up to 10^5 and reports the growth ratio per doubling.
+Near-linear behaviour means ratios stay around 2; the acceptance suite
+reports ratios above 2.5 without failing.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import time
 
 from .generators import grid
-from .planar_td import _planar_td_arrays
+from .planar_td import planar_bfs_td
 
 RATIO_BOUND = 2.5
 
@@ -26,7 +26,7 @@ def _time_once(e, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _planar_td_arrays(e, 0)
+        planar_bfs_td(e, 0)
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -35,9 +35,13 @@ _DOMAIN_ERRORS = (GraphInputError, EmbeddingError, GenusPipelineError,
                   ValueError)
 
 
-def _read_graph(path: str | None) -> Graph | EmbeddedGraph:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return parse_graph(text)
+def _read_text(path: str | None) -> str:
+    """The text of the file at `path`, or of stdin when `path` is None or
+    "-"."""
+    if path in (None, "-"):
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
 
 
 def _plain(obj: Graph | EmbeddedGraph) -> Graph:
@@ -113,7 +117,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     started = time.perf_counter()
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    text = _read_text(args.input)
     obj = parse_graph(text)
     g = _plain(obj)
     root = args.root if args.root is not None else min_eccentricity_root(g)
@@ -152,8 +156,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_validate(args) -> int:
     started = time.perf_counter()
-    gtext = open(args.graph).read()
-    ttext = sys.stdin.read() if args.td in (None, "-") else open(args.td).read()
+    gtext = _read_text(args.graph)
+    ttext = _read_text(args.td)
     g = _plain(parse_graph(gtext))
     td, host_n = parse_td(ttext)
     if host_n != g.n:
@@ -188,7 +192,7 @@ def _feasible(problem: str, g: Graph, s: set[int]) -> bool:
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    text = _read_text(args.input)
     obj = parse_graph(text)
     g = _plain(obj)
     if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
@@ -210,7 +214,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ptas(args) -> int:
     started = time.perf_counter()
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    text = _read_text(args.input)
     e = _need_embedding(parse_graph(text))
     detail = _ptas_detail(e, args.problem, args.k)
     _report({
@@ -229,9 +233,9 @@ def _cmd_ptas(args) -> int:
 
 def _cmd_subiso(args) -> int:
     started = time.perf_counter()
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    text = _read_text(args.input)
     e = _need_embedding(parse_graph(text))
-    h = _plain(parse_graph(open(args.pattern).read()))
+    h = _plain(parse_graph(_read_text(args.pattern)))
     mapping = subiso_driver(e, h, induced=args.induced)
     _report({
         "command": "subiso",
@@ -248,7 +252,7 @@ def _cmd_subiso(args) -> int:
 
 def _cmd_oracle(args) -> int:
     started = time.perf_counter()
-    text = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    text = _read_text(args.input)
     g = _plain(parse_graph(text))
     payload = {"command": "oracle", "input_fingerprint": _fingerprint(text),
                "problem": args.problem}
@@ -262,7 +266,7 @@ def _cmd_oracle(args) -> int:
     else:  # subiso
         if not args.pattern:
             raise GraphInputError("oracle subiso needs --pattern")
-        h = _plain(parse_graph(open(args.pattern).read()))
+        h = _plain(parse_graph(_read_text(args.pattern)))
         res = subiso_backtracking(g, h, induced=args.induced)
         payload.update(found=res.mapping is not None, count=res.count,
                        mapping=None if res.mapping is None

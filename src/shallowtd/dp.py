@@ -29,7 +29,7 @@ from .decomp import (FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition,
                      make_nice)
 from .graph import (EmbeddedGraph, Graph, GraphInputError,
                     connected_components, diameter, induced_embedded_subgraph)
-from .planar_td import band_host, slice_td
+from .planar_td import band_host, level_windows, slice_td
 
 MAX_PATTERN = 8
 
@@ -450,7 +450,8 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
         sub, back = induced_embedded_subgraph(e, comp)
         host = band_host(sub, 0)
         for offset in range(k):
-            for lo, hi in _runs_avoiding(host.layering.depth, k, offset):
+            for lo, hi, _core in level_windows(host.layering.depth, k,
+                                               offset, "delete"):
                 sl = slice_td(host, lo, hi)
                 if sl.graph.n < h.n:
                     continue
@@ -461,19 +462,3 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
                     check_mapping(g, h, mapping, induced)
                     return mapping
     return None
-
-
-def _runs_avoiding(depth: int, k: int, offset: int) -> list[tuple[int, int]]:
-    """Maximal runs of levels in [0, depth] skipping levels ≡ offset (mod k)."""
-    runs = []
-    lo = None
-    for lvl in range(depth + 1):
-        if lvl % k == offset:
-            if lo is not None:
-                runs.append((lo, lvl - 1))
-                lo = None
-        elif lo is None:
-            lo = lvl
-    if lo is not None:
-        runs.append((lo, depth))
-    return runs

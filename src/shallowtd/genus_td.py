@@ -27,8 +27,6 @@ class CutGraph:
     x_vertices: tuple[int, ...]
     x_edges: tuple[int, ...]
     leftover_edges: tuple[int, ...]
-    branch_vertices: tuple[int, ...]      # vertices of the multigraph Y
-    branch_edges: tuple[tuple[int, int], ...]
     depth: int
 
 
@@ -52,35 +50,8 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
                 pe = lay.parent_edge[w]
                 if pe is not None:
                     xe.add(pe)
-
-    # branch structure Y: X vertices of X-degree != 2, joined by maximal paths
-    xdeg = {v: 0 for v in xv}
-    xadj: dict[int, list[tuple[int, int]]] = {v: [] for v in xv}
-    for eid in xe:
-        u, w = g.edges[eid]
-        xdeg[u] += 1
-        xdeg[w] += 1
-        xadj[u].append((eid, w))
-        xadj[w].append((eid, u))
-    branch = sorted(v for v in xv if xdeg[v] != 2) or ([root] if xv else [])
-    branch_set = set(branch)
-    y_edges = []
-    walked: set[int] = set()
-    for b in branch:
-        for eid, nxt in sorted(xadj[b]):
-            if eid in walked:
-                continue
-            walked.add(eid)
-            prev, cur = b, nxt
-            while cur not in branch_set:
-                step = next((ed, w) for ed, w in xadj[cur]
-                            if ed not in walked)
-                walked.add(step[0])
-                prev, cur = cur, step[1]
-            y_edges.append((min(b, cur), max(b, cur)))
     return CutGraph(host=e, root=root, x_vertices=tuple(sorted(xv)),
                     x_edges=tuple(sorted(xe)), leftover_edges=tuple(sorted(leftover)),
-                    branch_vertices=tuple(branch), branch_edges=tuple(sorted(y_edges)),
                     depth=lay.depth)
 
 

@@ -179,10 +179,6 @@ def dart_tail(g: Graph, d: int) -> int:
     return g.edges[d >> 1][d & 1]
 
 
-def dart_head(g: Graph, d: int) -> int:
-    return g.edges[d >> 1][1 - (d & 1)]
-
-
 @dataclass
 class EmbeddedGraph:
     """A multigraph with an orientable rotation system and its derived faces."""
@@ -278,37 +274,8 @@ def embed(g: Graph, rotation: list[list[int]]) -> EmbeddedGraph:
     return EmbeddedGraph(graph=g, rotation=rotation, faces=faces, euler_genus=genus)
 
 
-@dataclass
-class EmbeddingReport:
-    faces: list[list[int]]
-    face_count: int
-    euler_genus: int
-    planar: bool
-
-
-def validate_embedding(e: EmbeddedGraph) -> EmbeddingReport:
-    """Re-derive faces and genus from the rotation system."""
-    checked = embed(e.graph, e.rotation)
-    return EmbeddingReport(
-        faces=checked.faces,
-        face_count=len(checked.faces),
-        euler_genus=checked.euler_genus,
-        planar=checked.euler_genus == 0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Minor operations
-
-def delete_vertices(g: Graph, vertices) -> tuple[Graph, list[int]]:
-    """Induced subgraph on the complement of `vertices`.
-
-    Returns (subgraph, back_map) where back_map[new_id] = old_id.
-    """
-    drop = set(vertices)
-    keep = [v for v in range(g.n) if v not in drop]
-    return induced_subgraph(g, keep)
-
 
 def induced_subgraph(g: Graph, keep: list[int]) -> tuple[Graph, list[int]]:
     keep = sorted(set(keep))

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .decomp import TreeDecomposition
 from .graph import (
@@ -90,23 +88,13 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
 
 
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
-    """Valid tree decomposition of e.graph with width <= 3 * BFS depth."""
-    nodes, tree_edges, indptr, data, _depth = _planar_td_arrays(e, root)
-    flat, ptr = data.tolist(), indptr.tolist()
-    bags = [tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(nodes)]
-    return TreeDecomposition(nodes=nodes, tree_edges=tree_edges, bags=bags)
-
-
-def _planar_td_arrays(e: EmbeddedGraph, root: int):
-    """Raw-array form of planar_bfs_td (the bench path): returns
-    (node_count, tree_edges, bag_indptr, bag_data, depth).  The BFS runs on
-    the triangulation, whose depth is at most the host's."""
+    """Valid tree decomposition of e.graph with width <= 3 * BFS depth.  The
+    BFS runs on the triangulation, whose depth is at most the host's."""
     _check_planar_component(e, root)
     if e.graph.n <= 2:
-        return (*_single_bag(e.graph.n), 0)
+        return _single_bag(e.graph.n)
     tri = triangulate(e)
-    lay = bfs_layering(tri.graph, root)
-    return (*_three_path_td(tri, lay), lay.depth)
+    return _three_path_td(tri, bfs_layering(tri.graph, root))
 
 
 def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
@@ -119,14 +107,14 @@ def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
         raise GraphInputError("graph is not connected")
 
 
-def _single_bag(n: int):
-    return 1, [], np.array([0, n], dtype=np.int64), np.arange(n, dtype=np.int64)
+def _single_bag(n: int) -> TreeDecomposition:
+    return TreeDecomposition(nodes=1, tree_edges=[], bags=[tuple(range(n))])
 
 
-def _three_path_td(tri: EmbeddedGraph, lay: Layering):
-    """(node_count, tree_edges, bag_indptr, bag_data) of the triangulation
-    `tri`: one node per triangle, joined by the dual tree that avoids the
-    spanning tree of `lay`, whose root paths form the bags."""
+def _three_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
+    """The decomposition of the triangulation `tri` with one node per
+    triangle, joined by the dual tree that avoids the spanning tree of
+    `lay`, whose root paths form the bags."""
     pair = tree_cotree(tri, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
@@ -135,10 +123,10 @@ def _three_path_td(tri: EmbeddedGraph, lay: Layering):
     edges = tri.graph.edges
     corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
     parent = [-1 if p is None else p for p in lay.parent]
-    indptr, data = _kernels.three_path_bags(parent, corners)
     tree_edges = [(pair.dual_parent[f], f) for f in range(nfaces)
                   if pair.dual_parent[f] >= 0]
-    return nfaces, tree_edges, indptr, data
+    return TreeDecomposition(nodes=nfaces, tree_edges=tree_edges,
+                             bags=_kernels.three_path_bags(parent, corners))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +139,7 @@ class BandHost:
 
     graph: Graph
     layering: Layering           # BFS levels of graph; they define the bands
-    tree_edges: list[tuple[int, int]]
-    bag_indptr: np.ndarray       # bags of the nodes, CSR, ascending ids
-    bag_data: np.ndarray
+    td: TreeDecomposition        # bags are root paths of the layering's tree
 
 
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:
@@ -163,11 +149,10 @@ def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     _check_planar_component(e, root)
     lay = bfs_layering(e.graph, root)
     if e.graph.n <= 2:
-        _nodes, tree_edges, indptr, data = _single_bag(e.graph.n)
+        td = _single_bag(e.graph.n)
     else:
-        _nodes, tree_edges, indptr, data = _three_path_td(triangulate(e), lay)
-    return BandHost(graph=e.graph, layering=lay, tree_edges=tree_edges,
-                    bag_indptr=indptr, bag_data=data)
+        td = _three_path_td(triangulate(e), lay)
+    return BandHost(graph=e.graph, layering=lay, td=td)
 
 
 @dataclass
@@ -191,18 +176,13 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
     """
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
-    level = np.asarray(host.layering.level)
-    in_band = (level >= lo) & (level <= hi)
-    graph, back_map = induced_subgraph(host.graph, np.flatnonzero(in_band).tolist())
-    local = np.cumsum(in_band) - 1            # ascending, so bags stay sorted
+    level = host.layering.level
+    graph, back_map = induced_subgraph(
+        host.graph, [v for v in range(len(level)) if lo <= level[v] <= hi])
+    band = set(back_map)
+    sets = [band.intersection(bag) for bag in host.td.bags]
 
-    nodes = len(host.bag_indptr) - 1
-    keep = in_band[host.bag_data]
-    cut = local[host.bag_data[keep]].tolist()
-    kept_before = np.concatenate(([0], np.cumsum(keep)))[host.bag_indptr].tolist()
-    bags = [tuple(cut[kept_before[i]:kept_before[i + 1]]) for i in range(nodes)]
-    sets = [set(b) for b in bags]
-
+    nodes, host_edges = host.td.nodes, host.td.tree_edges
     rep = list(range(nodes))
 
     def find(x: int) -> int:
@@ -211,7 +191,7 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
             x = rep[x]
         return x
 
-    for a, b in host.tree_edges:
+    for a, b in host_edges:
         ra, rb = find(a), find(b)
         if sets[ra] <= sets[rb]:
             rep[ra] = rb
@@ -219,10 +199,11 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
             rep[rb] = ra
     kept = [x for x in range(nodes) if find(x) == x]
     new_id = {x: i for i, x in enumerate(kept)}
-    tree_edges = [(new_id[find(a)], new_id[find(b)]) for a, b in host.tree_edges
+    tree_edges = [(new_id[find(a)], new_id[find(b)]) for a, b in host_edges
                   if find(a) != find(b)]
-    td = TreeDecomposition(nodes=len(kept), tree_edges=tree_edges,
-                           bags=[bags[x] for x in kept])
+    local = {v: i for i, v in enumerate(back_map)}
+    bags = [tuple(sorted(map(local.__getitem__, sets[x]))) for x in kept]
+    td = TreeDecomposition(nodes=len(kept), tree_edges=tree_edges, bags=bags)
     bound = 3 * (hi - lo + 1) - 1
     if td.width > bound:
         raise EmbeddingError(f"band [{lo}, {hi}] decomposition has width "
@@ -230,6 +211,44 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
                              "root paths of its BFS tree")
     return Slice(window=(lo, hi), graph=graph, back_map=back_map, td=td,
                  core=tuple(range(graph.n)))
+
+
+def level_windows(depth: int, k: int, offset: int,
+                  mode: str) -> list[tuple[int, int, tuple[int, int]]]:
+    """(lo, hi, core-range) triples of the bands of one slicing mode (see
+    ``baker``) over the levels [0, depth]; ranges are inclusive levels.  In
+    "delete" mode the bands are the maximal runs of levels that skip the
+    levels ≡ offset (mod k), and each band is its own core."""
+    out = []
+    if mode == "delete":
+        lo = None
+        for lvl in range(depth + 2):
+            wall = lvl > depth or lvl % k == offset
+            if wall:
+                if lo is not None:
+                    out.append((lo, lvl - 1, (lo, lvl - 1)))
+                    lo = None
+            elif lo is None:
+                lo = lvl
+    elif mode == "duplicate":
+        start = offset - k if offset else 0
+        while True:
+            lo, hi = max(0, start), min(depth, start + k)
+            out.append((lo, hi, (lo, hi)))
+            if hi == depth:
+                break
+            start += k
+    elif mode == "dominate":
+        start = offset - k if offset else 0
+        while True:
+            clo, chi = max(0, start), min(depth, start + k - 1)
+            out.append((max(0, clo - 1), min(depth, chi + 1), (clo, chi)))
+            if chi == depth:
+                break
+            start += k
+    else:
+        raise GraphInputError(f"unknown slicing mode {mode!r}")
+    return out
 
 
 def min_eccentricity_root(g: Graph, samples: int = 16) -> int:

@@ -239,3 +239,32 @@ class TestOptimizedInterpreter:
                              "--input", "g.txt"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["bound_checked"]
+
+
+def run_fresh(code: str, args, cwd) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter in development mode, which warns about
+    every file left unclosed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-X", "dev", "-c", code, *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestFreshInterpreter:
+    def test_import_leaves_numpy_out(self, tmp_path):
+        # the package has no runtime dependency; numpy is a test-only import
+        res = run_fresh("import sys, shallowtd.cli; "
+                        "print('numpy' in sys.modules)", [], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+    def test_input_files_are_closed(self, tmp_path):
+        (tmp_path / "g.txt").write_text(emit_graph(grid(3, 3)))
+        (tmp_path / "p.txt").write_text("v 2\ne 0 1\n")
+        main = "from shallowtd.cli import main; main()"
+        for argv in (["subiso", "--input", "g.txt", "--pattern", "p.txt"],
+                     ["oracle", "--problem", "subiso", "--input", "g.txt",
+                      "--pattern", "p.txt"]):
+            res = run_fresh(main, argv, tmp_path)
+            assert res.returncode == 0, res.stderr
+            assert "ResourceWarning" not in res.stderr

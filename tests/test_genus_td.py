@@ -35,15 +35,6 @@ class TestCutGraph:
         lay = bfs_layering(e.graph, 0)
         assert all(lay.level[v] <= lay.depth for v in cg.x_vertices)
 
-    def test_branch_structure(self):
-        e = toroidal_grid(3, 3)
-        cg = cut_graph(e, 0)
-        # X subdivides a small multigraph: every branch edge joins branch
-        # vertices, and branch vertex count is bounded by 4g+1
-        assert len(cg.branch_vertices) <= 4 * e.euler_genus + 1
-        bset = set(cg.branch_vertices)
-        assert all(a in bset and b in bset for a, b in cg.branch_edges)
-
 
 class TestContractCutGraph:
     def test_torus_lands_on_sphere(self):

@@ -6,9 +6,8 @@ from conftest import (complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph)
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
-                             build_graph, contract_connected_set,
-                             delete_vertices, diameter, embed, emit_graph,
-                             parse_graph, triangulate, validate_embedding)
+                             build_graph, contract_connected_set, diameter,
+                             embed, emit_graph, parse_graph, triangulate)
 
 
 class TestBuildGraph:
@@ -45,11 +44,6 @@ class TestEmbedding:
         rot = [[0, 2, 4], [1, 8, 6], [3, 7, 10], [5, 11, 9]]
         e = embed(g, rot)
         assert len(e.faces) == 4 and e.euler_genus == 0
-
-    def test_validate_embedding_report(self):
-        e = embed_outerplanar(cycle_graph(6))
-        rep = validate_embedding(e)
-        assert rep.euler_genus == 0 and len(rep.faces) == 2
 
     def test_face_lengths_sum_to_2m(self):
         for e in (grid(3, 4), toroidal_grid(3, 4)):
@@ -110,7 +104,7 @@ class TestMinorOps:
         e = grid(3, 3)
         c, _ = contract_connected_set(e, {0, 1, 2})
         assert c.graph.n == 7 and c.euler_genus == 0
-        assert validate_embedding(c).euler_genus == 0
+        assert embed(c.graph, c.rotation).euler_genus == 0
 
     def test_contract_disconnected_set_rejected(self):
         with pytest.raises(GraphInputError):
@@ -130,14 +124,6 @@ class TestMinorOps:
                 du = bfs_layering(e.graph, u).level[v]
                 dc = bfs_layering(c.graph, vmap[u]).level[vmap[v]]
                 assert dc <= du
-
-    def test_delete_vertices(self):
-        g, back = delete_vertices(path_graph(4), {1, 2})
-        assert g.n == 2 and g.m == 0 and back == [0, 3]
-        same, back2 = delete_vertices(path_graph(4), set())
-        assert same.n == 4 and same.m == 3 and back2 == [0, 1, 2, 3]
-        empty, _ = delete_vertices(path_graph(4), {0, 1, 2, 3})
-        assert empty.n == 0
 
 
 class TestTriangulate:

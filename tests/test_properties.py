@@ -1,9 +1,9 @@
 """Property tests: the linear validator against its quadratic reference,
 the list kernels against their numpy-scalar reference, contraction of BFS
 level prefixes, Euler genus against an independent planarity test, width
-bounds of whole-host and level-band decompositions, the exact DP against its
-frozenset reference and the oracle, and the pattern DP against its
-pairwise-check reference."""
+bounds of whole-host and level-band decompositions, level bands against
+their numpy reference, the exact DP against its frozenset reference and the
+oracle, and the pattern DP against its pairwise-check reference."""
 
 from functools import cache
 
@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_bands
 import reference_dp
 import reference_kernels
 from reference_validate import validate_quadratic
@@ -163,22 +164,20 @@ def test_kernels_match_numpy_reference(data):
         vertex = st.integers(0, g.n - 1)
         corners = data.draw(st.lists(st.lists(vertex, min_size=3, max_size=3),
                                      max_size=40))
-    indptr, bags = _kernels.three_path_bags(parent, corners)
-    ref_indptr, ref_bags = reference_kernels.three_path_bags(
+    ref_indptr, ref_data = reference_kernels.three_path_bags(
         np.array(parent, dtype=np.int64),
         np.array(corners, dtype=np.int64).reshape(-1, 3))
-    assert indptr.dtype == bags.dtype == np.int64
-    assert indptr.tolist() == ref_indptr.tolist()
-    assert bags.tolist() == ref_bags.tolist()
+    ptr, flat = ref_indptr.tolist(), ref_data.tolist()
+    assert (_kernels.three_path_bags(parent, corners)
+            == [tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(len(ptr) - 1)])
 
 
 def test_kernels_leave_unreached_vertices_at_minus_one():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
     assert _kernels.bfs_levels(g.neighbor_lists(), 1) == ([1, 0, 1, -1, -1],
                                                           [1, -1, 1, -1, -1])
-    indptr, bags = _kernels.three_path_bags([1, -1, 1, -1, -1],
-                                            [[0, 2, 3], [4, 4, 3]])
-    assert indptr.tolist() == [0, 4, 6] and bags.tolist() == [0, 1, 2, 3, 3, 4]
+    assert (_kernels.three_path_bags([1, -1, 1, -1, -1], [[0, 2, 3], [4, 4, 3]])
+            == [(0, 1, 2, 3), (3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +276,48 @@ def test_genus_zero_agrees_with_networkx_planarity(data):
 # Level bands: the host decomposition restricted to levels [lo, hi]
 
 
+def _band(draw):
+    """A random band host (a triangulation, a subdivided grid or a wall, from
+    a random root) and a random level range [lo, hi] of it."""
+    kind = draw(st.sampled_from(["triangulation", "subdivided", "wall"]))
+    if kind == "triangulation":
+        e = random_planar_triangulation(draw(st.integers(3, 60)),
+                                        draw(st.integers(0, 10**6)))
+    elif kind == "subdivided":
+        e = subdivide(grid(draw(st.integers(1, 6)), draw(st.integers(2, 6))),
+                      draw(st.integers(1, 3)))
+    else:
+        e = wall(draw(st.integers(1, 4)))[1]
+    host = band_host(e, draw(st.integers(0, e.n - 1)))
+    lo = draw(st.integers(0, host.layering.depth))
+    hi = draw(st.integers(lo, host.layering.depth))
+    return host, lo, hi
+
+
 @PROPERTY
 @given(st.data())
 def test_band_is_valid_narrow_and_exact(data):
-    if data.draw(st.booleans()):
-        e = random_planar_triangulation(data.draw(st.integers(3, 60)),
-                                        data.draw(st.integers(0, 10**6)))
-    else:
-        e = subdivide(grid(data.draw(st.integers(1, 6)),
-                           data.draw(st.integers(2, 6))),
-                      data.draw(st.integers(1, 3)))
-    host = band_host(e, data.draw(st.integers(0, e.n - 1)))
-    lo = data.draw(st.integers(0, host.layering.depth))
-    hi = data.draw(st.integers(lo, host.layering.depth))
+    host, lo, hi = _band(data.draw)
     sl = slice_td(host, lo, hi)
-    assert sl.back_map == [v for v in range(e.n)
+    assert sl.back_map == [v for v in range(host.graph.n)
                            if lo <= host.layering.level[v] <= hi]
     assert validate(sl.td, sl.graph).valid
     assert sl.td.width <= 3 * (hi - lo + 1) - 1
     if sl.graph.n <= MAX_SET_PROBLEM:
         assert (len(dp_mis(make_nice(sl.td), sl.graph))
                 == oracle_solve("mis", sl.graph)[0])
+
+
+@PROPERTY
+@given(st.data())
+def test_band_matches_numpy_reference(data):
+    host, lo, hi = _band(data.draw)
+    sl = slice_td(host, lo, hi)
+    ref = reference_bands.slice_td(host, lo, hi)
+    assert sl.back_map == ref.back_map
+    assert sl.td.nodes == ref.td.nodes
+    assert sl.td.tree_edges == ref.td.tree_edges
+    assert sl.td.bags == ref.td.bags
 
 
 # ---------------------------------------------------------------------------
