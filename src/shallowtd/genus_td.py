@@ -170,7 +170,10 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
 
 
 def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
-    """Decomposition of e.graph with width <= 3*(depth+1) + |X_vertices|."""
+    """Decomposition of e.graph with width <= 3*(depth+1) + |X_vertices|,
+    checked with a GenusPipelineError.  Its tree is that of the contracted
+    graph's planar decomposition, whose nested bags stay nested once X is
+    adjoined to each."""
     cg = cut_graph(e, root)
     contracted, old_to_new = contract_cut_graph(cg)
     super_v = old_to_new[root]
@@ -187,4 +190,10 @@ def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
             if w != super_v:
                 lifted.add(new_to_old[w])
         bags.append(tuple(sorted(lifted)))
-    return TreeDecomposition(nodes=td_c.nodes, tree_edges=td_c.tree_edges, bags=bags)
+    td = TreeDecomposition(nodes=td_c.nodes, tree_edges=td_c.tree_edges, bags=bags)
+    bound = 3 * (cg.depth + 1) + len(cg.x_vertices)
+    if td.width > bound:
+        raise GenusPipelineError(
+            f"genus decomposition has width {td.width} > 3 * (depth + 1) + |X| "
+            f"= {bound}: the lifted bags are not root paths plus X")
+    return td

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import reference_planar
 from conftest import witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import parse_td, validate
-from shallowtd.generators import grid
+from shallowtd.generators import (grid, random_planar_triangulation,
+                                  toroidal_grid, wall)
 from shallowtd.graph import emit_graph, parse_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,6 +80,33 @@ class TestPipelines:
         td, host_n = parse_td(tdfile.read_text())
         assert validate(td, parse_graph(gtext).graph).valid
 
+        code, out, _ = invoke(capsys, monkeypatch,
+                              ["validate", "--graph", str(gfile),
+                               "--td", str(tdfile)])
+        assert code == 0 and json.loads(out)["valid"]
+
+    @pytest.mark.parametrize("name, method", [
+        ("grid", "planar-bfs"), ("wall", "planar-bfs"),
+        ("triangulation", "planar-bfs"), ("torus", "genus")])
+    def test_decompose_out_round_trip(self, capsys, monkeypatch, tmp_path,
+                                      name, method):
+        e = {"grid": lambda: grid(7, 9), "wall": lambda: wall(4)[1],
+             "triangulation": lambda: random_planar_triangulation(120, 5),
+             "torus": lambda: toroidal_grid(6, 7)}[name]()
+        gfile = tmp_path / "g.g"
+        gfile.write_text(emit_graph(e))
+        tdfile = tmp_path / "g.td"
+        code, out, _ = invoke(capsys, monkeypatch,
+                              ["decompose", "--method", method,
+                               "--input", str(gfile), "--out", str(tdfile)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["valid"]
+        build = (reference_planar.genus_td if method == "genus"
+                 else reference_planar.planar_bfs_td)
+        ref = build(e, report["root"])
+        assert report["nodes"] < ref.nodes       # one node per triangle
+        assert report["width"] == ref.width
         code, out, _ = invoke(capsys, monkeypatch,
                               ["validate", "--graph", str(gfile),
                                "--td", str(tdfile)])

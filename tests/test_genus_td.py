@@ -1,12 +1,15 @@
 """Cut graphs on positive-genus surfaces and the contraction pipeline."""
 
+import importlib
+
 import pytest
 
-from shallowtd.decomp import validate
+from shallowtd import _kernels
+from shallowtd.decomp import TreeDecomposition, validate
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.genus_td import (GenusPipelineError, contract_cut_graph,
                                 cut_graph, genus_td)
-from shallowtd.graph import bfs_layering
+from shallowtd.graph import EmbeddingError, bfs_layering
 
 
 class TestCutGraph:
@@ -79,3 +82,32 @@ class TestGenusTd:
         depth = bfs_layering(e.graph, 0).depth
         assert validate(td, e.graph).valid
         assert td.width <= 3 * depth + 1
+
+    def test_widened_lifted_bag_fails_the_width_check(self, monkeypatch):
+        # Any bag the kernel widens fails the planar check on the contracted
+        # graph first (lifting adds at most |X| - 1 vertices to a bag of
+        # width <= 3 * depth), so widen the decomposition genus_td lifts.
+        e = toroidal_grid(10, 10)
+        genus_module = importlib.import_module("shallowtd.genus_td")
+        honest = genus_module.planar_bfs_td
+
+        def widened(contracted, root):
+            td = honest(contracted, root)
+            bags = [tuple(range(contracted.graph.n))] + td.bags[1:]
+            return TreeDecomposition(td.nodes, td.tree_edges, bags)
+
+        monkeypatch.setattr(genus_module, "planar_bfs_td", widened)
+        with pytest.raises(GenusPipelineError, match="width 99 > 3"):
+            genus_td(e, 0)
+
+    def test_widened_kernel_bag_is_caught(self, monkeypatch):
+        honest = _kernels.three_path_bags
+
+        def widened(parent, corners):
+            bags = honest(parent, corners)
+            bags[0] = tuple(range(len(parent)))
+            return bags
+
+        monkeypatch.setattr(_kernels, "three_path_bags", widened)
+        with pytest.raises(EmbeddingError, match="width"):
+            genus_td(toroidal_grid(10, 10), 0)

@@ -3,10 +3,11 @@
 import pytest
 
 from conftest import cycle_graph, embed_outerplanar
+from shallowtd import _kernels
 from shallowtd.decomp import validate
 from shallowtd.generators import grid, random_planar_triangulation, wall
-from shallowtd.graph import (GraphInputError, bfs_layering, build_graph,
-                             embed, triangulate)
+from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
+                             build_graph, embed, triangulate)
 from shallowtd.planar_td import (band_host, min_eccentricity_root,
                                  planar_bfs_td, slice_td, tree_cotree)
 
@@ -65,9 +66,21 @@ class TestPlanarBfsTd:
         depth = bfs_layering(e.graph, 0).depth
         assert all(len(b) <= 3 * depth + 1 for b in td.bags)
 
+    def test_widened_bag_fails_the_width_check(self, monkeypatch):
+        e = grid(5, 5)
+        honest = _kernels.three_path_bags
+
+        def widened(parent, corners):
+            bags = honest(parent, corners)
+            bags[0] = tuple(range(len(parent)))
+            return bags
+
+        monkeypatch.setattr(_kernels, "three_path_bags", widened)
+        with pytest.raises(EmbeddingError, match="width 24 > 3 \\* depth"):
+            planar_bfs_td(e, 12)
+
     def test_nonplanar_rejected(self):
         from shallowtd.generators import toroidal_grid
-        from shallowtd.graph import EmbeddingError
         with pytest.raises(EmbeddingError):
             planar_bfs_td(toroidal_grid(3, 3), 0)
 

@@ -1,7 +1,8 @@
 """Property tests: the linear validator against its quadratic reference,
 the list kernels against their numpy-scalar reference, contraction of BFS
 level prefixes, Euler genus against an independent planarity test, width
-bounds of whole-host and level-band decompositions, level bands against
+bounds of whole-host and level-band decompositions, whole-host
+decompositions against their uncontracted reference, level bands against
 their numpy reference, the exact DP against its frozenset reference and the
 oracle, and the pattern DP against its pairwise-check reference."""
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import reference_bands
 import reference_dp
 import reference_kernels
+import reference_planar
 from reference_validate import validate_quadratic
 from shallowtd import _kernels
 from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
@@ -215,6 +217,38 @@ def test_genus_td_on_tori_is_valid_within_its_bound(rows, cols, data):
     cg = cut_graph(e, root)
     assert validate(td, e.graph).valid
     assert td.width <= 3 * (cg.depth + 1) + len(cg.x_vertices)
+
+
+@PROPERTY
+@given(st.data())
+def test_whole_host_td_is_the_subset_contraction_of_the_reference(data):
+    kind = data.draw(st.sampled_from(["triangulation", "subdivided", "wall",
+                                      "torus"]))
+    if kind == "triangulation":
+        e = random_planar_triangulation(data.draw(st.integers(3, 80)),
+                                        data.draw(st.integers(0, 10**6)))
+    elif kind == "subdivided":
+        e = subdivide(grid(data.draw(st.integers(1, 5)),
+                           data.draw(st.integers(2, 5))),
+                      data.draw(st.integers(1, 3)))
+    elif kind == "wall":
+        e = wall(data.draw(st.integers(1, 4)))[1]
+    else:
+        e = toroidal_grid(data.draw(st.integers(3, 6)),
+                          data.draw(st.integers(3, 6)))
+    root = data.draw(st.integers(0, e.n - 1))
+    if kind == "torus":
+        td, ref = genus_td(e, root), reference_planar.genus_td(e, root)
+    else:
+        td, ref = planar_bfs_td(e, root), reference_planar.planar_bfs_td(e, root)
+    expected = reference_planar.contract_subsets(ref)
+    assert td.nodes == expected.nodes
+    assert td.tree_edges == expected.tree_edges
+    assert td.bags == expected.bags
+    assert validate(td, e.graph).valid
+    assert td.width == ref.width
+    assert (make_nice(td).kind.count("join")
+            <= make_nice(ref).kind.count("join"))
 
 
 # ---------------------------------------------------------------------------
