@@ -4,17 +4,24 @@ Runs ``planar_bfs_td`` on square grids whose edge counts double from
 roughly 10^3 up to 10^5 and reports the growth ratio per doubling.
 Near-linear behaviour means ratios stay around 2; the acceptance suite
 reports ratios above 2.5 without failing.
+
+It also times ``triangulate`` on hosts with one long face (a cycle, a path,
+a star and a random tree) at 1k to 8k vertices, where quadratic ear cutting
+would show as ratios near 4.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 
 from .generators import grid
+from .graph import build_graph, embed, triangulate
 from .planar_td import planar_bfs_td
 
 RATIO_BOUND = 2.5
+LONG_FACE_SIZES = (1000, 2000, 4000, 8000)
 
 
 def _grid_for_edges(target: int) -> int:
@@ -22,13 +29,34 @@ def _grid_for_edges(target: int) -> int:
     return max(2, round((target / 2) ** 0.5) + 1)
 
 
-def _time_once(e, repeats: int) -> float:
+def _best_time(fn, e, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        planar_bfs_td(e, 0)
+        fn(e)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _long_face_host(kind: str, n: int):
+    """An n-vertex cycle, path, star or seeded random tree, embedded with
+    each vertex's darts in edge order (planar for all four)."""
+    if kind == "cycle":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "star":
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        rng = random.Random(n)
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+    g = build_graph(n, edges)
+    return embed(g, [[2 * eid + (g.edges[eid][0] != v) for eid in g.adj[v]]
+                     for v in range(n)])
+
+
+def _doubling_ratios(times: list[float]) -> list[float]:
+    return [round(cur / max(prev, 1e-9), 3) for prev, cur in zip(times, times[1:])]
 
 
 def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
@@ -45,15 +73,21 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
             "target_edges": target,
             "grid_side": n,
             "edges": e.graph.m,
-            "time": round(_time_once(e, repeats), 6),
+            "time": round(_best_time(lambda h: planar_bfs_td(h, 0), e,
+                                     repeats), 6),
         })
-    ratios = []
-    for prev, cur in zip(rows, rows[1:]):
-        ratio = cur["time"] / max(prev["time"], 1e-9)
-        ratios.append(round(ratio, 3))
+    ratios = _doubling_ratios([row["time"] for row in rows])
+    long_faces = {}
+    for kind in ("cycle", "path", "star", "tree"):
+        times = [round(_best_time(triangulate, _long_face_host(kind, n),
+                                  repeats), 6) for n in LONG_FACE_SIZES]
+        long_faces[kind] = {"times": times,
+                            "doubling_ratios": _doubling_ratios(times)}
     return {
         "rows": rows,
         "doubling_ratios": ratios,
         "ratio_bound": RATIO_BOUND,
         "within_bound": all(r <= RATIO_BOUND for r in ratios),
+        "triangulate_sizes": list(LONG_FACE_SIZES),
+        "triangulate": long_faces,
     }

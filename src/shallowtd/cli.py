@@ -124,7 +124,7 @@ def _cmd_decompose(args) -> int:
     if args.method == "planar-bfs":
         td = planar_bfs_td(_need_embedding(obj), root)
     elif args.method == "genus":
-        td = genus_td(_need_embedding(obj), root)
+        td, bound = genus_td(_need_embedding(obj), root)
     else:
         td = heuristic_td(g)
     rep = validate(td, g)
@@ -146,8 +146,9 @@ def _cmd_decompose(args) -> int:
         depth = eccentricity(g, root)
         payload["depth"] = depth
         if args.method == "planar-bfs":
-            payload["width_bound"] = 3 * depth
-            payload["bound_checked"] = td.width <= 3 * depth
+            bound = 3 * depth
+        payload["width_bound"] = bound
+        payload["bound_checked"] = td.width <= bound
     if not args.out:
         payload["decomposition"] = td_text
     _report(payload, started)

@@ -169,8 +169,8 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
     return contracted, old_to_new
 
 
-def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
-    """Decomposition of e.graph with width <= 3*(depth+1) + |X_vertices|,
+def genus_td(e: EmbeddedGraph, root: int) -> tuple[TreeDecomposition, int]:
+    """Decomposition of e.graph and its width bound 3*(depth+1) + |X_vertices|,
     checked with a GenusPipelineError.  Its tree is that of the contracted
     graph's planar decomposition, whose nested bags stay nested once X is
     adjoined to each."""
@@ -196,4 +196,4 @@ def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
         raise GenusPipelineError(
             f"genus decomposition has width {td.width} > 3 * (depth + 1) + |X| "
             f"= {bound}: the lifted bags are not root paths plus X")
-    return td
+    return td, bound

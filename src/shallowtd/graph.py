@@ -206,22 +206,30 @@ class EmbeddedGraph:
         return self._face_of[d]
 
 
+def _rotation_successors(m: int, rotation: list[list[int]]) -> list[int]:
+    """Per dart, the next dart in the rotation at its tail."""
+    succ = [0] * (2 * m)
+    for cyc in rotation:
+        if cyc:
+            prev = cyc[-1]
+            for d in cyc:
+                succ[prev] = d
+                prev = d
+    return succ
+
+
 def _trace_faces(g: Graph, rotation: list[list[int]]) -> list[list[int]]:
-    # successor of dart d in the rotation at its tail
-    succ: dict[int, int] = {}
-    for v in range(g.n):
-        cyc = rotation[v]
-        for i, d in enumerate(cyc):
-            succ[d] = cyc[(i + 1) % len(cyc)]
+    """Faces in order of their lowest dart, each starting there."""
+    succ = _rotation_successors(g.m, rotation)
     faces = []
-    visited: set[int] = set()
+    visited = bytearray(2 * g.m)
     for d0 in range(2 * g.m):
-        if d0 in visited:
+        if visited[d0]:
             continue
         cyc = []
         d = d0
-        while d not in visited:
-            visited.add(d)
+        while not visited[d]:
+            visited[d] = 1
             cyc.append(d)
             d = succ[d ^ 1]
         faces.append(cyc)
@@ -235,21 +243,24 @@ def embed(g: Graph, rotation: list[list[int]]) -> EmbeddedGraph:
     once with the correct tail, or if the genus comes out negative or
     non-integral on some component.
     """
-    seen: set[int] = set()
+    ndarts = 2 * g.m
+    tails = [v for uv in g.edges for v in uv]
+    seen = bytearray(ndarts)
+    covered = 0
     for v in range(g.n):
         for d in rotation[v]:
-            if not (0 <= d < 2 * g.m):
+            if not (0 <= d < ndarts):
                 raise EmbeddingError(f"dart {d} out of range at vertex {v}")
-            if dart_tail(g, d) != v:
-                raise EmbeddingError(f"dart {d} listed at vertex {v} but its tail is {dart_tail(g, d)}")
-            if d in seen:
+            if tails[d] != v:
+                raise EmbeddingError(f"dart {d} listed at vertex {v} but its tail is {tails[d]}")
+            if seen[d]:
                 raise EmbeddingError(f"dart {d} appears more than once in the rotation")
-            seen.add(d)
-    if len(seen) != 2 * g.m:
-        raise EmbeddingError(f"rotation covers {len(seen)} darts, expected {2 * g.m}")
+            seen[d] = 1
+        covered += len(rotation[v])
+    if covered != ndarts:
+        raise EmbeddingError(f"rotation covers {covered} darts, expected {ndarts}")
 
     faces = _trace_faces(g, rotation)
-    face_comp: dict[int, int] = {}
 
     comps = connected_components(g)
     genus = 0
@@ -262,7 +273,7 @@ def embed(g: Graph, rotation: list[list[int]]) -> EmbeddedGraph:
         m_per[vertex_comp[u]] += 1
     f_per = [0] * len(comps)
     for cyc in faces:
-        f_per[vertex_comp[dart_tail(g, cyc[0])]] += 1
+        f_per[vertex_comp[tails[cyc[0]]]] += 1
     for ci, comp in enumerate(comps):
         if m_per[ci] == 0:
             continue
@@ -394,64 +405,116 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
 
     Original edges keep their ids; added chords may duplicate existing edges
     (the result is a multigraph) but never create loops.  Genus stays 0.
+
+    The chord rule: each face of ``e.faces``, in order, is a ring of corners
+    anchored at the first occurrence of its lowest vertex.  The ear at a
+    corner c is the triangle of c and the next two corners, cut off by a
+    chord from c to the corner two ahead.  It is valid when those two are
+    different vertices, and fresh when no edge or chord joins them yet.
+    Scanning forward from the last cut (from the anchor at first), the first
+    fresh valid ear is cut, or the first valid one when none is fresh; the
+    chord's dart takes c's place in the ring and the middle corner leaves
+    it.  Each cut is O(1) and a scan stops at the first fresh ear, so the
+    run is O(m) unless a face keeps offering chords that already exist (a
+    scan that finds no fresh ear visits the whole ring).  The result is
+    built directly, not re-embedded: each triangle starts at its lowest dart
+    and the faces are sorted by it, as ``embed`` would give them.
+
+    Raises EmbeddingError for a nonzero genus, a face of fewer than three
+    darts or a face with no valid ear, and GraphInputError for a
+    disconnected host or fewer than three vertices.
     """
     if e.euler_genus != 0:
         raise EmbeddingError("triangulate requires a planar embedding")
-    if not is_connected(e.graph):
+    g = e.graph
+    n = g.n
+    # Each component of a genus-0 embedding with an edge has n - m + f = 2
+    # and an isolated vertex adds 1, so this is connectivity for n > 1.
+    if n > 1 and (g.m == 0 or n - g.m + len(e.faces) != 2):
         raise GraphInputError("triangulate requires a connected graph")
-    if e.n < 3:
+    if n < 3:
         raise GraphInputError("triangulate requires at least 3 vertices")
 
-    g = e.graph
     edges = list(g.edges)
-    rot = [list(c) for c in e.rotation]
-    tails: dict[int, int] = {}
-    for eid, (u, v) in enumerate(edges):
-        tails[2 * eid] = u
-        tails[2 * eid + 1] = v
-    simple_pairs = {(min(u, v), max(u, v)) for u, v in edges}
-
-    def add_chord(face: list[int], i: int, j: int) -> tuple[int, int]:
-        # chord between the corners at positions i and j of the face cycle;
-        # returns the new darts (p at corner i, q at corner j)
-        a = tails[face[i]]
-        b = tails[face[j]]
-        eid = len(edges)
-        edges.append((a, b))
-        p, q = 2 * eid, 2 * eid + 1
-        tails[p] = a
-        tails[q] = b
-        rot[a].insert(rot[a].index(face[i]), p)
-        rot[b].insert(rot[b].index(face[j]), q)
-        simple_pairs.add((min(a, b), max(a, b)))
-        return p, q
-
-    for face in _trace_faces(g, e.rotation):
-        face = list(face)
-        if len(face) < 3:
+    adj = [list(incident) for incident in g.adj]
+    tail = [v for uv in edges for v in uv]
+    succ = _rotation_successors(g.m, e.rotation)
+    head = [cyc[0] for cyc in e.rotation]
+    pairs = {u * n + v if u < v else v * n + u for u, v in edges}
+    triangles: list[list[int]] = []
+    for face in e.faces:
+        size = len(face)
+        if size < 3:
             raise EmbeddingError("cannot triangulate a face with fewer than 3 darts")
-        # anchor the scan at the lowest-id corner for determinism
-        corners = [tails[d] for d in face]
-        start = corners.index(min(corners))
-        face = face[start:] + face[:start]
-        while len(face) > 3:
-            corners = [tails[d] for d in face]
-            L = len(face)
-            candidates = [i for i in range(L) if corners[i] != corners[(i + 2) % L]]
-            if not candidates:
-                raise EmbeddingError("no valid ear in face; embedding is degenerate")
-            fresh = [i for i in candidates
-                     if (min(corners[i], corners[(i + 2) % L]),
-                         max(corners[i], corners[(i + 2) % L])) not in simple_pairs]
-            i = (fresh or candidates)[0]
-            j = (i + 2) % L
-            p, _q = add_chord(face, i, j)
-            # ear (q, face[i], face[i+1]) is cut off; continue on the rest
-            rest = [face[(j + t) % L] for t in range(L - 2)]
-            face = [p] + rest
+        if size == 3:
+            triangles.append(list(face))
+            continue
+        # the ring: position k holds dart[k] at corner[k], followed by nxt[k]
+        dart = list(face)
+        corner = [tail[d] for d in dart]
+        nxt = list(range(1, size))
+        nxt.append(0)
+        i = corner.index(min(corner))
+        prev = i - 1 if i else size - 1
+        while size > 3:
+            x, px = i, prev
+            first = -1
+            for _ in range(size):
+                x2 = nxt[nxt[x]]
+                a, b = corner[x], corner[x2]
+                if a != b:
+                    key = a * n + b if a < b else b * n + a
+                    if key not in pairs:
+                        break
+                    if first < 0:
+                        first, pfirst = x, px
+                px, x = x, nxt[x]
+            else:
+                if first < 0:
+                    raise EmbeddingError("no valid ear in face; embedding is degenerate")
+                x, px = first, pfirst
+                x2 = nxt[nxt[x]]
+                a, b = corner[x], corner[x2]
+                key = a * n + b if a < b else b * n + a
+            # Cut the ear (q, da, db): chord p = a->b goes before da at a,
+            # q = b->a before dart[x2] at b.  In a face, the dart before
+            # dart[y] in its tail's rotation is the reverse of the ring dart
+            # before it.
+            da, db, dc = dart[x], dart[nxt[x]], dart[x2]
+            eid = len(edges)
+            p, q = 2 * eid, 2 * eid + 1
+            edges.append((a, b))
+            adj[a].append(eid)
+            adj[b].append(eid)
+            succ[dart[px] ^ 1] = p
+            succ.append(da)
+            succ[db ^ 1] = q
+            succ.append(dc)
+            if head[a] == da:
+                head[a] = p
+            if head[b] == dc:
+                head[b] = q
+            pairs.add(key)
+            triangles.append([da, db, q] if da < db else [db, q, da])
+            dart[x] = p
+            nxt[x] = x2
+            i, prev = x, px
+            size -= 1
+        t = [dart[i], dart[nxt[i]], dart[nxt[nxt[i]]]]
+        k = t.index(min(t))
+        triangles.append(t[k:] + t[:k])
 
-    new_g = build_graph(g.n, edges)
-    return embed(new_g, rot)
+    rotation = []
+    for h in head:
+        cyc = [h]
+        d = succ[h]
+        while d != h:
+            cyc.append(d)
+            d = succ[d]
+        rotation.append(cyc)
+    triangles.sort()
+    return EmbeddedGraph(graph=Graph(n=n, edges=edges, adj=adj),
+                         rotation=rotation, faces=triangles, euler_genus=0)
 
 
 # ---------------------------------------------------------------------------

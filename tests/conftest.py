@@ -24,6 +24,10 @@ def star_graph(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+# Edges 0 and 1 both join vertices 0 and 1 and bound a face of two darts.
+DIGON = "v 3\ne 0 1\ne 0 1\ne 1 2\nrot 0 0 2\nrot 1 1 3 4\nrot 2 5\n"
+
+
 def embed_outerplanar(g: Graph):
     """Embedding with darts at each vertex in edge-id order; planar for
     paths, cycles, stars, and trees (any rotation of a tree is planar)."""

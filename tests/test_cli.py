@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import reference_planar
-from conftest import witness_entry
+from conftest import DIGON, witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import parse_td, validate
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
+from shallowtd.genus_td import cut_graph
 from shallowtd.graph import emit_graph, parse_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,6 +103,13 @@ class TestPipelines:
         assert code == 0
         report = json.loads(out)
         assert report["valid"]
+        bound = 3 * report["depth"]
+        if method == "genus":
+            cg = cut_graph(e, report["root"])
+            assert report["depth"] == cg.depth
+            bound = 3 * (cg.depth + 1) + len(cg.x_vertices)
+        assert report["width_bound"] == bound and report["bound_checked"]
+        assert report["width"] <= bound
         build = (reference_planar.genus_td if method == "genus"
                  else reference_planar.planar_bfs_td)
         ref = build(e, report["root"])
@@ -252,6 +260,14 @@ class TestOptimizedInterpreter:
         assert not report["valid"]
         assert report["violation"] == ("bags containing a vertex do not form "
                                        "a subtree")
+
+    def test_two_dart_face_exits_one(self, tmp_path):
+        (tmp_path / "g.txt").write_text(DIGON)
+        res = run_optimized(["decompose", "--root", "0", "--input", "g.txt"],
+                            tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert "fewer than 3 darts" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_solve_ds(self, tmp_path):
         (tmp_path / "g.txt").write_text(emit_graph(grid(4, 4)))

@@ -64,21 +64,22 @@ class TestGenusTd:
                 e = toroidal_grid(r, c)
                 assert e.euler_genus == 1
                 cg = cut_graph(e, 0)
-                td = genus_td(e, 0)
+                td, bound = genus_td(e, 0)
                 depth = bfs_layering(e.graph, 0).depth
                 assert validate(td, e.graph).valid
-                assert td.width <= 3 * (depth + 1) + len(cg.x_vertices)
+                assert bound == 3 * (depth + 1) + len(cg.x_vertices)
+                assert td.width <= bound
 
     def test_x_adjoined_to_every_bag(self):
         e = toroidal_grid(3, 4)
         cg = cut_graph(e, 0)
-        td = genus_td(e, 0)
+        td, _ = genus_td(e, 0)
         xs = set(cg.x_vertices)
         assert all(xs <= set(bag) for bag in td.bags)
 
     def test_planar_reduction(self):
         e = grid(4, 4)
-        td = genus_td(e, 0)
+        td, _ = genus_td(e, 0)
         depth = bfs_layering(e.graph, 0).depth
         assert validate(td, e.graph).valid
         assert td.width <= 3 * depth + 1

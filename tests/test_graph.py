@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import (complete_graph, cycle_graph, embed_outerplanar,
+from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph)
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
@@ -150,8 +150,30 @@ class TestTriangulate:
         assert t.euler_genus == 0
 
     def test_nonplanar_rejected(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(EmbeddingError, match="planar embedding"):
             triangulate(toroidal_grid(3, 3))
+
+    @pytest.mark.parametrize("g", [
+        build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        build_graph(4, [(0, 1), (1, 2), (2, 0)]),
+        build_graph(3, []),
+        build_graph(2, []),
+    ])
+    def test_disconnected_rejected(self, g):
+        with pytest.raises(GraphInputError, match="connected"):
+            triangulate(embed_outerplanar(g))
+
+    @pytest.mark.parametrize("g", [build_graph(0, []), build_graph(1, []),
+                                   path_graph(2)])
+    def test_fewer_than_three_vertices_rejected(self, g):
+        with pytest.raises(GraphInputError, match="at least 3 vertices"):
+            triangulate(embed_outerplanar(g))
+
+    def test_two_dart_face_rejected(self):
+        e = parse_graph(DIGON)
+        assert e.euler_genus == 0 and [0, 3] in e.faces
+        with pytest.raises(EmbeddingError, match="fewer than 3 darts"):
+            triangulate(e)
 
 
 class TestTextFormat:

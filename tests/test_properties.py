@@ -1,5 +1,6 @@
 """Property tests: the linear validator against its quadratic reference,
-the list kernels against their numpy-scalar reference, contraction of BFS
+the list kernels against their numpy-scalar reference, the linear
+triangulation against its quadratic reference, contraction of BFS
 level prefixes, Euler genus against an independent planarity test, width
 bounds of whole-host and level-band decompositions, whole-host
 decompositions against their uncontracted reference, level bands against
@@ -17,6 +18,7 @@ import reference_bands
 import reference_dp
 import reference_kernels
 import reference_planar
+import reference_triangulate
 from reference_validate import validate_quadratic
 from shallowtd import _kernels
 from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
@@ -27,7 +29,7 @@ from shallowtd.generators import (apex_over_grid, grid,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph, genus_td
 from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
-                             eccentricity, induced_embedded_subgraph,
+                             eccentricity, embed, induced_embedded_subgraph,
                              triangulate)
 from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
 from shallowtd.planar_td import band_host, planar_bfs_td, slice_td
@@ -76,7 +78,7 @@ def test_validate_matches_reference_on_random_bags(case):
 
 def _torus_td():
     e = toroidal_grid(4, 4)
-    return e.graph, genus_td(e, 0)
+    return e.graph, genus_td(e, 0)[0]
 
 
 def _planar_td(e, root=0):
@@ -183,6 +185,70 @@ def test_kernels_leave_unreached_vertices_at_minus_one():
 
 
 # ---------------------------------------------------------------------------
+# triangulate == its quadratic reference
+
+
+def _spanning_subgraph(e, rng, extra: float):
+    """A random connected spanning subgraph of `e` with the inherited
+    rotation: a random spanning tree, plus each other edge with probability
+    `extra` (0 gives a tree, whose one face has length 2(n - 1))."""
+    g = e.graph
+    order = list(range(g.m))
+    rng.shuffle(order)
+    rep = list(range(g.n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    kept = []
+    for eid in order:
+        ru, rv = find(g.edges[eid][0]), find(g.edges[eid][1])
+        if ru != rv:
+            rep[ru] = rv
+            kept.append(eid)
+        elif rng.random() < extra:
+            kept.append(eid)
+    new_eid = {old: i for i, old in enumerate(sorted(kept))}
+    edges = [g.edges[old] for old in sorted(kept)]
+    rotation = [[2 * new_eid[d >> 1] + (d & 1) for d in cyc if d >> 1 in new_eid]
+                for cyc in e.rotation]
+    return embed(build_graph(g.n, edges), rotation)
+
+
+@PROPERTY
+@given(st.data())
+def test_triangulate_matches_quadratic_reference(data):
+    kind = data.draw(st.sampled_from(["triangulation", "subdivided", "wall",
+                                      "path"]))
+    if kind == "triangulation":
+        e = random_planar_triangulation(data.draw(st.integers(3, 80)),
+                                        data.draw(st.integers(0, 10**6)))
+    elif kind == "subdivided":
+        e = subdivide(grid(data.draw(st.integers(2, 5)),
+                           data.draw(st.integers(2, 5))),
+                      data.draw(st.integers(1, 3)))
+    elif kind == "wall":
+        e = wall(data.draw(st.integers(1, 4)))[1]
+    else:
+        e = grid(1, data.draw(st.integers(3, 60)))
+    extra = data.draw(st.sampled_from([None, 0.0, 0.0, 0.2, 0.7]))
+    if extra is not None:
+        e = _spanning_subgraph(e, data.draw(st.randoms(use_true_random=False)),
+                               extra)
+    tri, ref = triangulate(e), reference_triangulate.triangulate(e)
+    assert tri.graph == ref.graph
+    assert tri.rotation == ref.rotation
+    assert tri.faces == ref.faces
+    assert all(len(f) == 3 for f in tri.faces)
+    again = embed(tri.graph, tri.rotation)
+    assert again.faces == tri.faces
+    assert again.euler_genus == tri.euler_genus == 0
+
+
+# ---------------------------------------------------------------------------
 # Whole-host width bounds
 
 
@@ -202,6 +268,10 @@ def test_planar_bfs_td_is_valid_within_three_times_depth(data):
         e = subdivide(grid(data.draw(st.integers(1, 5)),
                            data.draw(st.integers(2, 5))),
                       data.draw(st.integers(1, 3)))
+    extra = data.draw(st.sampled_from([None, None, 0.0, 0.3]))
+    if extra is not None:     # trees and other long-face hosts
+        e = _spanning_subgraph(e, data.draw(st.randoms(use_true_random=False)),
+                               extra)
     root = data.draw(st.integers(0, e.n - 1))
     td = planar_bfs_td(e, root)
     assert validate(td, e.graph).valid
@@ -213,7 +283,7 @@ def test_planar_bfs_td_is_valid_within_three_times_depth(data):
 def test_genus_td_on_tori_is_valid_within_its_bound(rows, cols, data):
     e = toroidal_grid(rows, cols)
     root = data.draw(st.integers(0, e.n - 1))
-    td = genus_td(e, root)
+    td, _ = genus_td(e, root)
     cg = cut_graph(e, root)
     assert validate(td, e.graph).valid
     assert td.width <= 3 * (cg.depth + 1) + len(cg.x_vertices)
@@ -238,7 +308,7 @@ def test_whole_host_td_is_the_subset_contraction_of_the_reference(data):
                           data.draw(st.integers(3, 6)))
     root = data.draw(st.integers(0, e.n - 1))
     if kind == "torus":
-        td, ref = genus_td(e, root), reference_planar.genus_td(e, root)
+        td, ref = genus_td(e, root)[0], reference_planar.genus_td(e, root)
     else:
         td, ref = planar_bfs_td(e, root), reference_planar.planar_bfs_td(e, root)
     expected = reference_planar.contract_subsets(ref)
@@ -371,7 +441,7 @@ def _dp_instance(draw):
         return e.graph, planar_bfs_td(e, draw(st.integers(0, e.n - 1)))
     if kind == "torus":
         e = toroidal_grid(3, draw(st.integers(3, 4)))
-        return e.graph, genus_td(e, draw(st.integers(0, e.n - 1)))
+        return e.graph, genus_td(e, draw(st.integers(0, e.n - 1)))[0]
     g = apex_over_grid(draw(st.integers(1, 4)))
     return g, heuristic_td(g)
 
