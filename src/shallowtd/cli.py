@@ -25,7 +25,8 @@ from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
 from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
-                    eccentricity, emit_graph, is_connected, parse_graph)
+                    eccentricity, emit_graph, parse_graph,
+                    planar_is_connected)
 from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
                       oracle_solve, subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
@@ -197,7 +198,7 @@ def _cmd_solve(args) -> int:
     obj = parse_graph(text)
     g = _plain(obj)
     if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
-            and is_connected(g)):
+            and planar_is_connected(obj)):
         td = planar_bfs_td(obj, min_eccentricity_root(g))
     else:
         td = heuristic_td(g)

@@ -21,6 +21,15 @@ equal values stays), so among several optima each solver returns one fixed
 witness.  The property tests hold it equal to the witness of a reference
 engine that copies a full witness set into every entry, so the level-slicing
 unions built from band witnesses do not drift when the engine changes.
+
+The pattern search counts its states up to pattern twins (vertices with the
+same neighbours besides each other): a state holds one sorted multiset of
+marks per twin class, not one copy per permutation of the class, and its
+entries are shared witness links like those above, unrolled once at the
+root into one image set per class.  Its mapping is some valid embedding,
+fixed for each input: on a twin-free pattern it is the per-vertex
+reference's, and with twins only its existence is held equal to the
+reference's.
 """
 
 from __future__ import annotations
@@ -270,26 +279,118 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-pattern subgraph isomorphism.
+# Fixed-pattern subgraph isomorphism, counted up to pattern twins.
+#
+# Pattern vertices p and q are twins when N(p) - {q} = N(q) - {p}.  This is
+# an equivalence relation, each class is a clique or an independent set, and
+# swapping two twins is an automorphism of the pattern, so a state need not
+# say which member of a class has which image.  The pattern's slots are
+# renumbered so that each twin class is a contiguous run, and every run is
+# kept sorted: unseen slots (-2), then finished ones (-1), then images in
+# ascending order.  A state is thus one multiset per class, where a
+# per-vertex state would store one copy per permutation of the class (120
+# for K5).  On a twin-free pattern every run is one slot, and the states,
+# their order and the returned mapping are those of a per-vertex engine.
+#
+# A table entry is one O(1) link of a witness tree shared with the child
+# tables: (class, image, rest) when an introduce gives a member of the class
+# its image, (None, left, right) at a join, and None at a leaf.  The root
+# entry is unrolled once into one image set per class; a set, because a
+# vertex of a join bag is introduced on both branches.
 
 _UNSEEN, _DONE = -2, -1
 
 
-def _split(state: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(state with finished marks cleared, bitmask of finished positions)."""
+def _twin_classes(h: Graph) -> list[list[int]]:
+    """The twin classes of h, each in ascending order, ordered by their
+    lowest vertex.  Each vertex is compared with one member per class,
+    which suffices because the twin relation is transitive."""
+    nbr = h.neighbor_sets()
+    classes: list[list[int]] = []
+    for p in range(h.n):
+        for members in classes:
+            q = members[0]
+            if nbr[p] - {q} == nbr[q] - {p}:
+                members.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
+def _split(state: tuple[int, ...], wide: list[tuple[int, int]]
+           ) -> tuple[tuple[int, ...], int, int]:
+    """(key, low, high) of a state for a join.  The key clears finished
+    slots to unseen, which keeps every run sorted.  `high` has the bits of
+    the finished slots, which sit at the top of the key's unseen slots of
+    their run; `low` has as many bits per run at the bottom of the run.
+    Two states with equal keys can be joined iff no class has more
+    finished members on the two sides than unseen slots in the key, that
+    is iff one side's `low` and the other's `high` share no bit.  `wide`
+    lists the runs [a, b) of two or more slots; elsewhere low == high."""
     if _DONE not in state:
-        return state, 0
-    return (tuple(_UNSEEN if x == _DONE else x for x in state),
-            sum(1 << i for i, x in enumerate(state) if x == _DONE))
+        return state, 0, 0
+    high = sum(1 << i for i, x in enumerate(state) if x == _DONE)
+    low = high
+    for a, b in wide:
+        run = state[a:b]
+        done = run.count(_DONE)
+        if done:
+            ones = (1 << done) - 1
+            low = low & ~(ones << (a + run.count(_UNSEEN))) | ones << a
+    return tuple(_UNSEEN if x == _DONE else x for x in state), low, high
+
+
+def _merge(key: tuple[int, ...], done: int, wide: list[tuple[int, int]]
+           ) -> tuple[int, ...]:
+    """The key with the slots in bitmask `done` finished, runs re-sorted."""
+    out = list(key)
+    for i in range(len(out)):
+        if done >> i & 1:
+            out[i] = _DONE
+    for a, b in wide:
+        out[a:b] = sorted(out[a:b])
+    return tuple(out)
+
+
+def _class_images(entry, classes: list[list[int]]) -> dict[int, int]:
+    """The mapping that the witness tree ending in `entry` spells: each
+    class's members, ascending, take its images in ascending order."""
+    images: list[set[int]] = [set() for _ in classes]
+    stack = [entry]
+    while stack:
+        link = stack.pop()
+        while link is not None:
+            c, v, rest = link
+            if c is None:                          # join: follow both sides
+                stack.append(rest)
+                link = v
+            else:
+                images[c].add(v)
+                link = rest
+    mapping: dict[int, int] = {}
+    for members, found in zip(classes, images):
+        if len(found) != len(members):
+            raise SolutionCheckError(
+                f"pattern twin class {members} got {len(found)} images")
+        mapping.update(zip(members, sorted(found)))
+    return mapping
 
 
 def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
               induced: bool = False) -> dict[int, int] | None:
     """Injective map V(h) -> V(g) preserving edges (and non-edges if
-    induced), or None.  State: per pattern vertex, unseen / finished / its
-    bag image.  A pattern vertex may be assigned only when its image is
-    introduced; forgetting an image requires every pattern neighbor to be
-    finished or mapped to an adjacent bag vertex.
+    induced), or None.  State: per twin class of h, the multiset of its
+    members' marks (unseen, finished, or a bag image), held in a sorted run
+    of slots.  An introduce offers v to each class once, through the first
+    slot of its run, which is unseen iff some member is; forgetting an image
+    requires every pattern neighbour of its slot to be finished or mapped
+    to an adjacent bag vertex.  A join pairs states whose images agree and
+    whose finished members fit into each class's unseen slots.
+
+    The mapping is some valid embedding, fixed for each input: on a
+    twin-free pattern it is the per-vertex engine's; otherwise the members
+    of each twin class get its images in ascending order.
     """
     if h.n == 0:
         return {}
@@ -300,42 +401,60 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
         return None
     gnbr = g.neighbor_sets()
     hnbr = h.neighbor_sets()
-    # hmask[q]: pattern neighbours of q as a bitmask over pattern vertices
-    hmask = [sum(1 << p for p in hnbr[q]) for q in range(h.n)]
-    pattern = range(h.n)
+    classes = _twin_classes(h)
+    order = [p for members in classes for p in members]
+    slot = {p: s for s, p in enumerate(order)}
+    runs = []                              # [a, b) of each class's slots
+    for members in classes:
+        a = runs[-1][1] if runs else 0
+        runs.append((a, a + len(members)))
+    run_of = [r for r in runs for _ in range(r[1] - r[0])]
+    wide = [r for r in runs if r[1] - r[0] > 1]
+    # snbr[s]: slots of the pattern neighbours of slot s; smask[s] as a bitmask
+    snbr = [sorted(slot[q] for q in hnbr[p]) for p in order]
+    smask = [sum(1 << t for t in nb) for nb in snbr]
+    degree = [len(hnbr[members[0]]) for members in classes]
+    slots = range(h.n)
 
     start = tuple([_UNSEEN] * h.n)
-    tables: dict[int, dict[tuple[int, ...], tuple]] = {}
+    tables: dict[int, dict[tuple[int, ...], tuple | None]] = {}
 
     for node in nd.postorder():
         kind = nd.kind[node]
         if kind == LEAF:
-            tables[node] = {start: ()}
+            tables[node] = {start: None}
         elif kind == INTRODUCE:
             v = nd.vertex[node]
             gv = gnbr[v]
             child = tables.pop(nd.children[node][0])
-            out: dict[tuple[int, ...], tuple] = {}
-            free = [q for q in pattern if len(gv) >= len(hnbr[q])]
+            out: dict[tuple[int, ...], tuple | None] = {}
+            free = [(c, *runs[c]) for c in range(len(classes))
+                    if len(gv) >= degree[c]]
             for state, wit in child.items():
                 out.setdefault(state, wit)       # v stays outside the image
-                # q may take v iff every mapped pattern neighbour of q has
-                # its image adjacent to v (and, if induced, every mapped
-                # image adjacent to v is the image of a pattern neighbour)
+                # a member of class c may take v iff every mapped pattern
+                # neighbour has its image adjacent to v (and, if induced,
+                # every mapped image adjacent to v is the image of a
+                # pattern neighbour); members share their neighbours, so
+                # the run's first slot speaks for the class
                 mapped = near = 0
-                for p in pattern:
-                    u = state[p]
+                for s in slots:
+                    u = state[s]
                     if u >= 0:
-                        mapped |= 1 << p
+                        mapped |= 1 << s
                         if u in gv:
-                            near |= 1 << p
+                            near |= 1 << s
                 far = mapped & ~near
-                for q in free:
-                    if (state[q] == _UNSEEN and not hmask[q] & far
-                            and not (induced and near & ~hmask[q])):
-                        ns = state[:q] + (v,) + state[q + 1:]
+                for c, a, b in free:
+                    if (state[a] == _UNSEEN and not smask[a] & far
+                            and not (induced and near & ~smask[a])):
+                        if b == a + 1:
+                            ns = state[:a] + (v,) + state[b:]
+                        else:
+                            run = state[a + 1:b] + (v,)
+                            ns = state[:a] + tuple(sorted(run)) + state[b:]
                         if ns not in out:
-                            out[ns] = wit + ((q, v),)
+                            out[ns] = (c, v, wit)
             tables[node] = out
         elif kind == FORGET:
             v = nd.vertex[node]
@@ -346,43 +465,52 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                 if v not in state:
                     out.setdefault(state, wit)
                     continue
-                q = state.index(v)
-                # all pattern edges at q must be settled before v disappears
-                if any(state[p] == _UNSEEN or
-                       (state[p] >= 0 and state[p] not in gv)
-                       for p in hnbr[q]):
+                s = state.index(v)
+                # all pattern edges at s must be settled before v disappears
+                if any(state[t] == _UNSEEN or
+                       (state[t] >= 0 and state[t] not in gv)
+                       for t in snbr[s]):
                     continue
-                ns = state[:q] + (_DONE,) + state[q + 1:]
+                a, b = run_of[s]
+                if b == a + 1:
+                    ns = state[:s] + (_DONE,) + state[b:]
+                else:
+                    run = state[a:s] + (_DONE,) + state[s + 1:b]
+                    ns = state[:a] + tuple(sorted(run)) + state[b:]
                 out.setdefault(ns, wit)
             tables[node] = out
-        else:  # JOIN: bag images must agree; finished sets must be disjoint.
+        else:  # JOIN: bag images must agree; finished members must fit.
             left = tables.pop(nd.children[node][0])
             right = tables.pop(nd.children[node][1])
             buckets: dict[tuple[int, ...], list] = {}
             for state, wit in right.items():
-                key, rdone = _split(state)
-                buckets.setdefault(key, []).append((rdone, state, wit))
+                key, _low, high = _split(state, wide)
+                buckets.setdefault(key, []).append((high, state, wit))
             out = {}
             for state, wit in left.items():
-                key, done = _split(state)
-                for rdone, rstate, rwit in buckets.get(key, ()):
-                    if done & rdone:
+                key, low, _high = _split(state, wide)
+                for rhigh, rstate, rwit in buckets.get(key, ()):
+                    if low & rhigh:
                         continue
-                    # with equal images, only the right's finished
-                    # vertices can change the left state
-                    merged = state if not rdone else tuple(
-                        b if a == _UNSEEN else a for a, b in zip(state, rstate))
+                    # with equal images, a side without finished members
+                    # adds nothing to the other side's state
+                    if not rhigh:
+                        merged = state
+                    elif not low:
+                        merged = rstate
+                    else:
+                        merged = _merge(key, low | rhigh, wide)
                     if merged not in out:
-                        out[merged] = wit + rwit
+                        out[merged] = (None, wit, rwit)
             tables[node] = out
         if not tables[node]:
             return None
 
     goal = tuple([_DONE] * h.n)
-    hit = tables[nd.root].get(goal)
-    if hit is None:
+    root = tables[nd.root]
+    if goal not in root:
         return None
-    mapping = dict(hit)
+    mapping = _class_images(root[goal], classes)
     check_mapping(g, h, mapping, induced)
     return mapping
 

@@ -285,6 +285,15 @@ def embed(g: Graph, rotation: list[list[int]]) -> EmbeddedGraph:
     return EmbeddedGraph(graph=g, rotation=rotation, faces=faces, euler_genus=genus)
 
 
+def planar_is_connected(e: EmbeddedGraph) -> bool:
+    """is_connected(e.graph) for a genus-0 embedding, in O(1) without a
+    walk: each component with an edge has n - m + f = 2 and an isolated
+    vertex adds 1, so the sum is 2 for a connected graph with an edge and
+    also for two isolated vertices, which the edge count rules out."""
+    g = e.graph
+    return g.n <= 1 or (g.m > 0 and g.n - g.m + len(e.faces) == 2)
+
+
 # ---------------------------------------------------------------------------
 # Minor operations
 
@@ -428,9 +437,7 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
         raise EmbeddingError("triangulate requires a planar embedding")
     g = e.graph
     n = g.n
-    # Each component of a genus-0 embedding with an edge has n - m + f = 2
-    # and an isolated vertex adds 1, so this is connectivity for n > 1.
-    if n > 1 and (g.m == 0 or n - g.m + len(e.faces) != 2):
+    if not planar_is_connected(e):
         raise GraphInputError("triangulate requires a connected graph")
     if n < 3:
         raise GraphInputError("triangulate requires at least 3 vertices")

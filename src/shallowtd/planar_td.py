@@ -43,7 +43,7 @@ from .graph import (
     bfs_layering,
     eccentricity,
     induced_subgraph,
-    is_connected,
+    planar_is_connected,
     triangulate,
 )
 
@@ -135,7 +135,7 @@ def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
                              "embedding")
     if not (0 <= root < e.graph.n):
         raise GraphInputError(f"root {root} out of range")
-    if not is_connected(e.graph):
+    if not planar_is_connected(e):
         raise GraphInputError("graph is not connected")
 
 

@@ -232,6 +232,18 @@ class TestPipelines:
             values.append(report["value"])
         assert values == [2, 2]
 
+    @pytest.mark.parametrize("problem, value", [("mis", 2), ("vc", 1),
+                                                ("ds", 2)])
+    def test_solve_isolated_vertex_beside_embedded_edge(
+            self, capsys, monkeypatch, problem, value):
+        # n - m + f = 3 - 1 + 1: not connected, so not the planar path
+        text = "v 3\ne 0 1\nrot 0 0\nrot 1 1\nrot 2\n"
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", problem], stdin=text)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["verified"]
+        assert report["value"] == value
+
 
 def run_optimized(args, cwd):
     """The CLI in a fresh interpreter under ``python -O``, which strips
@@ -284,6 +296,20 @@ class TestOptimizedInterpreter:
                              "--input", "g.txt"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["bound_checked"]
+
+    def test_subiso_k4_in_triangulation(self, tmp_path):
+        # K4 is one twin class, so its images come from the class witness
+        (tmp_path / "g.txt").write_text(
+            emit_graph(random_planar_triangulation(12, 3)))
+        (tmp_path / "k4.txt").write_text(
+            "v 4\n" + "".join(f"e {a} {b}\n" for a in range(4)
+                              for b in range(a + 1, 4)))
+        res = run_optimized(["subiso", "--input", "g.txt",
+                             "--pattern", "k4.txt"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["found"] and report["verified"]
+        assert '"verified": true' in res.stdout
 
 
 def run_fresh(code: str, args, cwd) -> subprocess.CompletedProcess:

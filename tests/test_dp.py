@@ -7,11 +7,11 @@ import pytest
 from conftest import (complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
-from shallowtd.decomp import heuristic_td, make_nice
+from shallowtd.decomp import JOIN, heuristic_td, make_nice
 from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
                           dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
                           verify_subiso)
-from shallowtd.generators import grid, wall
+from shallowtd.generators import grid, random_planar_triangulation, wall
 from shallowtd.graph import GraphInputError, build_graph
 from shallowtd.oracles import oracle_solve, subiso_backtracking
 
@@ -124,6 +124,63 @@ class TestSubisoDp:
         with pytest.raises(GraphInputError):
             dp_subiso(nice(g), g, path_graph(9))
 
+    def test_largest_pattern_star(self):
+        # a star with MAX_PATTERN vertices: its leaves are one twin class
+        h = star_graph(dp.MAX_PATTERN - 1)
+        g = star_graph(dp.MAX_PATTERN + 1)
+        for induced in (False, True):
+            found = dp_subiso(nice(g), g, h, induced)
+            assert found is not None and found[0] == 0
+            assert verify_subiso(g, h, found, induced)
+        small = star_graph(dp.MAX_PATTERN - 2)
+        assert dp_subiso(nice(small), small, h) is None
+        e = embed_outerplanar(g)
+        assert verify_subiso(g, h, subiso_driver(e, h), False)
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize("h, classes", [
+        (complete_graph(5), [[0, 1, 2, 3, 4]]),
+        (star_graph(3), [[0], [1, 2, 3]]),             # claw: centre, leaves
+        (cycle_graph(4), [[0, 2], [1, 3]]),            # opposite pairs
+        (path_graph(4), [[0], [1], [2], [3]]),
+        (build_graph(1, []), [[0]]),
+        # K4 - e: the ends of the missing edge are false twins, the other
+        # two true twins; relabelled so that no class is a run of ids
+        (build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]),
+         [[0, 2], [1, 3]]),
+    ])
+    def test_partition(self, h, classes):
+        assert dp._twin_classes(h) == classes
+
+    def test_class_finishes_on_both_sides_of_a_join(self):
+        # the decomposition of a star branches at its centre, so leaves of
+        # the claw finish on both sides of a join and meet in one run
+        g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
+        nd = nice(g)
+        assert JOIN in nd.kind
+        for induced in (False, True):
+            found = dp_subiso(nd, g, star_graph(3), induced)
+            assert found == {0: 3, 1: 0, 2: 1, 3: 2}
+
+    def test_twins_share_the_sorted_images(self):
+        g = complete_graph(6)
+        found = dp_subiso(nice(g), g, complete_graph(4))
+        assert sorted(found) == [0, 1, 2, 3]
+        assert list(found.values()) == sorted(found.values())
+
+    def test_wrong_image_count_is_a_check_error(self):
+        # a witness tree that gives a two-member class one image raises
+        # the typed error, not an assert that python -O strips
+        one_link = (0, 5, None)
+        with pytest.raises(SolutionCheckError, match="got 1 images"):
+            dp._class_images(one_link, [[0, 1]])
+        joined = (None, (0, 5, None), (0, 5, None))
+        with pytest.raises(SolutionCheckError):
+            dp._class_images(joined, [[0, 1]])
+        assert dp._class_images((None, (0, 7, None), (0, 5, None)),
+                                [[0, 1]]) == {0: 5, 1: 7}
+
 
 class TestSubisoDriver:
     def test_c4_in_grid(self):
@@ -161,6 +218,27 @@ class TestSubisoDriver:
             found = subiso_driver(e, h, induced=induced)
             ref = subiso_backtracking(e.graph, h, induced).mapping
             assert (found is not None) == expect == (ref is not None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_triangulations_agree_with_oracle(self, seed):
+        # Stacked triangulations always contain K4, never K5 (planar), and
+        # no induced C4 (they are chordal); the claw is there in both modes.
+        e = random_planar_triangulation(30 + 20 * seed, seed)
+        for h, induced, expect in [
+            (complete_graph(4), False, True),
+            (complete_graph(4), True, True),
+            (complete_graph(5), False, False),
+            (star_graph(3), False, True),
+            (star_graph(3), True, None),
+            (cycle_graph(4), True, False),
+        ]:
+            found = subiso_driver(e, h, induced=induced)
+            ref = subiso_backtracking(e.graph, h, induced).mapping
+            assert (found is None) == (ref is None)
+            if expect is not None:
+                assert (found is not None) == expect
+            if found is not None:
+                assert verify_subiso(e.graph, h, found, induced)
 
 
 class TestResultChecks:

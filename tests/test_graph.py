@@ -7,7 +7,8 @@ from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, contract_connected_set, diameter,
-                             embed, emit_graph, parse_graph, triangulate)
+                             embed, emit_graph, is_connected, parse_graph,
+                             planar_is_connected, triangulate)
 
 
 class TestBuildGraph:
@@ -196,3 +197,18 @@ class TestTextFormat:
             parse_graph("v 2\nq nonsense\n")
         with pytest.raises(GraphInputError, match="self-loop"):
             parse_graph("v 2\ne 0 0\ne 0 1\n")
+
+
+@pytest.mark.parametrize("e", [
+    *map(embed_outerplanar, [
+        build_graph(0, []), build_graph(1, []), build_graph(2, []),
+        build_graph(3, []), path_graph(2), build_graph(3, [(0, 1)]),
+        build_graph(4, [(0, 1), (2, 3)]),
+        build_graph(4, [(0, 1), (1, 2), (2, 0)]),
+        star_graph(4), cycle_graph(5)]),
+    grid(4, 4),
+])
+def test_planar_is_connected_matches_walk(e):
+    # the O(1) Euler count agrees with a graph walk on genus-0 embeddings
+    assert e.euler_genus == 0
+    assert planar_is_connected(e) == is_connected(e.graph)
