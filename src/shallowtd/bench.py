@@ -7,7 +7,9 @@ reports ratios above 2.5 without failing.
 
 It also times ``triangulate`` on hosts with one long face (a cycle, a path,
 a star and a random tree) at 1k to 8k vertices, where quadratic ear cutting
-would show as ratios near 4.
+would show as ratios near 4, and ``heuristic_td`` (min-degree elimination)
+on the same hosts, where a full rescan per elimination would show the same
+way.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import random
 import time
 
+from .decomp import heuristic_td
 from .generators import grid
 from .graph import build_graph, embed, triangulate
 from .planar_td import planar_bfs_td
@@ -77,12 +80,14 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
                                      repeats), 6),
         })
     ratios = _doubling_ratios([row["time"] for row in rows])
-    long_faces = {}
+    long_faces, min_degree = {}, {}
     for kind in ("cycle", "path", "star", "tree"):
-        times = [round(_best_time(triangulate, _long_face_host(kind, n),
-                                  repeats), 6) for n in LONG_FACE_SIZES]
-        long_faces[kind] = {"times": times,
-                            "doubling_ratios": _doubling_ratios(times)}
+        hosts = [_long_face_host(kind, n) for n in LONG_FACE_SIZES]
+        for fn, out in ((triangulate, long_faces),
+                        (lambda h: heuristic_td(h.graph), min_degree)):
+            times = [round(_best_time(fn, h, repeats), 6) for h in hosts]
+            out[kind] = {"times": times,
+                         "doubling_ratios": _doubling_ratios(times)}
     return {
         "rows": rows,
         "doubling_ratios": ratios,
@@ -90,4 +95,5 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
         "within_bound": all(r <= RATIO_BOUND for r in ratios),
         "triangulate_sizes": list(LONG_FACE_SIZES),
         "triangulate": long_faces,
+        "heuristic_td": min_degree,
     }

@@ -121,13 +121,14 @@ def _cmd_decompose(args) -> int:
     text = _read_text(args.input)
     obj = parse_graph(text)
     g = _plain(obj)
-    root = args.root if args.root is not None else min_eccentricity_root(g)
-    if args.method == "planar-bfs":
-        td = planar_bfs_td(_need_embedding(obj), root)
-    elif args.method == "genus":
-        td, bound = genus_td(_need_embedding(obj), root)
-    else:
+    if args.method == "heuristic":
         td = heuristic_td(g)
+    else:
+        root = args.root if args.root is not None else min_eccentricity_root(g)
+        if args.method == "planar-bfs":
+            td = planar_bfs_td(_need_embedding(obj), root)
+        else:
+            td, bound = genus_td(_need_embedding(obj), root)
     rep = validate(td, g)
     td_text = emit_td(td, g.n)
     if args.out:
@@ -138,18 +139,16 @@ def _cmd_decompose(args) -> int:
         "command": "decompose",
         "input_fingerprint": _fingerprint(text),
         "method": args.method,
-        "root": root,
-        "width": td.width,
-        "valid": rep.valid,
-        "nodes": td.nodes,
     }
-    if args.method in ("planar-bfs", "genus"):
+    if args.method == "heuristic":      # no root: min-degree needs none
+        payload.update(width=td.width, valid=rep.valid, nodes=td.nodes)
+    else:
         depth = eccentricity(g, root)
-        payload["depth"] = depth
         if args.method == "planar-bfs":
             bound = 3 * depth
-        payload["width_bound"] = bound
-        payload["bound_checked"] = td.width <= bound
+        payload.update(root=root, width=td.width, valid=rep.valid,
+                       nodes=td.nodes, depth=depth, width_bound=bound,
+                       bound_checked=td.width <= bound)
     if not args.out:
         payload["decomposition"] = td_text
     _report(payload, started)
@@ -197,16 +196,19 @@ def _cmd_solve(args) -> int:
     text = _read_text(args.input)
     obj = parse_graph(text)
     g = _plain(obj)
+    method, td = "heuristic", heuristic_td(g)
     if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
             and planar_is_connected(obj)):
-        td = planar_bfs_td(obj, min_eccentricity_root(g))
-    else:
-        td = heuristic_td(g)
+        planar = planar_bfs_td(obj, min_eccentricity_root(g))
+        if planar.width <= td.width:    # a tie keeps the 3·depth guarantee
+            method, td = "planar-bfs", planar
     witness = _solvers()[args.problem](make_nice(td), g)
     _report({
         "command": "solve",
         "input_fingerprint": _fingerprint(text),
         "problem": args.problem,
+        "method": method,
+        "width": td.width,
         "value": len(witness),
         "witness": sorted(witness),
         "verified": _feasible(args.problem, g, witness),

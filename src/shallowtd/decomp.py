@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphInputError, build_graph
@@ -241,42 +242,66 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
 # ---------------------------------------------------------------------------
 # Heuristic decomposition for arbitrary hosts (min-degree elimination).
-# Used where a decomposition of a non-embedded graph is needed (e.g. the DP
-# solvers on random test hosts); makes no width guarantee.
+# `solve` uses it on non-embedded, disconnected and positive-genus hosts, and
+# on a connected planar host when it is narrower than `planar_bfs_td` (ties
+# go to `planar_bfs_td`); it makes no width guarantee.
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
+    """Min-degree elimination: repeatedly eliminate the live vertex of
+    lowest live degree (ties to the lowest id), make its live neighbours a
+    clique, and give it the bag of itself and those neighbours.
+
+    Each neighbour set holds live vertices only, and a lazy heap holds
+    (live degree, vertex) entries; after an elimination only the
+    eliminated vertex's neighbours get new entries, and a popped entry that
+    is stale or names a dead vertex is skipped.  So every pop is the
+    argmin of a full rescan, in O(sum of eliminated degree squared, plus
+    heap work) time.  A self-loop constrains no bag and is ignored.
+    """
     if g.n == 0:
         return TreeDecomposition(nodes=1, tree_edges=[], bags=[()])
-    nbrs = [set(s) for s in g.neighbor_sets()]
-    alive = set(range(g.n))
-    elim_order: list[int] = []
-    elim_bag: list[set[int]] = []
-    while alive:
-        v = min(alive, key=lambda x: (len(nbrs[x] & alive), x))
-        live_nb = nbrs[v] & alive
-        elim_order.append(v)
-        elim_bag.append({v} | live_nb)
+    nbrs = [set(s) for s in g.neighbor_sets()]     # loop-free copies
+    alive = [True] * g.n
+    heap = [(len(s), v) for v, s in enumerate(nbrs)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    later: list[set[int]] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        live_nb = nbrs[v]
+        if not alive[v] or d != len(live_nb):
+            continue
+        alive[v] = False
+        order.append(v)
+        later.append(live_nb)                      # frozen from here on
         for a in live_nb:
-            for c in live_nb:
-                if a != c:
-                    nbrs[a].add(c)
-        alive.discard(v)
-    return _td_from_elimination(g, elim_order, elim_bag)
+            na = nbrs[a]
+            before = len(na)
+            na |= live_nb
+            na.discard(a)
+            na.discard(v)
+            if len(na) != before:
+                heapq.heappush(heap, (len(na), a))
+    return _td_from_elimination(order, later)
 
 
-def _td_from_elimination(g: Graph, order: list[int],
-                         bags: list[set[int]]) -> TreeDecomposition:
-    pos = {v: i for i, v in enumerate(order)}
-    tree_edges = []
+def _td_from_elimination(order: list[int],
+                         later: list[set[int]]) -> TreeDecomposition:
+    """The elimination tree: node i holds order[i] and its neighbours
+    eliminated after it (`later[i]`), and is joined to the earliest of
+    those, or to node i + 1 when it has none."""
+    pos = [0] * len(order)
     for i, v in enumerate(order):
-        rest = bags[i] - {v}
+        pos[v] = i
+    tree_edges = []
+    for i, rest in enumerate(later):
         if rest:
-            j = min(pos[w] for w in rest)
-            tree_edges.append((i, j))
+            tree_edges.append((i, min(pos[w] for w in rest)))
         elif i + 1 < len(order):
             tree_edges.append((i, i + 1))
     return TreeDecomposition(nodes=len(order), tree_edges=tree_edges,
-                             bags=[tuple(sorted(b)) for b in bags])
+                             bags=[tuple(sorted(rest | {v}))
+                                   for v, rest in zip(order, later)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ import pytest
 import reference_planar
 from conftest import DIGON, witness_entry
 from shallowtd.cli import run
-from shallowtd.decomp import parse_td, validate
+from shallowtd.decomp import heuristic_td, parse_td, validate
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
 from shallowtd.graph import emit_graph, parse_graph
+from shallowtd.oracles import oracle_solve
+from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,6 +138,46 @@ class TestPipelines:
                               ["solve", "--problem", "mis"], stdin=gtext)
         report = json.loads(out)
         assert code == 0 and report["value"] == 5 and report["verified"]
+
+    @pytest.mark.parametrize("text, width", [("v 0\n", -1),
+                                             ("v 6\ne 0 1\ne 1 2\ne 3 4\n", 1)])
+    def test_decompose_heuristic_needs_no_root(self, capsys, monkeypatch,
+                                               text, width):
+        # the empty host and a disconnected one with an isolated vertex
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["decompose", "--method", "heuristic"],
+                                stdin=text)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["valid"]
+        assert report["width"] == width
+        assert "root" not in report and "depth" not in report
+
+    # grid4x4, wall2, tri6 and tri9 tie, so planar-bfs must win them
+    @pytest.mark.parametrize("e", [
+        pytest.param(grid(1, 5), id="grid1x5"),
+        pytest.param(grid(3, 3), id="grid3x3"),
+        pytest.param(grid(4, 4), id="grid4x4"),
+        pytest.param(grid(4, 5), id="grid4x5"),
+        pytest.param(wall(1)[1], id="wall1"),
+        pytest.param(wall(2)[1], id="wall2"),
+        pytest.param(random_planar_triangulation(6, 0), id="tri6"),
+        pytest.param(random_planar_triangulation(9, 1), id="tri9"),
+        pytest.param(random_planar_triangulation(12, 1), id="tri12")])
+    @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
+    def test_solve_runs_on_the_narrower_decomposition(self, capsys,
+                                                      monkeypatch, e, problem):
+        g = e.graph
+        planar = planar_bfs_td(e, min_eccentricity_root(g)).width
+        heuristic = heuristic_td(g).width
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", problem],
+                                stdin=emit_graph(e))
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["verified"]
+        assert report["width"] == min(planar, heuristic)
+        assert report["method"] == ("planar-bfs" if planar <= heuristic
+                                    else "heuristic")
+        assert report["value"] == oracle_solve(problem, g)[0]
 
     def test_ptas(self, capsys, monkeypatch):
         gtext = self._grid_text(capsys, monkeypatch)

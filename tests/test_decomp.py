@@ -120,6 +120,16 @@ class TestHeuristicTd:
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
         assert heuristic_td(g).width == 1
 
+    def test_loops_constrain_no_bag(self):
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
+        loops = [(2, 2), (4, 4), (4, 4), (0, 0)]
+        plain = heuristic_td(build_graph(6, edges))
+        looped_graph = build_graph(6, loops[:2] + edges + loops[2:])
+        looped = heuristic_td(looped_graph)
+        assert looped == plain
+        assert validate(looped, looped_graph).valid
+        assert heuristic_td(build_graph(1, [(0, 0)])).bags == [(0,)]
+
 
 class TestTdTextFormat:
     def test_roundtrip(self):

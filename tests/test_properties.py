@@ -5,9 +5,10 @@ level prefixes, Euler genus against an independent planarity test, width
 bounds of whole-host and level-band decompositions, whole-host
 decompositions against their uncontracted reference, level bands against
 their numpy reference, the exact DP against its frozenset reference and the
-oracle, and the pattern DP against its pairwise-check reference (the same
+oracle, the pattern DP against its pairwise-check reference (the same
 mapping on twin-free patterns, the same existence on patterns with
-twins)."""
+twins), and heap min-degree elimination against its rescanning
+reference."""
 
 from functools import cache
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference_bands
 import reference_dp
+import reference_heuristic
 import reference_kernels
 import reference_planar
 import reference_triangulate
@@ -521,3 +523,56 @@ def test_dp_subiso_matches_reference(data):
     else:
         assert (mine is None) == (ref is None)
         assert mine is None or verify_subiso(g, h, mine, induced)
+
+
+# ---------------------------------------------------------------------------
+# heuristic_td == its rescanning reference
+
+
+def _random_graph(draw, n: int, p: float):
+    rng = draw(st.randoms(use_true_random=False))
+    return [(a, b) for a in range(n) for b in range(a + 1, n)
+            if rng.random() < p]
+
+
+def _min_degree_host(draw):
+    """Random sparse or dense graphs on 0..40 vertices (some with
+    self-loops), disconnected ones with isolated vertices, apex graphs,
+    grids and random triangulations; the structured hosts are relabelled at
+    random half the time, so ties in the elimination order fall on other
+    ids."""
+    kind = draw(st.sampled_from(["sparse", "dense", "disconnected", "apex",
+                                 "grid", "triangulation"]))
+    if kind in ("sparse", "dense"):
+        n = draw(st.integers(0, 40))
+        p = 3 / max(n, 1) if kind == "sparse" else draw(st.floats(0.2, 0.9))
+        loops = [(v, v) for v in draw(st.lists(st.integers(0, n - 1),
+                                               max_size=3))] if n else []
+        return build_graph(n, _random_graph(draw, n, p) + loops)
+    if kind == "disconnected":
+        a, b = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+        edges = _random_graph(draw, a, 0.3) + [
+            (u + a, v + a) for u, v in _random_graph(draw, b, 0.3)]
+        return build_graph(a + b + draw(st.integers(0, 4)), edges)
+    if kind == "apex":
+        g = apex_over_grid(draw(st.integers(1, 5)))
+    elif kind == "grid":
+        g = grid(draw(st.integers(1, 8)), draw(st.integers(1, 8))).graph
+    else:
+        g = random_planar_triangulation(draw(st.integers(3, 60)),
+                                        draw(st.integers(0, 10**6))).graph
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(g.n)))
+        g = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    return g
+
+
+@PROPERTY
+@given(st.data())
+def test_heuristic_td_matches_rescanning_reference(data):
+    g = _min_degree_host(data.draw)
+    td, ref = heuristic_td(g), reference_heuristic.heuristic_td(g)
+    assert td.nodes == ref.nodes
+    assert td.tree_edges == ref.tree_edges
+    assert td.bags == ref.bags
+    assert validate(td, g).valid
