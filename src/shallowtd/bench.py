@@ -9,7 +9,10 @@ It also times ``triangulate`` on hosts with one long face (a cycle, a path,
 a star and a random tree) at 1k to 8k vertices, where quadratic ear cutting
 would show as ratios near 4, and ``heuristic_td`` (min-degree elimination)
 on the same hosts, where a full rescan per elimination would show the same
-way.
+way.  Those four hosts give elimination almost no fill, so ``heuristic_td``
+is also timed on square grids of about the same vertex counts, where the
+fill grows faster than the vertex count (the width grows with the side), so
+ratios up to about 3 are expected there.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
             times = [round(_best_time(fn, h, repeats), 6) for h in hosts]
             out[kind] = {"times": times,
                          "doubling_ratios": _doubling_ratios(times)}
+    grids = [grid(side, side).graph for side in
+             (round(n ** 0.5) for n in LONG_FACE_SIZES)]
+    times = [round(_best_time(heuristic_td, h, repeats), 6) for h in grids]
+    min_degree["grid"] = {"times": times,
+                          "doubling_ratios": _doubling_ratios(times)}
     return {
         "rows": rows,
         "doubling_ratios": ratios,

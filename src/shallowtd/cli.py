@@ -197,10 +197,13 @@ def _cmd_solve(args) -> int:
     obj = parse_graph(text)
     g = _plain(obj)
     method, td = "heuristic", heuristic_td(g)
+    # min-degree is narrower on most planar hosts, but it breaks ties on
+    # vertex ids and some labellings make it the wider one (a relabelled
+    # 4x5 grid: 5 against 4), so a planar host gets both
     if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
             and planar_is_connected(obj)):
         planar = planar_bfs_td(obj, min_eccentricity_root(g))
-        if planar.width <= td.width:    # a tie keeps the 3·depth guarantee
+        if planar.width <= td.width:    # ties go to the paper's construction
             method, td = "planar-bfs", planar
     witness = _solvers()[args.problem](make_nice(td), g)
     _report({

@@ -1,5 +1,5 @@
-"""Shared fixtures: small named graphs, embedded variants, and a DP table
-entry with a given witness."""
+"""Shared fixtures: small named graphs, embedded variants, relabelling of
+an embedded graph, and a DP table entry with a given witness."""
 
 from __future__ import annotations
 
@@ -33,6 +33,16 @@ def embed_outerplanar(g: Graph):
     paths, cycles, stars, and trees (any rotation of a tree is planar)."""
     rot = [[2 * e + (0 if g.edges[e][0] == v else 1) for e in g.adj[v]]
            for v in range(g.n)]
+    return embed(g, rot)
+
+
+def relabel_embedded(e, label):
+    """`e` with vertex v renamed label[v]; edge ids and rotations keep
+    their order, so the embedding is the same."""
+    g = build_graph(e.n, [(label[u], label[v]) for u, v in e.graph.edges])
+    rot = [None] * e.n
+    for v, darts in enumerate(e.rotation):
+        rot[label[v]] = list(darts)
     return embed(g, rot)
 
 

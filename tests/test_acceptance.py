@@ -266,5 +266,6 @@ def test_criterion_9_scaling_trend():
             f"doubling ratios [{ratios}] {status} the 2.5x target; "
             f"on one long face, {sizes[0]} to {sizes[-1]} vertices, "
             f"triangulate: {per_kind(result['triangulate'])}; "
-            f"heuristic_td: {per_kind(result['heuristic_td'])} "
+            f"heuristic_td (the same four, and a grid of about as many "
+            f"vertices): {per_kind(result['heuristic_td'])} "
             f"(soft criterion, reported only)")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reference_planar
-from conftest import DIGON, witness_entry
+from conftest import DIGON, relabel_embedded, witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import heuristic_td, parse_td, validate
 from shallowtd.generators import (grid, random_planar_triangulation,
@@ -20,6 +20,11 @@ from shallowtd.oracles import oracle_solve
 from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a labelling of grid(4, 5) under which min-degree elimination is wider
+# (5) than planar_bfs_td (4)
+GRID4X5_LABELS = [14, 11, 12, 15, 10, 16, 1, 17, 7, 4, 3, 18, 5, 8, 6, 13,
+                  19, 0, 2, 9]
 
 
 def invoke(capsys, monkeypatch, argv, stdin=""):
@@ -152,12 +157,15 @@ class TestPipelines:
         assert report["width"] == width
         assert "root" not in report and "depth" not in report
 
-    # grid4x4, wall2, tri6 and tri9 tie, so planar-bfs must win them
+    # grid4x4, wall2, tri6 and tri9 tie, so planar-bfs must win them;
+    # the relabelled grid4x5 is the one where planar-bfs is strictly narrower
     @pytest.mark.parametrize("e", [
         pytest.param(grid(1, 5), id="grid1x5"),
         pytest.param(grid(3, 3), id="grid3x3"),
         pytest.param(grid(4, 4), id="grid4x4"),
         pytest.param(grid(4, 5), id="grid4x5"),
+        pytest.param(relabel_embedded(grid(4, 5), GRID4X5_LABELS),
+                     id="grid4x5-relabelled"),
         pytest.param(wall(1)[1], id="wall1"),
         pytest.param(wall(2)[1], id="wall2"),
         pytest.param(random_planar_triangulation(6, 0), id="tri6"),
@@ -178,6 +186,14 @@ class TestPipelines:
         assert report["method"] == ("planar-bfs" if planar <= heuristic
                                     else "heuristic")
         assert report["value"] == oracle_solve(problem, g)[0]
+
+    def test_relabelled_grid_is_narrower_under_planar_bfs(self):
+        # keeps the host above on the planar-bfs side of solve's pick:
+        # min-degree breaks ties on vertex ids, and under this labelling it
+        # ends one wider than the BFS construction
+        e = relabel_embedded(grid(4, 5), GRID4X5_LABELS)
+        assert planar_bfs_td(e, min_eccentricity_root(e.graph)).width == 4
+        assert heuristic_td(e.graph).width == 5
 
     def test_ptas(self, capsys, monkeypatch):
         gtext = self._grid_text(capsys, monkeypatch)
