@@ -13,6 +13,11 @@ way.  Those four hosts give elimination almost no fill, so ``heuristic_td``
 is also timed on square grids of about the same vertex counts, where the
 fill grows faster than the vertex count (the width grows with the side), so
 ratios up to about 3 are expected there.
+
+Level slicing is timed on those grids too: one ``band_host`` and the
+delete-mode bands of every offset for k = 3 (``build_slices``).  Each band
+restricts every host bag, so the time tracks the contracted host's bag
+entries times the number of bands.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import math
 import random
 import time
 
+from .baker import build_slices
 from .decomp import heuristic_td
 from .generators import grid
 from .graph import build_graph, embed, triangulate
-from .planar_td import planar_bfs_td
+from .planar_td import band_host, planar_bfs_td
 
 RATIO_BOUND = 2.5
 LONG_FACE_SIZES = (1000, 2000, 4000, 8000)
@@ -61,6 +67,12 @@ def _long_face_host(kind: str, n: int):
                      for v in range(n)])
 
 
+def _slice_every_offset(e) -> None:
+    host = band_host(e, 0)
+    for offset in range(3):
+        build_slices(host, 3, offset, "delete")
+
+
 def _doubling_ratios(times: list[float]) -> list[float]:
     return [round(cur / max(prev, 1e-9), 3) for prev, cur in zip(times, times[1:])]
 
@@ -91,11 +103,16 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
             times = [round(_best_time(fn, h, repeats), 6) for h in hosts]
             out[kind] = {"times": times,
                          "doubling_ratios": _doubling_ratios(times)}
-    grids = [grid(side, side).graph for side in
-             (round(n ** 0.5) for n in LONG_FACE_SIZES)]
-    times = [round(_best_time(heuristic_td, h, repeats), 6) for h in grids]
+    sides = [round(n ** 0.5) for n in LONG_FACE_SIZES]
+    grids = [grid(side, side) for side in sides]
+    times = [round(_best_time(heuristic_td, h.graph, repeats), 6)
+             for h in grids]
     min_degree["grid"] = {"times": times,
                           "doubling_ratios": _doubling_ratios(times)}
+    times = [round(_best_time(_slice_every_offset, h, repeats), 6)
+             for h in grids]
+    band_slicing = {"grid_sides": sides, "times": times,
+                    "doubling_ratios": _doubling_ratios(times)}
     return {
         "rows": rows,
         "doubling_ratios": ratios,
@@ -104,4 +121,5 @@ def run_bench(max_edges: int = 100_000, repeats: int = 3) -> dict:
         "triangulate_sizes": list(LONG_FACE_SIZES),
         "triangulate": long_faces,
         "heuristic_td": min_degree,
+        "band_slicing": band_slicing,
     }

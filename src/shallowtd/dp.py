@@ -51,14 +51,15 @@ class SolutionCheckError(RuntimeError):
 def check_solution(problem: str, g: Graph, s, required=None) -> None:
     """Raise SolutionCheckError unless s is an independent set of g ("mis"),
     a vertex cover ("vc"), or dominates `required` (every vertex when None;
-    "ds")."""
+    "ds").  A self-loop constrains nothing, as in the DP and the oracles."""
     if problem == "mis":
-        bad = next(((u, v) for u, v in g.edges if u in s and v in s), None)
+        bad = next(((u, v) for u, v in g.edges
+                    if u != v and u in s and v in s), None)
         if bad is not None:
             raise SolutionCheckError(f"result not independent at edge {bad}")
     elif problem == "vc":
         bad = next(((u, v) for u, v in g.edges
-                    if u not in s and v not in s), None)
+                    if u != v and u not in s and v not in s), None)
         if bad is not None:
             raise SolutionCheckError(f"result misses edge {bad}")
     else:

@@ -544,8 +544,9 @@ def emit_graph(obj: Graph | EmbeddedGraph) -> str:
 
 def parse_graph(text: str) -> Graph | EmbeddedGraph:
     """Parse the `v/e/rot` format; returns an EmbeddedGraph when rotation
-    lines are present.  Self-loop lines are rejected: the solvers and the
-    oracles disagree on what a loop means."""
+    lines are present.  Self-loop lines are rejected as malformed input; a
+    loop that a library caller passes to ``build_graph`` constrains no
+    solver, checker or oracle."""
     n = None
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}

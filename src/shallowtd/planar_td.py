@@ -13,19 +13,18 @@ contracts every dual-tree edge whose one bag is nested in the other (the
 subset rule ``slice_td`` applies to bands), testing nesting on DFS intervals
 of the BFS tree, and builds bags only for the triangles that survive: one
 node per maximal bag along the dual tree (the 45x45 grid: 4,046 -> 271
-nodes, same width).
+nodes, same width).  Whole hosts and level-band hosts share this
+construction (``_root_path_td``).
 
 Level bands use one host decomposition per connected component
-(``band_host``): the triangulated component with the BFS tree of the
-component itself, whose levels define the bands.  ``slice_td`` restricts the
-host bags to the levels [lo, hi] of a band.  Restricting a tree decomposition
-to a vertex set decomposes the subgraph it induces, and each root path meets
-the band in at most hi - lo + 1 vertices, so the band's width is at most
-3(hi - lo + 1) - 1 (Baker's bounded-treewidth bands).  The host keeps one
-node per triangle: contracting its nested bags as well left the band
-decompositions as big (``slice_td`` contracts them per band anyway) but
-changed their tree shape and root, and made the slowest subgraph search
-slower (``subiso`` for K5 on a 200-vertex triangulation: 227 -> 243 ms).
+(``band_host``): the same construction on the triangulated component, but
+with the BFS tree of the component itself, whose levels define the bands.
+``slice_td`` restricts the host bags to the levels [lo, hi] of a band and
+contracts the bags that the restriction nests, by the same rule.
+Restricting a tree decomposition to a vertex set decomposes the subgraph it
+induces, and each root path meets the band in at most hi - lo + 1 vertices,
+so the band's width is at most 3(hi - lo + 1) - 1 (Baker's bounded-treewidth
+bands).
 """
 
 from __future__ import annotations
@@ -106,21 +105,14 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     edge whose one triangle's bag is nested in the other's is contracted
     first, and only the surviving corner triples get their bags built.
     Contracting such an edge keeps the decomposition valid and its width
-    unchanged.  ``band_host`` keeps one node per triangle instead, because
-    contracting there reshaped the band trees and slowed the slowest
-    subgraph search (see the module docstring).  Raises EmbeddingError if
-    the width exceeds 3 * depth.
+    unchanged.  Raises EmbeddingError if the width exceeds 3 * depth.
     """
     _check_planar_component(e, root)
     if e.graph.n <= 2:
         return _single_bag(e.graph.n)
     tri = triangulate(e)
     lay = bfs_layering(tri.graph, root)
-    corners, parent, tree_edges = _triangle_tree(tri, lay)
-    corners, tree_edges = _contract_nested(parent, lay.root, corners,
-                                           tree_edges)
-    td = TreeDecomposition(nodes=len(corners), tree_edges=tree_edges,
-                           bags=_kernels.three_path_bags(parent, corners))
+    td = _root_path_td(tri, lay)
     bound = 3 * lay.depth
     if td.width > bound:
         raise EmbeddingError(f"planar decomposition has width {td.width} > "
@@ -143,12 +135,10 @@ def _single_bag(n: int) -> TreeDecomposition:
     return TreeDecomposition(nodes=1, tree_edges=[], bags=[tuple(range(n))])
 
 
-def _triangle_tree(tri: EmbeddedGraph, lay: Layering
-                   ) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
-    """Per triangle of `tri` its corners, the BFS parent list of `lay` (-1 at
-    the root) and the dual-tree edges (parent face, face) in face order.  The
-    dual tree avoids the spanning tree of `lay`, whose root paths form the
-    bags."""
+def _root_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
+    """One node per maximal bag of the triangles of `tri`, joined along the
+    dual tree that avoids the spanning tree of `lay`, each bag the union of
+    its triangle's corners' root paths in that tree."""
     pair = tree_cotree(tri, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
@@ -157,17 +147,18 @@ def _triangle_tree(tri: EmbeddedGraph, lay: Layering
     corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
     parent = [-1 if p is None else p for p in lay.parent]
     tree_edges = [(p, f) for f, p in enumerate(pair.dual_parent) if p >= 0]
-    return corners, parent, tree_edges
+    corners, tree_edges = _contract_nested(parent, lay.root, corners,
+                                           tree_edges)
+    return TreeDecomposition(nodes=len(corners), tree_edges=tree_edges,
+                             bags=_kernels.three_path_bags(parent, corners))
 
 
 def _contract_nested(parent: list[int], root: int, corners: list[list[int]],
                      tree_edges: list[tuple[int, int]]
                      ) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Contract each tree edge, in order, whose one representative's bag is
-    nested in the other's into the larger one (the first endpoint goes when
-    both bags are equal), as ``slice_td`` does; a representative's bag is
-    that of its own corners.  Returns the corners of the kept triangles in
-    ascending order and the remaining tree edges in their order, renumbered.
+    """``_contract`` on the triangles whose corners are `corners`, where a
+    representative's bag is that of its own corners.  Returns the corners of
+    the kept triangles in ascending order and the renumbered tree edges.
 
     A bag is the union of its corners' root paths, so bag(a) is a subset of
     bag(b) iff every corner of a is an ancestor-or-self of some corner of b.
@@ -203,7 +194,18 @@ def _contract_nested(parent: list[int], root: int, corners: list[list[int]],
                 return False
         return True
 
-    rep = list(range(len(corners)))
+    kept, tree_edges = _contract(len(corners), tree_edges, nested)
+    return [corners[x] for x in kept], tree_edges
+
+
+def _contract(nodes: int, tree_edges: list[tuple[int, int]], nested
+              ) -> tuple[list[int], list[tuple[int, int]]]:
+    """Contract each tree edge, in order, whose one representative's bag is
+    nested in the other's into the larger one (the first endpoint goes when
+    both bags are equal); ``nested(a, b)`` says whether bag(a) is a subset of
+    bag(b).  Returns the kept nodes in ascending order and the remaining
+    tree edges in their order, renumbered."""
+    rep = list(range(nodes))
 
     def find(x: int) -> int:
         while rep[x] != x:
@@ -217,11 +219,10 @@ def _contract_nested(parent: list[int], root: int, corners: list[list[int]],
             rep[ra] = rb
         elif nested(rb, ra):
             rep[rb] = ra
-    kept = [x for x in range(len(corners)) if find(x) == x]
+    kept = [x for x in range(nodes) if find(x) == x]
     new_id = {x: i for i, x in enumerate(kept)}
-    return ([corners[x] for x in kept],
-            [(new_id[find(a)], new_id[find(b)]) for a, b in tree_edges
-             if find(a) != find(b)])
+    return kept, [(new_id[find(a)], new_id[find(b)]) for a, b in tree_edges
+                  if find(a) != find(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +241,12 @@ class BandHost:
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     """Host decomposition of a connected planar embedding whose bags are
     root paths in the BFS tree of e.graph from `root` (not of its
-    triangulation), so that every bag meets each level at most three times."""
+    triangulation), so that every bag meets each level at most three times;
+    one node per maximal bag, as in ``planar_bfs_td``."""
     _check_planar_component(e, root)
     lay = bfs_layering(e.graph, root)
-    if e.graph.n <= 2:
-        td = _single_bag(e.graph.n)
-    else:
-        corners, parent, tree_edges = _triangle_tree(triangulate(e), lay)
-        td = TreeDecomposition(nodes=len(corners), tree_edges=tree_edges,
-                               bags=_kernels.three_path_bags(parent, corners))
+    td = (_single_bag(e.graph.n) if e.graph.n <= 2
+          else _root_path_td(triangulate(e), lay))
     return BandHost(graph=e.graph, layering=lay, td=td)
 
 
@@ -278,26 +276,8 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
         host.graph, [v for v in range(len(level)) if lo <= level[v] <= hi])
     band = set(back_map)
     sets = [band.intersection(bag) for bag in host.td.bags]
-
-    nodes, host_edges = host.td.nodes, host.td.tree_edges
-    rep = list(range(nodes))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in host_edges:
-        ra, rb = find(a), find(b)
-        if sets[ra] <= sets[rb]:
-            rep[ra] = rb
-        elif sets[rb] <= sets[ra]:
-            rep[rb] = ra
-    kept = [x for x in range(nodes) if find(x) == x]
-    new_id = {x: i for i, x in enumerate(kept)}
-    tree_edges = [(new_id[find(a)], new_id[find(b)]) for a, b in host_edges
-                  if find(a) != find(b)]
+    kept, tree_edges = _contract(host.td.nodes, host.td.tree_edges,
+                                 lambda a, b: sets[a] <= sets[b])
     local = {v: i for i, v in enumerate(back_map)}
     bags = [tuple(sorted(map(local.__getitem__, sets[x]))) for x in kept]
     td = TreeDecomposition(nodes=len(kept), tree_edges=tree_edges, bags=bags)

@@ -1,12 +1,14 @@
-"""Uncontracted reference for ``shallowtd.planar_td.planar_bfs_td`` and
-``shallowtd.genus_td.genus_td``.
+"""Uncontracted reference for ``shallowtd.planar_td.planar_bfs_td``,
+``shallowtd.planar_td.band_host`` and ``shallowtd.genus_td.genus_td``.
 
-This is the whole-host construction as it ran before nested bags were
+This is the root-path construction as it ran before nested bags were
 contracted: one node per triangle of the triangulation, joined by the dual
-tree, each bag the union of its corners' root paths.  ``contract_subsets``
-is the set-based subset rule that ``slice_td`` applies to bands.  The
-property tests require the contracted construction to return exactly
-``contract_subsets`` of this reference.
+tree, each bag the union of its corners' root paths.  ``band_host`` is the
+level-band host built that way, with the BFS tree of the host itself.
+``contract_subsets`` is the set-based subset rule that ``slice_td`` applies
+to bands.  The property tests require the contracted construction to return
+exactly ``contract_subsets`` of this reference, and every band of the
+contracted host to be as wide as the same band of this one.
 """
 
 from shallowtd import _kernels
@@ -14,8 +16,8 @@ from shallowtd.decomp import TreeDecomposition
 from shallowtd.genus_td import contract_cut_graph, cut_graph
 from shallowtd.graph import (EmbeddedGraph, EmbeddingError, Layering,
                              bfs_layering, triangulate)
-from shallowtd.planar_td import (_check_planar_component, _single_bag,
-                                 tree_cotree)
+from shallowtd.planar_td import (BandHost, _check_planar_component,
+                                 _single_bag, tree_cotree)
 
 
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
@@ -44,6 +46,19 @@ def _three_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
                   if pair.dual_parent[f] >= 0]
     return TreeDecomposition(nodes=nfaces, tree_edges=tree_edges,
                              bags=_kernels.three_path_bags(parent, corners))
+
+
+def band_host(e: EmbeddedGraph, root: int) -> BandHost:
+    """Host decomposition of a connected planar embedding whose bags are
+    root paths in the BFS tree of e.graph from `root` (not of its
+    triangulation), so that every bag meets each level at most three times."""
+    _check_planar_component(e, root)
+    lay = bfs_layering(e.graph, root)
+    if e.graph.n <= 2:
+        td = _single_bag(e.graph.n)
+    else:
+        td = _three_path_td(triangulate(e), lay)
+    return BandHost(graph=e.graph, layering=lay, td=td)
 
 
 def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:

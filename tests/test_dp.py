@@ -262,6 +262,13 @@ class TestResultChecks:
         with pytest.raises(SolutionCheckError, match="vertex 2"):
             check_solution("ds", g, {0}, required={1, 2})
 
+    def test_self_loop_constrains_nothing(self):
+        g = build_graph(3, [(0, 0), (0, 1), (1, 2)])
+        for problem, solve in (("mis", dp_mis), ("vc", dp_vc)):
+            s = solve(nice(g), g)
+            assert len(s) == oracle_solve(problem, g)[0]
+            check_solution(problem, g, s)
+
     def test_check_mapping(self):
         g, h = path_graph(4), path_graph(3)
         check_mapping(g, h, {0: 0, 1: 1, 2: 2}, False)

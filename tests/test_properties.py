@@ -2,9 +2,10 @@
 the list kernels against their numpy-scalar reference, the linear
 triangulation against its quadratic reference, contraction of BFS
 level prefixes, Euler genus against an independent planarity test, width
-bounds of whole-host and level-band decompositions, whole-host
-decompositions against their uncontracted reference, level bands against
-their numpy reference, the exact DP against its frozenset reference and the
+bounds of whole-host and level-band decompositions, whole-host and
+band-host decompositions against their uncontracted reference, level bands
+against their numpy reference and no narrower than those of the
+uncontracted band host, the exact DP against its frozenset reference and the
 oracle, the pattern DP against its pairwise-check reference (the same
 mapping on twin-free patterns, the same existence on patterns with
 twins), and heap min-degree elimination against its rescanning
@@ -297,8 +298,10 @@ def test_genus_td_on_tori_is_valid_within_its_bound(rows, cols, data):
 @given(st.data())
 def test_whole_host_td_is_the_subset_contraction_of_the_reference(data):
     kind = data.draw(st.sampled_from(["triangulation", "subdivided", "wall",
-                                      "torus"]))
-    if kind == "triangulation":
+                                      "torus", "band"]))
+    if kind == "band":
+        e = _band_embedding(data.draw)
+    elif kind == "triangulation":
         e = random_planar_triangulation(data.draw(st.integers(3, 80)),
                                         data.draw(st.integers(0, 10**6)))
     elif kind == "subdivided":
@@ -313,6 +316,9 @@ def test_whole_host_td_is_the_subset_contraction_of_the_reference(data):
     root = data.draw(st.integers(0, e.n - 1))
     if kind == "torus":
         td, ref = genus_td(e, root)[0], reference_planar.genus_td(e, root)
+    elif kind == "band":
+        td = band_host(e, root).td
+        ref = reference_planar.band_host(e, root).td
     else:
         td, ref = planar_bfs_td(e, root), reference_planar.planar_bfs_td(e, root)
     expected = reference_planar.contract_subsets(ref)
@@ -384,33 +390,48 @@ def test_genus_zero_agrees_with_networkx_planarity(data):
 # Level bands: the host decomposition restricted to levels [lo, hi]
 
 
-def _band(draw):
-    """A random band host (a triangulation, a subdivided grid or a wall, from
-    a random root) and a random level range [lo, hi] of it."""
-    kind = draw(st.sampled_from(["triangulation", "subdivided", "wall"]))
+def _band_embedding(draw):
+    """A random band host's embedding: a triangulation, a subdivided grid, a
+    wall or a grid."""
+    kind = draw(st.sampled_from(["triangulation", "subdivided", "wall",
+                                 "grid"]))
     if kind == "triangulation":
         e = random_planar_triangulation(draw(st.integers(3, 60)),
                                         draw(st.integers(0, 10**6)))
     elif kind == "subdivided":
         e = subdivide(grid(draw(st.integers(1, 6)), draw(st.integers(2, 6))),
                       draw(st.integers(1, 3)))
-    else:
+    elif kind == "wall":
         e = wall(draw(st.integers(1, 4)))[1]
-    host = band_host(e, draw(st.integers(0, e.n - 1)))
+    else:
+        e = grid(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    return e
+
+
+def _band(draw):
+    """A random band host's embedding (``_band_embedding``), a random root,
+    the band host from that root, and a random level range [lo, hi] of it."""
+    e = _band_embedding(draw)
+    root = draw(st.integers(0, e.n - 1))
+    host = band_host(e, root)
     lo = draw(st.integers(0, host.layering.depth))
     hi = draw(st.integers(lo, host.layering.depth))
-    return host, lo, hi
+    return e, root, host, lo, hi
 
 
 @PROPERTY
 @given(st.data())
 def test_band_is_valid_narrow_and_exact(data):
-    host, lo, hi = _band(data.draw)
+    e, root, host, lo, hi = _band(data.draw)
     sl = slice_td(host, lo, hi)
     assert sl.back_map == [v for v in range(host.graph.n)
                            if lo <= host.layering.level[v] <= hi]
     assert validate(sl.td, sl.graph).valid
     assert sl.td.width <= 3 * (hi - lo + 1) - 1
+    # the contracted host loses no width on any band, only nodes
+    ref = slice_td(reference_planar.band_host(e, root), lo, hi)
+    assert sl.td.width == ref.td.width
+    assert sl.td.nodes <= ref.td.nodes
     if sl.graph.n <= MAX_SET_PROBLEM:
         assert (len(dp_mis(make_nice(sl.td), sl.graph))
                 == oracle_solve("mis", sl.graph)[0])
@@ -419,7 +440,7 @@ def test_band_is_valid_narrow_and_exact(data):
 @PROPERTY
 @given(st.data())
 def test_band_matches_numpy_reference(data):
-    host, lo, hi = _band(data.draw)
+    _e, _root, host, lo, hi = _band(data.draw)
     sl = slice_td(host, lo, hi)
     ref = reference_bands.slice_td(host, lo, hi)
     assert sl.back_map == ref.back_map
