@@ -24,16 +24,16 @@ from .dp import (SolutionCheckError, check_solution, dp_ds, dp_mis, dp_vc,
 from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
-from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
-                    eccentricity, emit_graph, parse_graph,
-                    planar_is_connected)
+from .graph import (EmbeddedGraph, Graph, GraphInputError, eccentricity,
+                    emit_graph, parse_graph, planar_is_connected)
 from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
                       oracle_solve, subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
 
-_DOMAIN_ERRORS = (GraphInputError, EmbeddingError, GenusPipelineError,
-                  SolutionCheckError, OracleBudgetError, OracleCheckError,
-                  ValueError)
+# GraphInputError and EmbeddingError are ValueErrors; OSError covers a
+# missing, unreadable or directory path for any file option.
+_DOMAIN_ERRORS = (GenusPipelineError, SolutionCheckError, OracleBudgetError,
+                  OracleCheckError, ValueError, OSError)
 
 
 def _read_text(path: str | None) -> str:
@@ -372,9 +372,6 @@ def run(argv: list[str] | None = None) -> int:
             return 2
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

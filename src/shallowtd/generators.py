@@ -26,37 +26,45 @@ _CORNER_OFFSETS = [(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)]
 _HEX_DIRS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
 
-def grid(rows: int, cols: int) -> EmbeddedGraph:
-    """rows x cols grid with the canonical right/down/left/up rotation."""
-    if rows < 1 or cols < 1:
-        raise GraphInputError("grid dimensions must be positive")
-    vid = lambda r, c: r * cols + c
+def _lattice(rows: int, cols: int, wrap: bool) -> EmbeddedGraph:
+    """rows x cols lattice in row-major order: each vertex lists its right
+    edge, then its down edge, and rotates right, down, left, up, skipping
+    absent edges.  With `wrap` the last column and row join the first."""
+    vid = lambda r, c: (r % rows) * cols + (c % cols)
     edges = []
     right = {}
     down = {}
     for r in range(rows):
         for c in range(cols):
-            if c + 1 < cols:
-                right[(r, c)] = len(edges)
+            if wrap or c + 1 < cols:
+                right[r, c] = len(edges)
                 edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                down[(r, c)] = len(edges)
+            if wrap or r + 1 < rows:
+                down[r, c] = len(edges)
                 edges.append((vid(r, c), vid(r + 1, c)))
-    g = build_graph(rows * cols, edges)
     rotation = []
     for r in range(rows):
         for c in range(cols):
+            left = (r, (c - 1) % cols) if wrap else (r, c - 1)
+            up = ((r - 1) % rows, c) if wrap else (r - 1, c)
             cyc = []
             if (r, c) in right:
-                cyc.append(2 * right[(r, c)])
+                cyc.append(2 * right[r, c])
             if (r, c) in down:
-                cyc.append(2 * down[(r, c)])
-            if (r, c - 1) in right:
-                cyc.append(2 * right[(r, c - 1)] + 1)
-            if (r - 1, c) in down:
-                cyc.append(2 * down[(r - 1, c)] + 1)
+                cyc.append(2 * down[r, c])
+            if left in right:
+                cyc.append(2 * right[left] + 1)
+            if up in down:
+                cyc.append(2 * down[up] + 1)
             rotation.append(cyc)
-    return embed(g, rotation)
+    return embed(build_graph(rows * cols, edges), rotation)
+
+
+def grid(rows: int, cols: int) -> EmbeddedGraph:
+    """rows x cols grid with the canonical right/down/left/up rotation."""
+    if rows < 1 or cols < 1:
+        raise GraphInputError("grid dimensions must be positive")
+    return _lattice(rows, cols, wrap=False)
 
 
 def apex_over_grid(n: int) -> Graph:
@@ -124,22 +132,16 @@ def hex_set_graph(coords) -> EmbeddedGraph:
             a, b = cs[i], cs[(i + 1) % 6]
             edge_pairs.add((min(a, b), max(a, b)))
     edge_pairs = sorted(edge_pairs)
-    eids = {pair: i for i, pair in enumerate(edge_pairs)}
     g = build_graph(len(corner_pts), [(vid[a], vid[b]) for a, b in edge_pairs])
     # geometric counterclockwise rotation; corner lattice point (X, Y) sits
     # at Cartesian (X/2, Y*sqrt(3)/2)
-    rotation = []
-    for c in corner_pts:
-        darts = []
-        for pair in edge_pairs:
-            if c in pair:
-                other = pair[0] if pair[1] == c else pair[1]
-                side = 0 if pair[0] == c else 1
-                ang = math.atan2((other[1] - c[1]) * math.sqrt(3) / 2,
-                                 (other[0] - c[0]) / 2)
-                darts.append((ang, 2 * eids[pair] + side))
-        rotation.append([d for _, d in sorted(darts)])
-    return embed(g, rotation)
+    darts: list[list[tuple[float, int]]] = [[] for _ in corner_pts]
+    for eid, pair in enumerate(edge_pairs):
+        for side, (c, other) in enumerate((pair, pair[::-1])):
+            ang = math.atan2((other[1] - c[1]) * math.sqrt(3) / 2,
+                             (other[0] - c[0]) / 2)
+            darts[vid[c]].append((ang, 2 * eid + side))
+    return embed(g, [[d for _, d in sorted(ds)] for ds in darts])
 
 
 @dataclass
@@ -219,27 +221,7 @@ def toroidal_grid(rows: int, cols: int) -> EmbeddedGraph:
     """C_rows x C_cols with the standard genus-1 rotation."""
     if rows < 3 or cols < 3:
         raise GraphInputError("toroidal grid dimensions must be at least 3")
-    vid = lambda r, c: (r % rows) * cols + (c % cols)
-    edges = []
-    right = {}
-    down = {}
-    for r in range(rows):
-        for c in range(cols):
-            right[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r, c + 1)))
-            down[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r + 1, c)))
-    g = build_graph(rows * cols, edges)
-    rotation = []
-    for r in range(rows):
-        for c in range(cols):
-            rotation.append([
-                2 * right[(r, c)],
-                2 * down[(r, c)],
-                2 * right[(r, (c - 1) % cols)] + 1,
-                2 * down[((r - 1) % rows, c)] + 1,
-            ])
-    return embed(g, rotation)
+    return _lattice(rows, cols, wrap=True)
 
 
 def subdivide(e: EmbeddedGraph, factor: int) -> EmbeddedGraph:

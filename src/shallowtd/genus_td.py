@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition
-from .graph import EmbeddedGraph, bfs_layering, build_graph, embed
+from .graph import EmbeddedGraph, bfs_layering, reembed, simple_edge_ids
 from .planar_td import planar_bfs_td, tree_cotree
 
 
@@ -64,7 +64,11 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
     its boundary visits every angular sector around X exactly once.  Reading
     off the outgoing darts along that walk is a valid rotation for the
     contracted vertex in the sphere; every other vertex keeps its rotation.
-    Loops and parallel duplicates are then dropped, which is genus-safe at 0.
+    Both passes re-embed through ``graph.reembed``.  The contraction is
+    checked for genus 0 before its loops and parallel duplicates are dropped
+    (``graph.simple_edge_ids``), because dropping a loop can lower the genus
+    and so hide a cut graph whose complement is not a disk; the simplified
+    embedding is checked again.
 
     The contracted vertex is 0; returns (embedding, old_vertex -> new_vertex).
     """
@@ -126,42 +130,25 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
             old_to_new[v] = nxt_id
             nxt_id += 1
 
-    keep = [eid for eid in range(g.m) if eid not in xeset]
-    emap = {old: i for i, old in enumerate(keep)}
-    new_edges = [(old_to_new[g.edges[eid][0]], old_to_new[g.edges[eid][1]])
-                 for eid in keep]
-
-    def remap(darts: list[int]) -> list[int]:
-        return [2 * emap[d >> 1] + (d & 1) for d in darts if (d >> 1) in emap]
-
-    rotation = [remap(sectors)]
-    for v in range(g.n):
-        if v not in xset:
-            rotation.append(remap(e.rotation[v]))
-    contracted = embed(build_graph(nxt_id, new_edges), rotation)
+    emap: dict[int, int] = {}
+    new_edges = []
+    for eid, (u, w) in enumerate(g.edges):
+        if eid not in xeset:
+            emap[eid] = len(new_edges)
+            new_edges.append((old_to_new[u], old_to_new[w]))
+    rotation = [sectors] + [e.rotation[v] for v in range(g.n) if v not in xset]
+    contracted = reembed(nxt_id, new_edges, emap, rotation)
     if contracted.euler_genus != 0:
         raise GenusPipelineError(
             f"contracting the cut graph left genus {contracted.euler_genus}, expected 0")
 
     # Simplify: drop loops at the contracted vertex and parallel duplicates.
-    drop: set[int] = set()
-    seen: dict[tuple[int, int], int] = {}
-    for eid, (u, w) in enumerate(contracted.graph.edges):
-        if u == w:
-            drop.add(eid)
-            continue
-        key = (min(u, w), max(u, w))
-        if key in seen:
-            drop.add(eid)
-        else:
-            seen[key] = eid
-    if drop:
-        keep2 = [eid for eid in range(contracted.graph.m) if eid not in drop]
-        emap2 = {old: i for i, old in enumerate(keep2)}
-        edges2 = [contracted.graph.edges[eid] for eid in keep2]
-        rot2 = [[2 * emap2[d >> 1] + (d & 1) for d in cyc if (d >> 1) in emap2]
-                for cyc in contracted.rotation]
-        contracted = embed(build_graph(contracted.graph.n, edges2), rot2)
+    edges = contracted.graph.edges
+    keep = simple_edge_ids(edges)
+    if len(keep) < len(edges):
+        contracted = reembed(nxt_id, [edges[eid] for eid in keep],
+                             {old: i for i, old in enumerate(keep)},
+                             contracted.rotation)
         if contracted.euler_genus != 0:
             raise GenusPipelineError(
                 "dropping loops and parallel edges left genus "

@@ -101,9 +101,6 @@ class Layering:
     def complete(self) -> bool:
         return all(l >= 0 for l in self.level)
 
-    def reached(self) -> list[int]:
-        return [v for v, l in enumerate(self.level) if l >= 0]
-
     def path_to_root(self, v: int) -> list[int]:
         path = [v]
         while self.parent[path[-1]] is not None:
@@ -304,36 +301,51 @@ def induced_subgraph(g: Graph, keep: list[int]) -> tuple[Graph, list[int]]:
     return build_graph(len(keep), edges), keep
 
 
+def reembed(n: int, edges: list[tuple[int, int]], new_eid: dict[int, int],
+            rotation) -> EmbeddedGraph:
+    """Embed the graph of `edges` on `n` vertices.  `rotation` gives each new
+    vertex a cycle of old darts; a dart survives when its edge is a key of
+    `new_eid` (old edge id -> new edge id) and keeps its side."""
+    return embed(build_graph(n, edges),
+                 [[2 * new_eid[d >> 1] + (d & 1) for d in cyc if d >> 1 in new_eid]
+                  for cyc in rotation])
+
+
+def simple_edge_ids(edges) -> list[int]:
+    """Ids of the non-loop edges that come first for their endpoint pair.
+    Deleting the rest keeps a genus-0 embedding at genus 0: on the sphere
+    a loop or a later parallel edge is never a bridge, so the two faces
+    beside it are distinct and deleting it merges them."""
+    kept: list[int] = []
+    pairs: set[tuple[int, int]] = set()
+    for eid, (u, v) in enumerate(edges):
+        key = (u, v) if u < v else (v, u)
+        if u != v and key not in pairs:
+            pairs.add(key)
+            kept.append(eid)
+    return kept
+
+
 def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
     """Induced embedded subgraph: surviving darts keep their cyclic order."""
     keep = sorted(set(keep))
     new_id = {v: i for i, v in enumerate(keep)}
-    g = e.graph
     edge_map: dict[int, int] = {}
     edges = []
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(e.graph.edges):
         if u in new_id and v in new_id:
             edge_map[eid] = len(edges)
             edges.append((new_id[u], new_id[v]))
-    sub = build_graph(len(keep), edges)
-    rotation = []
-    for v in keep:
-        cyc = []
-        for d in e.rotation[v]:
-            eid = d >> 1
-            if eid in edge_map:
-                cyc.append(2 * edge_map[eid] + (d & 1))
-        rotation.append(cyc)
-    return embed(sub, rotation), keep
+    return reembed(len(keep), edges, edge_map, [e.rotation[v] for v in keep]), keep
 
 
 def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, list[int]]:
     """Contract a connected vertex set of a planar embedding to a single
     vertex, splicing rotations.
 
-    Loops are deleted and parallel edges merged down to their lowest edge id.
-    Returns (contracted embedding, old_to_new map).  The Euler genus of the
-    result is recomputed from the surviving rotation.
+    Loops are deleted and parallel edges merged down to their lowest edge id
+    (``simple_edge_ids``).  Returns (contracted embedding, old_to_new map).
+    The Euler genus of the result is recomputed from the surviving rotation.
     """
     if e.euler_genus != 0:
         raise EmbeddingError("contract_connected_set requires a planar embedding")
@@ -382,26 +394,15 @@ def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, l
         rot[v] = []
         merged_into[v] = u
 
-    # Compact, deleting in one pass every loop (the contracted tree edges
-    # among them) and every parallel duplicate after the lowest edge id.  On
-    # the sphere neither kind is a bridge, so each has two distinct faces
-    # beside it: deleting it merges them and keeps genus 0.
+    # Compact, deleting every loop (the contracted tree edges among them)
+    # and every parallel duplicate after the lowest edge id.
     survivors = sorted(v for v in range(g.n) if find(v) == v)
     new_vid = {v: i for i, v in enumerate(survivors)}
-    new_eid: dict[int, int] = {}
-    new_edges: list[tuple[int, int]] = []
-    kept_pairs: set[tuple[int, int]] = set()
-    for eid, (u, v) in enumerate(g.edges):
-        u, v = find(u), find(v)
-        key = (min(u, v), max(u, v))
-        if u != v and key not in kept_pairs:
-            kept_pairs.add(key)
-            new_eid[eid] = len(new_edges)
-            new_edges.append((new_vid[u], new_vid[v]))
-    new_g = build_graph(len(survivors), new_edges)
-    new_rot = [[2 * new_eid[d >> 1] + (d & 1) for d in rot[v] if d >> 1 in new_eid]
-               for v in survivors]
-    result = embed(new_g, new_rot)
+    ends = [(find(u), find(v)) for u, v in g.edges]
+    kept = simple_edge_ids(ends)
+    new_edges = [(new_vid[ends[eid][0]], new_vid[ends[eid][1]]) for eid in kept]
+    new_eid = {old: i for i, old in enumerate(kept)}
+    result = reembed(len(survivors), new_edges, new_eid, [rot[v] for v in survivors])
     old_to_new = [new_vid[find(v)] for v in range(g.n)]
     return result, old_to_new
 

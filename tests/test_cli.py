@@ -269,6 +269,19 @@ class TestPipelines:
                              "--cols", "2", "--dot", str(dot)])
         assert code == 0 and dot.read_text().startswith("graph G")
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--input", "{dir}"],
+        ["decompose", "--out", "{dir}"],
+        ["validate", "--graph", "{dir}"],
+        ["generate", "--kind", "grid", "--dot", "{dir}"],
+    ])
+    def test_directory_path_exit_one(self, capsys, monkeypatch, tmp_path, argv):
+        code, out, err = invoke(capsys, monkeypatch,
+                                [a.format(dir=tmp_path) for a in argv],
+                                stdin=emit_graph(grid(2, 2)))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_self_loop_input_exit_one(self, capsys, monkeypatch):
         code, out, err = invoke(capsys, monkeypatch,
                                 ["solve", "--problem", "mis"],

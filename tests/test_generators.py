@@ -1,12 +1,16 @@
 """Graph family constructors: grids, apex, hexagon sets, walls, random
 triangulations, toroidal grids, subdivision."""
 
+import dataclasses
+
 import pytest
 
+import reference_generators
 from shallowtd.generators import (apex_over_grid, grid, hex_distance,
                                   hex_set_graph, random_planar_triangulation,
                                   subdivide, toroidal_grid, wall)
-from shallowtd.graph import GraphInputError, bfs_layering, diameter
+from shallowtd.graph import (GraphInputError, bfs_layering, diameter,
+                             emit_graph)
 
 
 class TestGrid:
@@ -160,3 +164,28 @@ class TestSubdivide:
         s = subdivide(e, 3)
         assert s.euler_genus == 0
         assert max(len(s.graph.adj[v]) for v in range(s.graph.n)) == 3
+
+
+class TestAgainstReference:
+    """Same edge ids and rotation order as the per-family constructors in
+    ``reference_generators``; the tests above check only counts, genus and
+    distances."""
+
+    def test_grids(self):
+        for rows in range(1, 9):
+            for cols in range(1, 9):
+                ref = reference_generators.grid(rows, cols)
+                assert emit_graph(grid(rows, cols)) == emit_graph(ref), (rows, cols)
+
+    def test_tori(self):
+        for rows in range(3, 9):
+            for cols in range(3, 9):
+                ref = reference_generators.toroidal_grid(rows, cols)
+                assert emit_graph(toroidal_grid(rows, cols)) == emit_graph(ref), (rows, cols)
+
+    def test_walls(self):
+        for s in range(1, 13):
+            spec, e = wall(s)
+            ref_spec, ref_e = reference_generators.wall(s)
+            assert emit_graph(e) == emit_graph(ref_e), s
+            assert dataclasses.asdict(spec) == dataclasses.asdict(ref_spec), s
