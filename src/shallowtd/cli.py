@@ -1,17 +1,21 @@
 """Command-line front end: generation, decomposition, validation, exact and
 approximate solving, pattern search, oracles, and the kernel benchmark.
 
-Exit codes: 0 success, 1 domain error (invalid or infeasible input),
-2 usage error.  Reports are JSON on stdout (graph and decomposition text
-formats where noted); diagnostics go to stderr.
+Every subcommand runs in one frame, `run`: the parser is built once per
+process, a handler returns `(report, exit_code)`, and `run` times it, maps a
+domain error to exit 1 and writes the report as one JSON line on stdout
+(`command` first, `version` and `wall_time` last; `generate` writes graph
+text instead).  Exit codes: 0 success, 1 domain error (invalid or
+infeasible input), 2 usage error (argparse, including `ptas --k` below 2).
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -19,8 +23,7 @@ from . import __version__
 from .baker import _ptas_detail
 from .decomp import (TreeDecomposition, emit_td, heuristic_td, make_nice,
                      parse_td, validate)
-from .dp import (SolutionCheckError, check_solution, dp_ds, dp_mis, dp_vc,
-                 subiso_driver, verify_subiso)
+from .dp import SolutionCheckError, dp_ds, dp_mis, dp_vc, subiso_driver
 from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
@@ -45,6 +48,17 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
+def _fingerprint(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _read_graph(path: str | None) -> tuple[Graph | EmbeddedGraph, str]:
+    """The graph in the file at `path` (stdin when None or "-") and the
+    fingerprint of its text."""
+    text = _read_text(path)
+    return parse_graph(text), _fingerprint(text)
+
+
 def _plain(obj: Graph | EmbeddedGraph) -> Graph:
     return obj.graph if isinstance(obj, EmbeddedGraph) else obj
 
@@ -54,17 +68,6 @@ def _need_embedding(obj) -> EmbeddedGraph:
         raise GraphInputError("this command needs rotation lines "
                               "(an embedded graph) on input")
     return obj
-
-
-def _fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _report(payload: dict, started: float) -> None:
-    payload.setdefault("version", __version__)
-    payload["wall_time"] = round(time.perf_counter() - started, 6)
-    json.dump(payload, sys.stdout, default=sorted)
-    sys.stdout.write("\n")
 
 
 def _dot_graph(g: Graph) -> str:
@@ -95,10 +98,7 @@ def _write_dot(path: str | None, text: str) -> None:
 # Subcommands.
 
 
-def _cmd_generate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SHALLOW_SEED", "0"))
+def _cmd_generate(args) -> tuple[None, int]:
     if args.kind == "grid":
         obj = grid(args.rows, args.cols)
     elif args.kind == "torus":
@@ -107,19 +107,15 @@ def _cmd_generate(args) -> int:
         obj = apex_over_grid(args.size)
     elif args.kind == "wall":
         obj = wall(args.size)[1]
-    elif args.kind == "random-triangulation":
-        obj = random_planar_triangulation(args.size, seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphInputError(f"unknown kind {args.kind!r}")
+    else:  # random-triangulation; argparse restricts the choices
+        obj = random_planar_triangulation(args.size, args.seed)
     sys.stdout.write(emit_graph(obj))
     _write_dot(args.dot, _dot_graph(_plain(obj)))
-    return 0
+    return None, 0
 
 
-def _cmd_decompose(args) -> int:
-    started = time.perf_counter()
-    text = _read_text(args.input)
-    obj = parse_graph(text)
+def _cmd_decompose(args) -> tuple[dict, int]:
+    obj, fingerprint = _read_graph(args.input)
     g = _plain(obj)
     if args.method == "heuristic":
         td = heuristic_td(g)
@@ -135,66 +131,51 @@ def _cmd_decompose(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(td_text)
     _write_dot(args.dot, _dot_td(td))
-    payload = {
-        "command": "decompose",
-        "input_fingerprint": _fingerprint(text),
-        "method": args.method,
-    }
+    report = {"input_fingerprint": fingerprint, "method": args.method}
     if args.method == "heuristic":      # no root: min-degree needs none
-        payload.update(width=td.width, valid=rep.valid, nodes=td.nodes)
+        report.update(width=td.width, valid=rep.valid, nodes=td.nodes)
     else:
         depth = eccentricity(g, root)
         if args.method == "planar-bfs":
             bound = 3 * depth
-        payload.update(root=root, width=td.width, valid=rep.valid,
-                       nodes=td.nodes, depth=depth, width_bound=bound,
-                       bound_checked=td.width <= bound)
+        report.update(root=root, width=td.width, valid=rep.valid,
+                      nodes=td.nodes, depth=depth, width_bound=bound,
+                      bound_checked=td.width <= bound)
     if not args.out:
-        payload["decomposition"] = td_text
-    _report(payload, started)
-    return 0 if rep.valid else 1
+        report["decomposition"] = td_text
+    return report, 0 if rep.valid else 1
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
+def _cmd_validate(args) -> tuple[dict, int]:
     gtext = _read_text(args.graph)
     ttext = _read_text(args.td)
     g = _plain(parse_graph(gtext))
     td, host_n = parse_td(ttext)
+    report = {"input_fingerprint": _fingerprint(gtext + ttext)}
     if host_n != g.n:
-        rep_payload = {"command": "validate", "valid": False,
-                       "violation": f"decomposition is for a {host_n}-vertex "
-                                    f"host, graph has {g.n}"}
-        _report(rep_payload, started)
-        return 1
+        report.update(valid=False,
+                      violation=f"decomposition is for a {host_n}-vertex "
+                                f"host, graph has {g.n}")
+        return report, 1
     rep = validate(td, g)
-    _report({
-        "command": "validate",
-        "input_fingerprint": _fingerprint(gtext + ttext),
-        "valid": rep.valid,
-        "width": rep.width,
-        "violation": rep.violation,
-    }, started)
-    return 0 if rep.valid else 1
+    report.update(valid=rep.valid, width=rep.width, violation=rep.violation)
+    return report, 0 if rep.valid else 1
 
 
 def _solvers():
+    # looked up at call time, so a wrapper rebound onto this module's
+    # dp_mis, dp_vc or dp_ds (a tracer, a test) is the one that runs
     return {"mis": dp_mis, "vc": dp_vc,
             "ds": lambda nd, g: dp_ds(nd, g, set(range(g.n)))}
 
 
-def _feasible(problem: str, g: Graph, s: set[int]) -> bool:
-    try:
-        check_solution(problem, g, s)
-    except SolutionCheckError:
-        return False
-    return True
+# `verified` and `bound_checked` below are always true: dp_mis, dp_vc, dp_ds,
+# _ptas_detail and subiso_driver check their result and raise
+# SolutionCheckError, which exits 1 with no report, when the check fails.
 
 
-def _cmd_solve(args) -> int:
-    started = time.perf_counter()
-    text = _read_text(args.input)
-    obj = parse_graph(text)
+def _cmd_solve(args) -> tuple[dict, int]:
+    obj, fingerprint = _read_graph(args.input)
     g = _plain(obj)
     method, td = "heuristic", heuristic_td(g)
     # min-degree is narrower on most planar hosts, but it breaks ties on
@@ -206,95 +187,77 @@ def _cmd_solve(args) -> int:
         if planar.width <= td.width:    # ties go to the paper's construction
             method, td = "planar-bfs", planar
     witness = _solvers()[args.problem](make_nice(td), g)
-    _report({
-        "command": "solve",
-        "input_fingerprint": _fingerprint(text),
-        "problem": args.problem,
-        "method": method,
-        "width": td.width,
-        "value": len(witness),
-        "witness": sorted(witness),
-        "verified": _feasible(args.problem, g, witness),
-    }, started)
-    return 0
+    return {"input_fingerprint": fingerprint, "problem": args.problem,
+            "method": method, "width": td.width, "value": len(witness),
+            "witness": sorted(witness), "verified": True}, 0
 
 
-def _cmd_ptas(args) -> int:
-    started = time.perf_counter()
-    text = _read_text(args.input)
-    e = _need_embedding(parse_graph(text))
-    detail = _ptas_detail(e, args.problem, args.k)
-    _report({
-        "command": "ptas",
-        "input_fingerprint": _fingerprint(text),
-        "problem": args.problem,
-        "k": args.k,
-        "value": len(detail.chosen),
-        "witness": sorted(detail.chosen),
-        "offset_chosen": detail.per_component_offsets,
-        "per_offset_values": detail.per_offset_values,
-        "bound_checked": _feasible(args.problem, e.graph, detail.chosen),
-    }, started)
-    return 0
+def _cmd_ptas(args) -> tuple[dict, int]:
+    obj, fingerprint = _read_graph(args.input)
+    detail = _ptas_detail(_need_embedding(obj), args.problem, args.k)
+    return {"input_fingerprint": fingerprint, "problem": args.problem,
+            "k": args.k, "value": len(detail.chosen),
+            "witness": sorted(detail.chosen),
+            "offset_chosen": detail.per_component_offsets,
+            "per_offset_values": detail.per_offset_values,
+            "bound_checked": True}, 0
 
 
-def _cmd_subiso(args) -> int:
-    started = time.perf_counter()
-    text = _read_text(args.input)
-    e = _need_embedding(parse_graph(text))
-    h = _plain(parse_graph(_read_text(args.pattern)))
+def _cmd_subiso(args) -> tuple[dict, int]:
+    obj, fingerprint = _read_graph(args.input)
+    e = _need_embedding(obj)
+    h = _plain(_read_graph(args.pattern)[0])
     mapping = subiso_driver(e, h, induced=args.induced)
-    _report({
-        "command": "subiso",
-        "input_fingerprint": _fingerprint(text),
-        "pattern_vertices": h.n,
-        "induced": args.induced,
-        "found": mapping is not None,
-        "mapping": None if mapping is None else [mapping[q] for q in range(h.n)],
-        "verified": mapping is None or verify_subiso(e.graph, h, mapping,
-                                                     args.induced),
-    }, started)
-    return 0
+    return {"input_fingerprint": fingerprint, "pattern_vertices": h.n,
+            "induced": args.induced, "found": mapping is not None,
+            "mapping": None if mapping is None
+            else [mapping[q] for q in range(h.n)],
+            "verified": True}, 0
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    text = _read_text(args.input)
-    g = _plain(parse_graph(text))
-    payload = {"command": "oracle", "input_fingerprint": _fingerprint(text),
-               "problem": args.problem}
+def _cmd_oracle(args) -> tuple[dict, int]:
+    obj, fingerprint = _read_graph(args.input)
+    g = _plain(obj)
+    report = {"input_fingerprint": fingerprint, "problem": args.problem}
     if args.problem in ("mis", "vc", "ds"):
         value, witness = oracle_solve(args.problem, g)
-        payload.update(value=value, witness=sorted(witness))
+        report.update(value=value, witness=sorted(witness))
     elif args.problem == "treewidth":
         width, td = exact_treewidth(g)
-        payload.update(value=width, valid=validate(td, g).valid,
-                       decomposition=emit_td(td, g.n))
+        report.update(value=width, valid=validate(td, g).valid,
+                      decomposition=emit_td(td, g.n))
     else:  # subiso
         if not args.pattern:
             raise GraphInputError("oracle subiso needs --pattern")
-        h = _plain(parse_graph(_read_text(args.pattern)))
+        h = _plain(_read_graph(args.pattern)[0])
         res = subiso_backtracking(g, h, induced=args.induced)
-        payload.update(found=res.mapping is not None, count=res.count,
-                       mapping=None if res.mapping is None
-                       else [res.mapping[q] for q in range(h.n)])
-    _report(payload, started)
-    return 0
+        report.update(found=res.mapping is not None, count=res.count,
+                      mapping=None if res.mapping is None
+                      else [res.mapping[q] for q in range(h.n)])
+    return report, 0
 
 
-def _cmd_bench(args) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args) -> tuple[dict, int]:
     from .bench import run_bench
-    payload = run_bench(max_edges=args.max_edges, repeats=args.repeats)
-    payload["command"] = "bench"
-    _report(payload, started)
-    return 0
+    return run_bench(max_edges=args.max_edges, repeats=args.repeats), 0
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
 
+def _slicing_k(text: str) -> int:
+    """argparse type of `ptas --k`: an integer of at least 2."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {k}")
+    return k
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="shallowtd",
@@ -309,8 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rows", type=int, default=3)
     gen.add_argument("--cols", type=int, default=3)
     gen.add_argument("--size", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=None,
-                     help="overrides SHALLOW_SEED")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--dot", metavar="FILE", default=None)
     gen.set_defaults(func=_cmd_generate)
 
@@ -335,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("ptas", help="level-slicing approximation scheme")
     pt.add_argument("--problem", required=True, choices=["mis", "vc", "ds"])
-    pt.add_argument("--k", type=int, required=True)
+    pt.add_argument("--k", type=_slicing_k, required=True)
     pt.add_argument("--input", default=None)
     pt.set_defaults(func=_cmd_ptas)
 
@@ -361,19 +323,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:          # argparse uses 2 for usage errors
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        if args.cmd == "ptas" and args.k < 2:
-            print("ptas: --k must be at least 2", file=sys.stderr)
-            return 2
-        return args.func(args)
+        report, code = args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if report is not None:
+        json.dump({"command": args.cmd, **report, "version": __version__,
+                   "wall_time": round(time.perf_counter() - started, 6)},
+                  sys.stdout, default=sorted)
+        sys.stdout.write("\n")
+    return code
 
 
 def main() -> None:

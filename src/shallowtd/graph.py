@@ -551,6 +551,7 @@ def parse_graph(text: str) -> Graph | EmbeddedGraph:
     n = None
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}
+    rot_line: dict[int, int] = {}       # vertex -> its rot line's number
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -566,11 +567,19 @@ def parse_graph(text: str) -> Graph | EmbeddedGraph:
                 raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u, v))
         elif parts[0] == "rot" and len(parts) >= 2:
-            rot[int(parts[1])] = [int(x) for x in parts[2:]]
+            v = int(parts[1])
+            if v in rot:
+                raise GraphInputError(f"line {lineno}: duplicate rot line "
+                                      f"for vertex {v}")
+            rot[v], rot_line[v] = [int(x) for x in parts[2:]], lineno
         else:
             raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
     if n is None:
         raise GraphInputError("missing v line")
+    stray = next((v for v in rot if not 0 <= v < n), None)
+    if stray is not None:
+        raise GraphInputError(f"line {rot_line[stray]}: rot line for vertex "
+                              f"{stray}, outside [0, {n})")
     g = build_graph(n, edges)
     if not rot:
         return g

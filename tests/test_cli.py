@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, artifact round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import reference_planar
 from conftest import DIGON, relabel_embedded, witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import heuristic_td, parse_td, validate
+from shallowtd.dp import dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
@@ -50,19 +52,13 @@ class TestGenerate:
                             ["generate", "--bogus", "1"])
         assert code == 2
 
-    def test_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHALLOW_SEED", "9")
-        code, out1, _ = invoke(capsys, monkeypatch,
-                               ["generate", "--kind", "random-triangulation",
-                                "--size", "12"])
-        code2, out2, _ = invoke(capsys, monkeypatch,
-                                ["generate", "--kind", "random-triangulation",
-                                 "--size", "12"])
+    def test_seed_defaults_to_zero(self, capsys, monkeypatch):
+        argv = ["generate", "--kind", "random-triangulation", "--size", "12"]
+        code, out1, _ = invoke(capsys, monkeypatch, argv)
+        code2, out2, _ = invoke(capsys, monkeypatch, argv + ["--seed", "0"])
         assert code == code2 == 0 and out1 == out2
-        code3, out3, _ = invoke(capsys, monkeypatch,
-                                ["generate", "--kind", "random-triangulation",
-                                 "--size", "12", "--seed", "10"])
-        assert out3 != out1
+        code3, out3, _ = invoke(capsys, monkeypatch, argv + ["--seed", "10"])
+        assert code3 == 0 and out3 != out1
 
 
 class TestPipelines:
@@ -137,6 +133,21 @@ class TestPipelines:
                                "--td", str(tdfile)])
         assert code == 1 and not json.loads(out)["valid"]
 
+    def test_validate_reports_host_size_mismatch(self, capsys, monkeypatch,
+                                                 tmp_path):
+        gtext, ttext = "v 3\ne 0 1\ne 1 2\n", "td 1 1 4\nb 0 0 1\n"
+        (tmp_path / "g.g").write_text(gtext)
+        (tmp_path / "g.td").write_text(ttext)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["validate", "--graph", str(tmp_path / "g.g"),
+                                 "--td", str(tmp_path / "g.td")])
+        report = json.loads(out)
+        assert code == 1 and err == "" and report["valid"] is False
+        assert report["violation"] == ("decomposition is for a 4-vertex "
+                                       "host, graph has 3")
+        assert report["input_fingerprint"] == hashlib.sha256(
+            (gtext + ttext).encode()).hexdigest()[:16]
+
     def test_solve(self, capsys, monkeypatch):
         gtext = self._grid_text(capsys, monkeypatch, 3, 3)
         code, out, _ = invoke(capsys, monkeypatch,
@@ -209,6 +220,15 @@ class TestPipelines:
                               ["ptas", "--problem", "mis", "--k", "0"],
                               stdin="v 1\n")
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["1", "x"])
+    def test_ptas_k_below_two_or_not_int_is_usage_error(self, capsys,
+                                                        monkeypatch, k):
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["ptas", "--problem", "mis", "--k", k],
+                                stdin=emit_graph(grid(3, 3)))
+        assert code == 2 and out == ""
+        assert "argument --k" in err
 
     def test_subiso_and_oracle(self, capsys, monkeypatch, tmp_path):
         gtext = self._grid_text(capsys, monkeypatch)
@@ -314,6 +334,87 @@ class TestPipelines:
         report = json.loads(out)
         assert code == 0 and err == "" and report["verified"]
         assert report["value"] == value
+
+
+class TestFrame:
+    """Every subcommand runs through run(): one parser, one clock, one
+    report writer."""
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["decompose", "--input", "{g}"], 0, id="decompose"),
+        pytest.param(["decompose", "--method", "heuristic", "--input", "{g}"],
+                     0, id="decompose-heuristic"),
+        pytest.param(["validate", "--graph", "{g}", "--td", "{td}"], 0,
+                     id="validate"),
+        pytest.param(["validate", "--graph", "{g}", "--td", "{bad}"], 1,
+                     id="validate-mismatch"),
+        pytest.param(["solve", "--problem", "ds", "--input", "{g}"], 0,
+                     id="solve"),
+        pytest.param(["ptas", "--problem", "vc", "--k", "2", "--input", "{g}"],
+                     0, id="ptas"),
+        pytest.param(["subiso", "--pattern", "{p}", "--input", "{g}"], 0,
+                     id="subiso"),
+        pytest.param(["oracle", "--problem", "mis", "--input", "{g}"], 0,
+                     id="oracle-mis"),
+        pytest.param(["oracle", "--problem", "treewidth", "--input", "{g}"],
+                     0, id="oracle-treewidth"),
+        pytest.param(["oracle", "--problem", "subiso", "--pattern", "{p}",
+                      "--input", "{g}"], 0, id="oracle-subiso"),
+    ])
+    def test_report_key_order(self, capsys, monkeypatch, tmp_path, argv,
+                              code):
+        files = {"g": tmp_path / "g.txt", "td": tmp_path / "g.td",
+                 "bad": tmp_path / "bad.td", "p": tmp_path / "p.txt"}
+        files["g"].write_text(emit_graph(grid(3, 3)))
+        files["td"].write_text("td 1 8 9\nb 0 " + " ".join(map(str, range(9)))
+                               + "\n")
+        files["bad"].write_text("td 1 1 4\nb 0 0 1\n")
+        files["p"].write_text("v 2\ne 0 1\n")
+        got, out, _ = invoke(capsys, monkeypatch,
+                             [a.format(**files) for a in argv])
+        keys = list(json.loads(out))
+        assert got == code
+        assert keys[:2] == ["command", "input_fingerprint"]
+        assert keys[-2:] == ["version", "wall_time"]
+        assert out.count("\n") == 1 and out.endswith("\n")
+
+    def test_bench_report_starts_with_command(self, capsys, monkeypatch):
+        from shallowtd import bench
+        monkeypatch.setattr(bench, "run_bench",
+                            lambda max_edges, repeats: {"rows": []})
+        code, out, _ = invoke(capsys, monkeypatch, ["bench"])
+        assert code == 0
+        assert list(json.loads(out)) == ["command", "rows", "version",
+                                         "wall_time"]
+
+    def test_back_to_back_runs_share_no_parser_state(self, capsys,
+                                                     monkeypatch):
+        # grid(5, 5): the min-eccentricity root is the centre, vertex 12
+        text = emit_graph(grid(5, 5))
+        roots = []
+        for argv in (["decompose", "--root", "0"], ["decompose"],
+                     ["decompose", "--root", "3"], ["decompose"]):
+            code, out, _ = invoke(capsys, monkeypatch, argv, stdin=text)
+            assert code == 0
+            roots.append(json.loads(out)["root"])
+        assert roots == [0, 12, 3, 12]
+
+    def test_solver_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a wrapper bound onto the module attribute, as a tracer binds it,
+        # is the solver that runs
+        from shallowtd import cli
+        calls = []
+
+        def counting(nd, g):
+            calls.append(g.n)
+            return dp_mis(nd, g)
+
+        monkeypatch.setattr(cli, "dp_mis", counting)
+        code, out, _ = invoke(capsys, monkeypatch,
+                              ["solve", "--problem", "mis"],
+                              stdin=emit_graph(grid(3, 3)))
+        assert code == 0 and json.loads(out)["value"] == 5
+        assert calls == [9]
 
 
 def run_optimized(args, cwd):

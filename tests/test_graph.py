@@ -198,6 +198,21 @@ class TestTextFormat:
         with pytest.raises(GraphInputError, match="self-loop"):
             parse_graph("v 2\ne 0 0\ne 0 1\n")
 
+    # grid(2, 2) is 9 lines, so the appended rot line is line 10
+    @pytest.mark.parametrize("extra, message", [
+        ("rot 9 0\n", "line 10: rot line for vertex 9, outside"),
+        ("rot -1 0\n", "line 10: rot line for vertex -1, outside"),
+        ("rot 4\n", "line 10: rot line for vertex 4, outside"),
+        ("rot 0 2 0\n", "line 10: duplicate rot line for vertex 0")])
+    def test_stray_and_duplicate_rot_lines(self, extra, message):
+        with pytest.raises(GraphInputError, match=message):
+            parse_graph(emit_graph(grid(2, 2)) + extra)
+
+    def test_rot_line_before_v_line_names_its_line(self):
+        with pytest.raises(GraphInputError, match="line 1: rot line for "
+                                                  "vertex 2, outside"):
+            parse_graph("rot 2\nv 2\ne 0 1\nrot 0 0\nrot 1 1\n")
+
 
 @pytest.mark.parametrize("e", [
     *map(embed_outerplanar, [
