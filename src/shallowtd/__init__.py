@@ -18,7 +18,8 @@ from .graph import (EmbeddedGraph, EmbeddingError, Graph, GraphInputError,
                     emit_graph, parse_graph, triangulate)
 from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
                       oracle_solve, subiso_backtracking)
-from .planar_td import (BandHost, Slice, band_host, min_eccentricity_root,
-                        planar_bfs_td, slice_td, tree_cotree)
+from .planar_td import (BandHost, Slice, band_host, band_hosts,
+                        min_eccentricity_root, planar_bfs_td, slice_td,
+                        tree_cotree)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,7 +10,7 @@ always inside its band).
 
 All three try every offset and return the best result; ties go to the
 smaller offset.  Each connected component is decomposed once
-(``planar_td.band_host``) and every band gets that decomposition restricted
+(``planar_td.band_hosts``) and every band gets that decomposition restricted
 to its levels.  Disconnected inputs are handled per component; the additive
 guarantees compose (dominating set requires a connected input).
 """
@@ -21,17 +21,12 @@ from dataclasses import dataclass
 
 from .decomp import make_nice
 from .dp import check_solution, dp_ds, dp_mis, dp_vc
-from .graph import (EmbeddedGraph, GraphInputError, connected_components,
-                    induced_embedded_subgraph, is_connected)
-from .planar_td import (BandHost, Slice, band_host, level_windows,
-                        slice_td)
+from .graph import EmbeddedGraph, GraphInputError, is_connected
+from .planar_td import BandHost, Slice, band_hosts, level_windows, slice_td
 
 
 @dataclass
 class SliceFamily:
-    k: int
-    offset: int
-    mode: str                        # delete | duplicate | dominate
     slices: list[Slice]
 
 
@@ -42,15 +37,9 @@ def build_slices(host: BandHost, k: int, offset: int, mode: str) -> SliceFamily:
         raise GraphInputError(f"slicing parameter k must be >= 2, got {k}")
     if not (0 <= offset < k):
         raise GraphInputError(f"offset {offset} out of range [0, {k})")
-    level = host.layering.level
-    slices = []
-    for lo, hi, (clo, chi) in level_windows(host.layering.depth, k, offset,
-                                            mode):
-        sl = slice_td(host, lo, hi)
-        sl.core = tuple(i for i, v in enumerate(sl.back_map)
-                        if clo <= level[v] <= chi)
-        slices.append(sl)
-    return SliceFamily(k=k, offset=offset, mode=mode, slices=slices)
+    depth = host.layering.depth
+    return SliceFamily(slices=[slice_td(host, lo, hi, core) for lo, hi, core
+                               in level_windows(depth, k, offset, mode)])
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +65,8 @@ class PtasResult:
     per_offset_values: list[list[int]]   # one list per component
 
 
-_MODES = {"mis": ("delete", False), "vc": ("duplicate", True),
-          "ds": ("dominate", True)}
+# per problem, the slicing mode and the sign under which a value is minimized
+_MODES = {"mis": ("delete", -1), "vc": ("duplicate", 1), "ds": ("dominate", 1)}
 
 
 def _ptas_detail(e: EmbeddedGraph, problem: str, k: int) -> PtasResult:
@@ -85,19 +74,16 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int) -> PtasResult:
         raise GraphInputError(f"unknown problem {problem!r}")
     if k < 2:
         raise GraphInputError(f"slicing parameter k must be >= 2, got {k}")
-    if e.euler_genus != 0:
-        raise GraphInputError("level slicing requires a planar embedding")
+    hosts = band_hosts(e)
     g = e.graph
     if problem == "ds" and not is_connected(g):
         raise GraphInputError("dominating-set slicing requires a connected graph")
-    mode, minimize = _MODES[problem]
+    mode, sign = _MODES[problem]
 
     chosen: set[int] = set()
     offsets_used: list[int] = []
     per_offset_all: list[list[int]] = []
-    for comp in connected_components(g):
-        sub, back = induced_embedded_subgraph(e, comp)
-        host = band_host(sub, 0)
+    for host, back in hosts:
         results = []
         for offset in range(k):
             picked: set[int] = set()
@@ -108,13 +94,12 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int) -> PtasResult:
                 elif problem == "vc":
                     local = dp_vc(nd, sl.graph)
                 else:
-                    local = dp_ds(nd, sl.graph, set(sl.core))
+                    local = dp_ds(nd, sl.graph, sl.core)
                 picked.update(sl.back_map[v] for v in local)
             results.append(picked)
         values = [len(r) for r in results]
         per_offset_all.append(values)
-        best = min(range(k), key=lambda o: (values[o], o)) if minimize \
-            else max(range(k), key=lambda o: (values[o], -o))
+        best = min(range(k), key=lambda o: (sign * values[o], o))
         offsets_used.append(best)
         chosen.update(back[v] for v in results[best])
 

@@ -162,13 +162,6 @@ def _cmd_validate(args) -> tuple[dict, int]:
     return report, 0 if rep.valid else 1
 
 
-def _solvers():
-    # looked up at call time, so a wrapper rebound onto this module's
-    # dp_mis, dp_vc or dp_ds (a tracer, a test) is the one that runs
-    return {"mis": dp_mis, "vc": dp_vc,
-            "ds": lambda nd, g: dp_ds(nd, g, set(range(g.n)))}
-
-
 # `verified` and `bound_checked` below are always true: dp_mis, dp_vc, dp_ds,
 # _ptas_detail and subiso_driver check their result and raise
 # SolutionCheckError, which exits 1 with no report, when the check fails.
@@ -180,13 +173,18 @@ def _cmd_solve(args) -> tuple[dict, int]:
     method, td = "heuristic", heuristic_td(g)
     # min-degree is narrower on most planar hosts, but it breaks ties on
     # vertex ids and some labellings make it the wider one (a relabelled
-    # 4x5 grid: 5 against 4), so a planar host gets both
+    # 4x5 grid: 5 against 4), so a planar host gets both, unless it needs a
+    # triangulation and has a face of two darts (between parallel edges)
     if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
-            and planar_is_connected(obj)):
+            and planar_is_connected(obj)
+            and (g.n <= 2 or all(len(f) >= 3 for f in obj.faces))):
         planar = planar_bfs_td(obj, min_eccentricity_root(g))
         if planar.width <= td.width:    # ties go to the paper's construction
             method, td = "planar-bfs", planar
-    witness = _solvers()[args.problem](make_nice(td), g)
+    # looked up at call time, so a wrapper rebound onto this module's
+    # dp_mis, dp_vc or dp_ds (a tracer, a test) is the one that runs
+    solver = {"mis": dp_mis, "vc": dp_vc, "ds": dp_ds}[args.problem]
+    witness = solver(make_nice(td), g)
     return {"input_fingerprint": fingerprint, "problem": args.problem,
             "method": method, "width": td.width, "value": len(witness),
             "witness": sorted(witness), "verified": True}, 0

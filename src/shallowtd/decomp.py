@@ -317,8 +317,12 @@ def emit_td(td: TreeDecomposition, host_n: int) -> str:
 
 
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
-    nodes = width = host_n = None
+    """The decomposition in ``emit_td``'s format and its host's vertex
+    count.  Malformed text raises GraphInputError naming its line; whether
+    the bags decompose a graph is ``validate``'s question."""
+    header = None                       # (line number, nodes, width, host_n)
     bags: dict[int, tuple[int, ...]] = {}
+    bag_line: dict[int, int] = {}       # node -> its b line's number
     tree_edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -326,15 +330,35 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             continue
         parts = line.split()
         if parts[0] == "td" and len(parts) == 4:
-            nodes, width, host_n = int(parts[1]), int(parts[2]), int(parts[3])
+            if header is not None:
+                raise GraphInputError(f"line {lineno}: duplicate td line")
+            header = (lineno, *map(int, parts[1:]))
+            if min(header[1], header[3]) < 0:
+                raise GraphInputError(f"line {lineno}: negative node or "
+                                      "host vertex count")
         elif parts[0] == "b" and len(parts) >= 2:
-            bags[int(parts[1])] = tuple(sorted(int(x) for x in parts[2:]))
+            node, bag = int(parts[1]), [int(x) for x in parts[2:]]
+            if node in bags:
+                raise GraphInputError(f"line {lineno}: duplicate b line for "
+                                      f"node {node}")
+            if len(set(bag)) != len(bag):
+                raise GraphInputError(f"line {lineno}: bag {node} lists a "
+                                      "vertex twice")
+            bags[node], bag_line[node] = tuple(sorted(bag)), lineno
         elif parts[0] == "t" and len(parts) == 3:
             tree_edges.append((int(parts[1]), int(parts[2])))
         else:
             raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
-    if nodes is None:
+    if header is None:
         raise GraphInputError("missing td header line")
+    lineno, nodes, width, host_n = header
+    stray = next((x for x in bags if not 0 <= x < nodes), None)
+    if stray is not None:
+        raise GraphInputError(f"line {bag_line[stray]}: b line for node "
+                              f"{stray}, outside [0, {nodes})")
     td = TreeDecomposition(nodes=nodes, tree_edges=tree_edges,
                            bags=[bags.get(i, ()) for i in range(nodes)])
+    if td.width != width:
+        raise GraphInputError(f"line {lineno}: header width {width}, but the "
+                              f"bags have width {td.width}")
     return td, host_n

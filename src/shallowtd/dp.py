@@ -11,16 +11,17 @@ edge is an introduce of one endpoint with the other present, so checking a
 newly introduced vertex against its bag suffices to see every edge exactly
 once per branch.
 
-The MIS, VC and DS tables are keyed by Python-int bitmasks over vertex ids
-(bit v for vertex v): the chosen bag vertices for MIS and VC, the black and
-undominated bag vertices for DS.  A table entry holds the optimum value of
-its state and one O(1) link of a witness chain shared with the child tables;
-the witness set is rebuilt once, at the root.  Transitions run in a fixed
-order and only a strictly better value replaces an entry (the first of
-equal values stays), so among several optima each solver returns one fixed
-witness.  The property tests hold it equal to the witness of a reference
-engine that copies a full witness set into every entry, so the level-slicing
-unions built from band witnesses do not drift when the engine changes.
+The MIS and DS tables are keyed by Python-int bitmasks over vertex ids
+(bit v for vertex v): the chosen bag vertices for MIS, the black and
+undominated bag vertices for DS; a minimum vertex cover is the complement
+of the MIS witness.  A table entry holds the optimum value of its state and
+one O(1) link of a witness chain shared with the child tables; the witness
+set is rebuilt once, at the root.  Transitions run in a fixed order and
+only a strictly better value replaces an entry (the first of equal values
+stays), so among several optima each solver returns one fixed witness.  The
+property tests hold it equal to the witness of a reference engine that
+copies a full witness set into every entry, so the level-slicing unions
+built from band witnesses do not drift when the engine changes.
 
 The pattern search counts its states up to pattern twins (vertices with the
 same neighbours besides each other): a state holds one sorted multiset of
@@ -36,9 +37,8 @@ from __future__ import annotations
 
 from .decomp import (FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition,
                      make_nice)
-from .graph import (EmbeddedGraph, Graph, GraphInputError,
-                    connected_components, diameter, induced_embedded_subgraph)
-from .planar_td import band_host, level_windows, slice_td
+from .graph import EmbeddedGraph, Graph, GraphInputError, diameter
+from .planar_td import band_hosts, level_windows, slice_td
 
 MAX_PATTERN = 8
 
@@ -72,15 +72,16 @@ def check_solution(problem: str, g: Graph, s, required=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Table entries shared by the MIS / VC and DS engines.
+# Table entries shared by every engine.
 #
-# An entry is (value, v, rest): the size of the best partial solution below
-# the node and the last link of its witness chain.  A link records a chosen
-# vertex v on top of the child's entry rest; a join records
-# (value, None, left, right), the union of its children's chains; a leaf is
-# (0, None, None).  Links are shared, never copied, so a transition costs
-# O(1) besides the mask arithmetic, and the witness is rebuilt once, from
-# the root entry, by `_unroll`.
+# An entry is the last link of a witness chain shared with the child tables.
+# A link (head, v, rest) records v on top of the child's entry rest; a join
+# (head, None, left, right) records the union of its children's chains; a
+# leaf is _LEAF_ENTRY.  The head is the value of the best partial solution
+# below the node in the MIS and DS engines, with v a chosen vertex, and a
+# twin class in the pattern engine, with v the image of a member.  Links are
+# shared, never copied, so a transition costs O(1) besides the state
+# arithmetic, and the witness is read once, from the root, by `_links`.
 
 _LEAF_ENTRY = (0, None, None)
 
@@ -90,52 +91,53 @@ def _neighbour_masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
 
 
-def _unroll(entry: tuple) -> set[int]:
-    """The vertex set that the witness chain ending in `entry` spells."""
-    out: set[int] = set()
+def _links(entry: tuple):
+    """The introduce links of the witness chain ending in `entry`."""
     stack = [entry]
     while stack:
         link = stack.pop()
         while link is not None:
             if link[1] is not None:
-                out.add(link[1])
+                yield link
             elif len(link) == 4:                  # join: follow both sides
                 stack.append(link[3])
             link = link[2]
-    return out
+
+
+def _unroll(entry: tuple) -> set[int]:
+    """The vertex set that the witness chain ending in `entry` spells."""
+    return {link[1] for link in _links(entry)}
 
 
 # ---------------------------------------------------------------------------
-# Independent set / vertex cover: states are subsets of the bag.
+# Independent set, and vertex cover as its complement: states are subsets.
 
 
 def dp_mis(nd: NiceDecomposition, g: Graph) -> set[int]:
     """Maximum independent set of g; witness returned and self-consistent."""
-    witness = _unroll(_run_subset_dp(nd, g, minimize=False)[0])
+    witness = _unroll(_run_subset_dp(nd, g)[0])
     check_solution("mis", g, witness)
     return witness
 
 
 def dp_vc(nd: NiceDecomposition, g: Graph) -> set[int]:
-    """Minimum vertex cover of g."""
-    witness = _unroll(_run_subset_dp(nd, g, minimize=True)[0])
+    """Minimum vertex cover of g: the complement of the MIS witness."""
+    witness = set(range(g.n)) - _unroll(_run_subset_dp(nd, g)[0])
     check_solution("vc", g, witness)
     return witness
 
 
-def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
-    """Shared engine; returns the root table {0: entry}.
+def _run_subset_dp(nd: NiceDecomposition, g: Graph):
+    """The independent-set engine; returns the root table {0: entry}.
 
     A state is the bitmask (bit v for vertex v) of the bag vertices chosen
-    into the independent set, or into the cover.  For MIS a new vertex may
-    join the chosen set only with no chosen bag neighbour; for VC a new
-    vertex may stay out only with all bag neighbours chosen.  Both rules keep
-    exactly the states extendable to feasible solutions.  A join's value is
-    left + right - |state|, as the two witnesses share exactly the chosen
-    bag vertices.
+    into the independent set.  A new vertex may join the chosen set only
+    with no chosen bag neighbour, which keeps exactly the states extendable
+    to independent sets.  A join's value is left + right - |state|, as the
+    two witnesses share exactly the chosen bag vertices.
 
     Introduces try "stay out" before "chosen", joins follow the left table's
-    order, and only a strictly better value replaces an entry: this order
+    order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
     """
     nmask = _neighbour_masks(g)
@@ -152,16 +154,10 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
             bag_nbrs = nmask[v] & sum(1 << u for u in nd.bag[node])
             child = tables.pop(nd.children[node][0])
             out = {}
-            if minimize:
-                for state, entry in child.items():
-                    if not bag_nbrs & ~state:      # every bag edge at v covered
-                        out[state] = entry
+            for state, entry in child.items():
+                out[state] = entry
+                if not bag_nbrs & state:           # v independent of chosen bag
                     out[state | bit] = (entry[0] + 1, v, entry)
-            else:
-                for state, entry in child.items():
-                    out[state] = entry
-                    if not bag_nbrs & state:       # v independent of chosen bag
-                        out[state | bit] = (entry[0] + 1, v, entry)
         elif kind == FORGET:
             keep = ~(1 << nd.vertex[node])
             child = tables.pop(nd.children[node][0])
@@ -169,8 +165,7 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
             for state, entry in child.items():
                 state &= keep
                 cur = out.get(state)
-                if cur is None or (entry[0] < cur[0] if minimize
-                                   else entry[0] > cur[0]):
+                if cur is None or entry[0] > cur[0]:
                     out[state] = entry
         else:  # JOIN: one right state matches each left state.
             left = tables.pop(nd.children[node][0])
@@ -192,8 +187,9 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
 # Dominating set: three states per bag vertex.
 
 
-def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
-    """Minimum set S with every required vertex in S or adjacent to S.
+def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
+    """Minimum set S with every required vertex (every vertex when
+    `required` is None) in S or adjacent to S.
 
     Per bag vertex: chosen (black), not chosen but already dominated, or not
     chosen and so far undominated.  A state is the pair of bitmasks (black,
@@ -211,7 +207,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
     and only a strictly smaller value replaces an entry: this order and tie
     rule fix which optimal witness is returned.
     """
-    required = set(required)
+    required = set(range(g.n) if required is None else required)
     if not required:
         return set()
     nmask = _neighbour_masks(g)
@@ -293,11 +289,10 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
 # for K5).  On a twin-free pattern every run is one slot, and the states,
 # their order and the returned mapping are those of a per-vertex engine.
 #
-# A table entry is one O(1) link of a witness tree shared with the child
-# tables: (class, image, rest) when an introduce gives a member of the class
-# its image, (None, left, right) at a join, and None at a leaf.  The root
-# entry is unrolled once into one image set per class; a set, because a
-# vertex of a join bag is introduced on both branches.
+# A table entry is a witness chain of the shape above: an introduce link
+# (class, image, rest) gives a member of the class its image.  The root
+# entry is read once into one image set per class; a set, because a vertex
+# of a join bag is introduced on both branches.
 
 _UNSEEN, _DONE = -2, -1
 
@@ -358,17 +353,8 @@ def _class_images(entry, classes: list[list[int]]) -> dict[int, int]:
     """The mapping that the witness tree ending in `entry` spells: each
     class's members, ascending, take its images in ascending order."""
     images: list[set[int]] = [set() for _ in classes]
-    stack = [entry]
-    while stack:
-        link = stack.pop()
-        while link is not None:
-            c, v, rest = link
-            if c is None:                          # join: follow both sides
-                stack.append(rest)
-                link = v
-            else:
-                images[c].add(v)
-                link = rest
+    for c, v, _rest in _links(entry):
+        images[c].add(v)
     mapping: dict[int, int] = {}
     for members, found in zip(classes, images):
         if len(found) != len(members):
@@ -418,17 +404,17 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     slots = range(h.n)
 
     start = tuple([_UNSEEN] * h.n)
-    tables: dict[int, dict[tuple[int, ...], tuple | None]] = {}
+    tables: dict[int, dict[tuple[int, ...], tuple]] = {}
 
     for node in nd.postorder():
         kind = nd.kind[node]
         if kind == LEAF:
-            tables[node] = {start: None}
+            tables[node] = {start: _LEAF_ENTRY}
         elif kind == INTRODUCE:
             v = nd.vertex[node]
             gv = gnbr[v]
             child = tables.pop(nd.children[node][0])
-            out: dict[tuple[int, ...], tuple | None] = {}
+            out: dict[tuple[int, ...], tuple] = {}
             free = [(c, *runs[c]) for c in range(len(classes))
                     if len(gv) >= degree[c]]
             for state, wit in child.items():
@@ -502,7 +488,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                     else:
                         merged = _merge(key, low | rhigh, wide)
                     if merged not in out:
-                        out[merged] = (None, wit, rwit)
+                        out[merged] = (None, None, wit, rwit)
             tables[node] = out
         if not tables[node]:
             return None
@@ -558,8 +544,7 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
     occurrence; windows are the maximal level runs between removed classes.
     All offsets are tried; the first witness in (offset, window) order wins.
     """
-    if e.euler_genus != 0:
-        raise GraphInputError("level slicing requires a planar embedding")
+    hosts = band_hosts(e, min_vertices=h.n)
     if h.n == 0:
         return {}
     if h.n > MAX_PATTERN:
@@ -569,15 +554,7 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
     if d == float("inf"):
         raise GraphInputError("pattern must be connected")
     k = int(d) + 2
-    g = e.graph
-    if h.n > g.n:
-        return None
-
-    for comp in connected_components(g):
-        if len(comp) < h.n:
-            continue
-        sub, back = induced_embedded_subgraph(e, comp)
-        host = band_host(sub, 0)
+    for host, back in hosts:        # none when h.n > e.graph.n
         for offset in range(k):
             for lo, hi, _core in level_windows(host.layering.depth, k,
                                                offset, "delete"):
@@ -588,6 +565,6 @@ def subiso_driver(e: EmbeddedGraph, h: Graph,
                 if found is not None:
                     mapping = {q: back[sl.back_map[v]]
                                for q, v in found.items()}
-                    check_mapping(g, h, mapping, induced)
+                    check_mapping(e.graph, h, mapping, induced)
                     return mapping
     return None

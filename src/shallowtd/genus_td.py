@@ -48,7 +48,7 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
             xv.update(path)
             for w in path:
                 pe = lay.parent_edge[w]
-                if pe is not None:
+                if pe >= 0:
                     xe.add(pe)
     return CutGraph(host=e, root=root, x_vertices=tuple(sorted(xv)),
                     x_edges=tuple(sorted(xe)), leftover_edges=tuple(sorted(leftover)),
@@ -164,19 +164,11 @@ def genus_td(e: EmbeddedGraph, root: int) -> tuple[TreeDecomposition, int]:
     cg = cut_graph(e, root)
     contracted, old_to_new = contract_cut_graph(cg)
     super_v = old_to_new[root]
-    new_to_old: dict[int, int] = {}
     xset = set(cg.x_vertices)
-    for v in range(e.graph.n):
-        if v not in xset:
-            new_to_old[old_to_new[v]] = v
+    new_to_old = {old_to_new[v]: v for v in range(e.graph.n) if v not in xset}
     td_c = planar_bfs_td(contracted, super_v)
-    bags = []
-    for bag in td_c.bags:
-        lifted = set(cg.x_vertices)
-        for w in bag:
-            if w != super_v:
-                lifted.add(new_to_old[w])
-        bags.append(tuple(sorted(lifted)))
+    bags = [tuple(sorted(xset | {new_to_old[w] for w in bag if w != super_v}))
+            for bag in td_c.bags]
     td = TreeDecomposition(nodes=td_c.nodes, tree_edges=td_c.tree_edges, bags=bags)
     bound = 3 * (cg.depth + 1) + len(cg.x_vertices)
     if td.width > bound:

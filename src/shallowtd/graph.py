@@ -88,22 +88,23 @@ def build_graph(n: int, edges) -> Graph:
 class Layering:
     """BFS tree: levels are graph distances from the root.
 
-    Vertices outside the root's component have level -1 and no parent.
+    As in the BFS kernel, -1 is the level of a vertex outside the root's
+    component, and the parent and parent edge of it and of the root.
     """
 
     root: int
     level: list[int]
-    parent: list[int | None]
-    parent_edge: list[int | None]
+    parent: list[int]
+    parent_edge: list[int]
     depth: int
 
     @property
     def complete(self) -> bool:
-        return all(l >= 0 for l in self.level)
+        return -1 not in self.level
 
     def path_to_root(self, v: int) -> list[int]:
         path = [v]
-        while self.parent[path[-1]] is not None:
+        while self.parent[path[-1]] >= 0:
             path.append(self.parent[path[-1]])
         return path
 
@@ -113,12 +114,10 @@ def bfs_layering(g: Graph, root: int) -> Layering:
     neighbor in the preceding level."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
-    level, parent_ids = _kernels.bfs_levels(g.neighbor_lists(), root)
-    parent: list[int | None] = [p if p >= 0 else None for p in parent_ids]
-    parent_edge: list[int | None] = [None] * g.n
-    for v in range(g.n):
-        p = parent[v]
-        if p is not None:
+    level, parent = _kernels.bfs_levels(g.neighbor_lists(), root)
+    parent_edge = [-1] * g.n
+    for v, p in enumerate(parent):
+        if p >= 0:
             parent_edge[v] = min(e for e in g.adj[v] if g.other_end(e, v) == p)
     depth = max((l for l in level if l >= 0), default=0)
     return Layering(root=root, level=level, parent=parent, parent_edge=parent_edge, depth=depth)

@@ -40,7 +40,9 @@ from .graph import (
     GraphInputError,
     Layering,
     bfs_layering,
+    connected_components,
     eccentricity,
+    induced_embedded_subgraph,
     induced_subgraph,
     planar_is_connected,
     triangulate,
@@ -63,9 +65,11 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
     g = e.graph
     if not layering.complete:
         raise GraphInputError("graph is not connected")
+    if not e.faces:                 # no edge, so no face and no dual tree
+        return DualTreePair([], [], [])
     is_tree_edge = [False] * g.m
     for pe in layering.parent_edge:
-        if pe is not None:
+        if pe >= 0:
             is_tree_edge[pe] = True
 
     nfaces = len(e.faces)
@@ -145,12 +149,11 @@ def _root_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
                              "the embedding is invalid")
     edges = tri.graph.edges
     corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
-    parent = [-1 if p is None else p for p in lay.parent]
     tree_edges = [(p, f) for f, p in enumerate(pair.dual_parent) if p >= 0]
-    corners, tree_edges = _contract_nested(parent, lay.root, corners,
+    corners, tree_edges = _contract_nested(lay.parent, lay.root, corners,
                                            tree_edges)
     return TreeDecomposition(nodes=len(corners), tree_edges=tree_edges,
-                             bags=_kernels.three_path_bags(parent, corners))
+                             bags=_kernels.three_path_bags(lay.parent, corners))
 
 
 def _contract_nested(parent: list[int], root: int, corners: list[list[int]],
@@ -250,6 +253,18 @@ def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     return BandHost(graph=e.graph, layering=lay, td=td)
 
 
+def band_hosts(e: EmbeddedGraph, min_vertices: int = 0):
+    """(``band_host`` from its lowest vertex, map to e.graph ids) per
+    component of at least `min_vertices` vertices.  The genus is checked
+    now; the hosts are built as they are iterated."""
+    if e.euler_genus != 0:
+        raise GraphInputError("level slicing requires a planar embedding")
+    comps = [c for c in connected_components(e.graph)
+             if len(c) >= min_vertices]
+    return ((band_host(sub, 0), back) for sub, back in
+            (induced_embedded_subgraph(e, comp) for comp in comps))
+
+
 @dataclass
 class Slice:
     """A level band [lo, hi] of a host: the subgraph its vertices induce, with
@@ -262,12 +277,14 @@ class Slice:
     core: tuple[int, ...]        # local ids whose constraint must be met
 
 
-def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
+def slice_td(host: BandHost, lo: int, hi: int,
+             core: tuple[int, int] | None = None) -> Slice:
     """Decompose the band of levels [lo, hi]; width <= 3 * (hi - lo + 1) - 1.
 
     Every host bag is cut to the band, then each tree edge whose one bag is
     a subset of the other is contracted into the larger bag, which removes
-    the empty bags.  The core is the whole band.
+    the empty bags.  The core is the band's vertices in the inclusive level
+    range `core`, the whole band when None.
     """
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
@@ -286,8 +303,10 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
         raise EmbeddingError(f"band [{lo}, {hi}] decomposition has width "
                              f"{td.width} > {bound}: the host bags are not "
                              "root paths of its BFS tree")
+    clo, chi = (lo, hi) if core is None else core
     return Slice(window=(lo, hi), graph=graph, back_map=back_map, td=td,
-                 core=tuple(range(graph.n)))
+                 core=tuple(i for i, v in enumerate(back_map)
+                            if clo <= level[v] <= chi))
 
 
 def level_windows(depth: int, k: int, offset: int,
@@ -328,9 +347,9 @@ def level_windows(depth: int, k: int, offset: int,
     return out
 
 
-def min_eccentricity_root(g: Graph, samples: int = 16) -> int:
-    """Deterministically sampled low-eccentricity vertex (CLI default root)."""
+def min_eccentricity_root(g: Graph) -> int:
+    """Least-eccentricity vertex of ~16 evenly spaced ids (default root)."""
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
-    step = max(1, g.n // samples)
+    step = max(1, g.n // 16)
     return min(range(0, g.n, step), key=lambda v: eccentricity(g, v))

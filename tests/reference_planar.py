@@ -41,11 +41,10 @@ def _three_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
     nfaces = len(tri.faces)
     edges = tri.graph.edges
     corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
-    parent = [-1 if p is None else p for p in lay.parent]
     tree_edges = [(pair.dual_parent[f], f) for f in range(nfaces)
                   if pair.dual_parent[f] >= 0]
     return TreeDecomposition(nodes=nfaces, tree_edges=tree_edges,
-                             bags=_kernels.three_path_bags(parent, corners))
+                             bags=_kernels.three_path_bags(lay.parent, corners))
 
 
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:

@@ -133,6 +133,17 @@ class TestPipelines:
                                "--td", str(tdfile)])
         assert code == 1 and not json.loads(out)["valid"]
 
+    def test_validate_rejects_malformed_text(self, capsys, monkeypatch,
+                                             tmp_path):
+        # a header width of 9 over bags of width 1 once read as valid
+        (tmp_path / "g.g").write_text("v 2\ne 0 1\n")
+        (tmp_path / "g.td").write_text("td 1 9 2\nb 0 0 1\n")
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["validate", "--graph", str(tmp_path / "g.g"),
+                                 "--td", str(tmp_path / "g.td")])
+        assert code == 1 and out == ""
+        assert "line 1: header width 9" in err
+
     def test_validate_reports_host_size_mismatch(self, capsys, monkeypatch,
                                                  tmp_path):
         gtext, ttext = "v 3\ne 0 1\ne 1 2\n", "td 1 1 4\nb 0 0 1\n"
@@ -264,7 +275,7 @@ class TestPipelines:
 
     def test_failed_result_check_exit_one(self, capsys, monkeypatch):
         from shallowtd import dp
-        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
+        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g:
                             {0: witness_entry(range(g.n))})
         gtext = self._grid_text(capsys, monkeypatch, 3, 3)
         code, out, err = invoke(capsys, monkeypatch,
@@ -334,6 +345,28 @@ class TestPipelines:
         report = json.loads(out)
         assert code == 0 and err == "" and report["verified"]
         assert report["value"] == value
+
+    @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
+    def test_solve_two_dart_face(self, capsys, monkeypatch, problem):
+        # parallel edges bound a face that cannot be triangulated, so the
+        # host is solved on min-degree alone, as without rotation lines
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", problem], stdin=DIGON)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["verified"]
+        assert report["method"] == "heuristic"
+        assert report["value"] == oracle_solve(problem,
+                                               parse_graph(DIGON).graph)[0]
+
+    def test_genus_decompose_single_vertex(self, capsys, monkeypatch):
+        # no edge, so no face: the dual tree is empty
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["decompose", "--method", "genus"],
+                                stdin="v 1\nrot 0\n")
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["valid"]
+        td, host_n = parse_td(report["decomposition"])
+        assert host_n == 1 and td.bags == [(0,)]
 
 
 class TestFrame:

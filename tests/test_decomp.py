@@ -142,3 +142,34 @@ class TestTdTextFormat:
     def test_missing_header(self):
         with pytest.raises(GraphInputError):
             parse_td("b 0 1 2\n")
+
+    def test_bag_line_for_a_node_out_of_range(self):
+        with pytest.raises(GraphInputError, match="line 3: .*node 1"):
+            parse_td("td 1 1 2\nb 0 0 1\nb 1 0\n")
+        with pytest.raises(GraphInputError, match="line 2: .*node -1"):
+            parse_td("td 1 1 2\nb -1 0 1\nb 0 0 1\n")
+
+    def test_second_bag_line_for_a_node(self):
+        with pytest.raises(GraphInputError, match="line 3: duplicate b line"):
+            parse_td("td 1 1 2\nb 0 0 1\nb 0 1\n")
+
+    def test_second_header(self):
+        with pytest.raises(GraphInputError, match="line 3: duplicate td line"):
+            parse_td("td 1 1 2\nb 0 0 1\ntd 1 1 2\n")
+
+    @pytest.mark.parametrize("header", ["td -1 1 2", "td 1 1 -2"])
+    def test_negative_count(self, header):
+        with pytest.raises(GraphInputError, match="line 1: negative"):
+            parse_td(header + "\nb 0 0 1\n")
+
+    def test_vertex_repeated_in_a_bag(self):
+        with pytest.raises(GraphInputError, match="line 2: bag 0 lists"):
+            parse_td("td 1 1 2\nb 0 0 0 1 1\n")
+
+    def test_header_width_differs_from_the_bags(self):
+        with pytest.raises(GraphInputError, match="line 1: header width 9"):
+            parse_td("td 1 9 2\nb 0 0 1\n")
+
+    def test_empty_decomposition_roundtrips(self):
+        td = heuristic_td(build_graph(0, []))
+        assert parse_td(emit_td(td, 0)) == (td, 0)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import (complete_graph, cycle_graph, embed_outerplanar,
+from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
 from shallowtd.decomp import JOIN, heuristic_td, make_nice
@@ -12,7 +12,7 @@ from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
                           dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
                           verify_subiso)
 from shallowtd.generators import grid, random_planar_triangulation, wall
-from shallowtd.graph import GraphInputError, build_graph
+from shallowtd.graph import GraphInputError, build_graph, parse_graph
 from shallowtd.oracles import oracle_solve, subiso_backtracking
 
 
@@ -175,10 +175,10 @@ class TestTwinClasses:
         one_link = (0, 5, None)
         with pytest.raises(SolutionCheckError, match="got 1 images"):
             dp._class_images(one_link, [[0, 1]])
-        joined = (None, (0, 5, None), (0, 5, None))
+        joined = (None, None, (0, 5, None), (0, 5, None))
         with pytest.raises(SolutionCheckError):
             dp._class_images(joined, [[0, 1]])
-        assert dp._class_images((None, (0, 7, None), (0, 5, None)),
+        assert dp._class_images((None, None, (0, 7, None), (0, 5, None)),
                                 [[0, 1]]) == {0: 5, 1: 7}
 
 
@@ -193,6 +193,22 @@ class TestSubisoDriver:
         from shallowtd.generators import toroidal_grid
         with pytest.raises(GraphInputError):
             subiso_driver(toroidal_grid(3, 3), cycle_graph(3))
+
+    def test_nonplanar_host_rejected_before_the_pattern_size(self):
+        from shallowtd.generators import toroidal_grid
+        with pytest.raises(GraphInputError,
+                           match="level slicing requires a planar embedding"):
+            subiso_driver(toroidal_grid(3, 3), path_graph(9))
+
+    def test_component_smaller_than_the_pattern_is_skipped(self):
+        # the first component, DIGON, could not be triangulated; a
+        # four-vertex pattern never needs it and is found in the C4 beside it
+        e = parse_graph(DIGON.replace("v 3", "v 7") +
+                        "e 3 4\ne 4 5\ne 5 6\ne 6 3\n"
+                        "rot 3 6 13\nrot 4 7 8\nrot 5 9 10\nrot 6 11 12\n")
+        found = subiso_driver(e, cycle_graph(4))
+        assert found is not None
+        assert verify_subiso(e.graph, cycle_graph(4), found, False)
 
     def test_p5_in_p3_absent(self):
         e = embed_outerplanar(path_graph(3))
@@ -281,7 +297,7 @@ class TestResultChecks:
 
     def test_solvers_check_their_witness(self, monkeypatch):
         g = path_graph(4)
-        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g, minimize:
+        monkeypatch.setattr(dp, "_run_subset_dp", lambda nd, g:
                             {0: witness_entry([0, 1])})
         with pytest.raises(SolutionCheckError, match="not independent"):
             dp_mis(nice(g), g)

@@ -9,7 +9,7 @@ from shallowtd.decomp import TreeDecomposition, validate
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.genus_td import (GenusPipelineError, contract_cut_graph,
                                 cut_graph, genus_td)
-from shallowtd.graph import EmbeddingError, bfs_layering
+from shallowtd.graph import EmbeddingError, bfs_layering, build_graph, embed
 
 
 class TestCutGraph:
@@ -76,6 +76,12 @@ class TestGenusTd:
         td, _ = genus_td(e, 0)
         xs = set(cg.x_vertices)
         assert all(xs <= set(bag) for bag in td.bags)
+
+    def test_single_vertex(self):
+        e = embed(build_graph(1, []), [[]])
+        td, bound = genus_td(e, 0)
+        assert td.bags == [(0,)] and td.tree_edges == []
+        assert validate(td, e.graph).valid and td.width <= bound
 
     def test_planar_reduction(self):
         e = grid(4, 4)

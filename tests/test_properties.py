@@ -478,7 +478,10 @@ def test_dp_matches_reference_and_oracle(data):
     nd = make_nice(td)
     mis, vc, ds = dp_mis(nd, g), dp_vc(nd, g), dp_ds(nd, g, set(range(g.n)))
     assert mis == reference_dp.reference_mis(nd, g)
-    assert vc == reference_dp.reference_vc(nd, g)
+    # the cover is the complement of the independent set; the reference
+    # cover engine still checks its size independently
+    assert vc == set(range(g.n)) - mis
+    assert len(vc) == len(reference_dp.reference_vc(nd, g))
     assert ds == reference_dp.dp_ds(nd, g, set(range(g.n)))
     required = data.draw(st.sets(st.integers(0, g.n - 1)))
     assert dp_ds(nd, g, required) == reference_dp.dp_ds(nd, g, required)
