@@ -28,7 +28,7 @@ from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
 from .genus_td import GenusPipelineError, genus_td
 from .graph import (EmbeddedGraph, Graph, GraphInputError, eccentricity,
-                    emit_graph, parse_graph, planar_is_connected)
+                    emit_graph, parse_graph)
 from .oracles import (OracleBudgetError, OracleCheckError, exact_treewidth,
                       oracle_solve, subiso_backtracking)
 from .planar_td import min_eccentricity_root, planar_bfs_td
@@ -170,23 +170,13 @@ def _cmd_validate(args) -> tuple[dict, int]:
 def _cmd_solve(args) -> tuple[dict, int]:
     obj, fingerprint = _read_graph(args.input)
     g = _plain(obj)
-    method, td = "heuristic", heuristic_td(g)
-    # min-degree is narrower on most planar hosts, but it breaks ties on
-    # vertex ids and some labellings make it the wider one (a relabelled
-    # 4x5 grid: 5 against 4), so a planar host gets both, unless it needs a
-    # triangulation and has a face of two darts (between parallel edges)
-    if (isinstance(obj, EmbeddedGraph) and obj.euler_genus == 0 and g.n
-            and planar_is_connected(obj)
-            and (g.n <= 2 or all(len(f) >= 3 for f in obj.faces))):
-        planar = planar_bfs_td(obj, min_eccentricity_root(g))
-        if planar.width <= td.width:    # ties go to the paper's construction
-            method, td = "planar-bfs", planar
+    td = heuristic_td(g)
     # looked up at call time, so a wrapper rebound onto this module's
     # dp_mis, dp_vc or dp_ds (a tracer, a test) is the one that runs
     solver = {"mis": dp_mis, "vc": dp_vc, "ds": dp_ds}[args.problem]
     witness = solver(make_nice(td), g)
     return {"input_fingerprint": fingerprint, "problem": args.problem,
-            "method": method, "width": td.width, "value": len(witness),
+            "width": td.width, "value": len(witness),
             "witness": sorted(witness), "verified": True}, 0
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphInputError, build_graph
+from .graph import Graph, GraphInputError, text_records
 
 
 @dataclass
@@ -181,14 +182,6 @@ class _NiceBuilder:
         self.vertex.append(vertex)
         return len(self.kind) - 1
 
-    def chain_from_empty(self, target: tuple[int, ...]) -> int:
-        node = self.add(LEAF, ())
-        cur: list[int] = []
-        for v in sorted(target):
-            cur.append(v)
-            node = self.add(INTRODUCE, cur, (node,), v)
-        return node
-
     def morph(self, node: int, target: tuple[int, ...]) -> int:
         """Forget/introduce chain turning `node`'s bag into `target`."""
         cur = set(self.bag[node])
@@ -226,15 +219,12 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     top: dict[int, int] = {}
     for x in reversed(order):
         bag = td.bags[x]
-        kids = [y for y in adj[x] if parent.get(y) == x]
-        if not kids:
-            top[x] = b.chain_from_empty(bag)
-        else:
-            morphed = [b.morph(top[y], bag) for y in kids]
-            node = morphed[0]
-            for other in morphed[1:]:
-                node = b.add(JOIN, bag, (node, other))
-            top[x] = node
+        morphed = ([b.morph(top[y], bag) for y in adj[x] if parent[y] == x]
+                   or [b.morph(b.add(LEAF, ()), bag)])
+        node = morphed[0]
+        for other in morphed[1:]:
+            node = b.add(JOIN, bag, (node, other))
+        top[x] = node
     root = b.morph(top[0], ())
     return NiceDecomposition(kind=b.kind, bag=b.bag, children=b.children,
                              vertex=b.vertex, root=root)
@@ -242,9 +232,8 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
 # ---------------------------------------------------------------------------
 # Heuristic decomposition for arbitrary hosts (min-degree elimination).
-# `solve` uses it on non-embedded, disconnected and positive-genus hosts, and
-# on a connected planar host when it is narrower than `planar_bfs_td` (ties
-# go to `planar_bfs_td`); it makes no width guarantee.
+# `solve` runs its DP on it for every host, planar or not; it makes no width
+# guarantee, and is narrower than `planar_bfs_td` on most planar hosts.
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
     """Min-degree elimination: repeatedly eliminate the live vertex of
@@ -324,20 +313,17 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     bags: dict[int, tuple[int, ...]] = {}
     bag_line: dict[int, int] = {}       # node -> its b line's number
     tree_edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "td" and len(parts) == 4:
+    for lineno, key, fields in text_records(
+            text, {"td": (3, 3), "b": (1, math.inf), "t": (2, 2)}):
+        if key == "td":
             if header is not None:
                 raise GraphInputError(f"line {lineno}: duplicate td line")
-            header = (lineno, *map(int, parts[1:]))
+            header = (lineno, *fields)
             if min(header[1], header[3]) < 0:
                 raise GraphInputError(f"line {lineno}: negative node or "
                                       "host vertex count")
-        elif parts[0] == "b" and len(parts) >= 2:
-            node, bag = int(parts[1]), [int(x) for x in parts[2:]]
+        elif key == "b":
+            node, bag = fields[0], fields[1:]
             if node in bags:
                 raise GraphInputError(f"line {lineno}: duplicate b line for "
                                       f"node {node}")
@@ -345,10 +331,8 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise GraphInputError(f"line {lineno}: bag {node} lists a "
                                       "vertex twice")
             bags[node], bag_line[node] = tuple(sorted(bag)), lineno
-        elif parts[0] == "t" and len(parts) == 3:
-            tree_edges.append((int(parts[1]), int(parts[2])))
         else:
-            raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
+            tree_edges.append((fields[0], fields[1]))
     if header is None:
         raise GraphInputError("missing td header line")
     lineno, nodes, width, host_n = header

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition
-from .graph import EmbeddedGraph, bfs_layering, reembed, simple_edge_ids
+from .graph import EmbeddedGraph, bfs_layering, reembed, simple_embedding
 from .planar_td import planar_bfs_td, tree_cotree
 
 
@@ -66,7 +66,7 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
     contracted vertex in the sphere; every other vertex keeps its rotation.
     Both passes re-embed through ``graph.reembed``.  The contraction is
     checked for genus 0 before its loops and parallel duplicates are dropped
-    (``graph.simple_edge_ids``), because dropping a loop can lower the genus
+    (``graph.simple_embedding``), because dropping a loop can lower the genus
     and so hide a cut graph whose complement is not a disk; the simplified
     embedding is checked again.
 
@@ -142,17 +142,11 @@ def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
         raise GenusPipelineError(
             f"contracting the cut graph left genus {contracted.euler_genus}, expected 0")
 
-    # Simplify: drop loops at the contracted vertex and parallel duplicates.
-    edges = contracted.graph.edges
-    keep = simple_edge_ids(edges)
-    if len(keep) < len(edges):
-        contracted = reembed(nxt_id, [edges[eid] for eid in keep],
-                             {old: i for i, old in enumerate(keep)},
-                             contracted.rotation)
-        if contracted.euler_genus != 0:
-            raise GenusPipelineError(
-                "dropping loops and parallel edges left genus "
-                f"{contracted.euler_genus}, expected 0")
+    contracted = simple_embedding(contracted)
+    if contracted.euler_genus != 0:
+        raise GenusPipelineError(
+            "dropping loops and parallel edges left genus "
+            f"{contracted.euler_genus}, expected 0")
     return contracted, old_to_new
 
 

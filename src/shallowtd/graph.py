@@ -325,6 +325,17 @@ def simple_edge_ids(edges) -> list[int]:
     return kept
 
 
+def simple_embedding(e: EmbeddedGraph) -> EmbeddedGraph:
+    """`e` without its loops and later parallel edges (``simple_edge_ids``),
+    kept edges and darts in order; `e` itself when it has none."""
+    edges = e.graph.edges
+    keep = simple_edge_ids(edges)
+    if len(keep) == len(edges):
+        return e
+    return reembed(e.n, [edges[eid] for eid in keep],
+                   {old: i for i, old in enumerate(keep)}, e.rotation)
+
+
 def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
     """Induced embedded subgraph: surviving darts keep their cyclic order."""
     keep = sorted(set(keep))
@@ -542,6 +553,25 @@ def emit_graph(obj: Graph | EmbeddedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_records(text: str, shapes: dict[str, tuple[int, float]]):
+    """(line number, keyword, integer fields) per non-blank line of `text`
+    without ``#`` comments; `shapes` maps keywords to least and most field
+    counts.  Any other line raises GraphInputError naming its number."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        shape = shapes.get(parts[0])
+        if shape is None or not shape[0] <= len(parts) - 1 <= shape[1]:
+            raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            fields = list(map(int, parts[1:]))
+        except ValueError:
+            raise GraphInputError(f"line {lineno}: a field of {raw!r} is not "
+                                  "an integer") from None
+        yield lineno, parts[0], fields
+
+
 def parse_graph(text: str) -> Graph | EmbeddedGraph:
     """Parse the `v/e/rot` format; returns an EmbeddedGraph when rotation
     lines are present.  Self-loop lines are rejected as malformed input; a
@@ -551,28 +581,23 @@ def parse_graph(text: str) -> Graph | EmbeddedGraph:
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}
     rot_line: dict[int, int] = {}       # vertex -> its rot line's number
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
+    for lineno, key, fields in text_records(
+            text, {"v": (1, 1), "e": (2, 2), "rot": (1, math.inf)}):
+        if key == "v":
             if n is not None:
                 raise GraphInputError(f"line {lineno}: duplicate v line")
-            n = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            u, v = int(parts[1]), int(parts[2])
+            n = fields[0]
+        elif key == "e":
+            u, v = fields
             if u == v:
                 raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u, v))
-        elif parts[0] == "rot" and len(parts) >= 2:
-            v = int(parts[1])
+        else:
+            v = fields[0]
             if v in rot:
                 raise GraphInputError(f"line {lineno}: duplicate rot line "
                                       f"for vertex {v}")
-            rot[v], rot_line[v] = [int(x) for x in parts[2:]], lineno
-        else:
-            raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
+            rot[v], rot_line[v] = fields[1:], lineno
     if n is None:
         raise GraphInputError("missing v line")
     stray = next((v for v in rot if not 0 <= v < n), None)

@@ -45,6 +45,7 @@ from .graph import (
     induced_embedded_subgraph,
     induced_subgraph,
     planar_is_connected,
+    simple_embedding,
     triangulate,
 )
 
@@ -111,7 +112,7 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     Contracting such an edge keeps the decomposition valid and its width
     unchanged.  Raises EmbeddingError if the width exceeds 3 * depth.
     """
-    _check_planar_component(e, root)
+    e = _planar_component(e, root)
     if e.graph.n <= 2:
         return _single_bag(e.graph.n)
     tri = triangulate(e)
@@ -125,7 +126,11 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     return td
 
 
-def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
+def _planar_component(e: EmbeddedGraph, root: int) -> EmbeddedGraph:
+    """`e`, checked to be a connected planar embedding holding `root`, and
+    without loops and parallel edges (``simple_embedding``) when a face has
+    fewer than three darts, which ``triangulate`` refuses; that changes no
+    vertex's level or bag."""
     if e.euler_genus != 0:
         raise EmbeddingError("the three-path decomposition requires a planar "
                              "embedding")
@@ -133,6 +138,7 @@ def _check_planar_component(e: EmbeddedGraph, root: int) -> None:
         raise GraphInputError(f"root {root} out of range")
     if not planar_is_connected(e):
         raise GraphInputError("graph is not connected")
+    return e if all(len(f) >= 3 for f in e.faces) else simple_embedding(e)
 
 
 def _single_bag(n: int) -> TreeDecomposition:
@@ -246,7 +252,7 @@ def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     root paths in the BFS tree of e.graph from `root` (not of its
     triangulation), so that every bag meets each level at most three times;
     one node per maximal bag, as in ``planar_bfs_td``."""
-    _check_planar_component(e, root)
+    e = _planar_component(e, root)     # the layering and bags share its edges
     lay = bfs_layering(e.graph, root)
     td = (_single_bag(e.graph.n) if e.graph.n <= 2
           else _root_path_td(triangulate(e), lay))

@@ -16,14 +16,14 @@ from shallowtd.decomp import TreeDecomposition
 from shallowtd.genus_td import contract_cut_graph, cut_graph
 from shallowtd.graph import (EmbeddedGraph, EmbeddingError, Layering,
                              bfs_layering, triangulate)
-from shallowtd.planar_td import (BandHost, _check_planar_component,
+from shallowtd.planar_td import (BandHost, _planar_component,
                                  _single_bag, tree_cotree)
 
 
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     """Valid tree decomposition of e.graph with width <= 3 * BFS depth.  The
     BFS runs on the triangulation, whose depth is at most the host's."""
-    _check_planar_component(e, root)
+    e = _planar_component(e, root)
     if e.graph.n <= 2:
         return _single_bag(e.graph.n)
     tri = triangulate(e)
@@ -51,7 +51,7 @@ def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     """Host decomposition of a connected planar embedding whose bags are
     root paths in the BFS tree of e.graph from `root` (not of its
     triangulation), so that every bag meets each level at most three times."""
-    _check_planar_component(e, root)
+    e = _planar_component(e, root)
     lay = bfs_layering(e.graph, root)
     if e.graph.n <= 2:
         td = _single_bag(e.graph.n)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import reference_planar
 from conftest import DIGON, relabel_embedded, witness_entry
 from shallowtd.cli import run
 from shallowtd.decomp import heuristic_td, parse_td, validate
-from shallowtd.dp import dp_mis
+from shallowtd.dp import check_solution, dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
@@ -24,7 +25,7 @@ from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a labelling of grid(4, 5) under which min-degree elimination is wider
-# (5) than planar_bfs_td (4)
+# (5) than planar_bfs_td (4); solve still runs on min-degree
 GRID4X5_LABELS = [14, 11, 12, 15, 10, 16, 1, 17, 7, 4, 3, 18, 5, 8, 6, 13,
                   19, 0, 2, 9]
 
@@ -179,8 +180,8 @@ class TestPipelines:
         assert report["width"] == width
         assert "root" not in report and "depth" not in report
 
-    # grid4x4, wall2, tri6 and tri9 tie, so planar-bfs must win them;
-    # the relabelled grid4x5 is the one where planar-bfs is strictly narrower
+    # solve builds min-degree alone for every host, the relabelled grid4x5
+    # included, where planar_bfs_td would be one narrower
     @pytest.mark.parametrize("e", [
         pytest.param(grid(1, 5), id="grid1x5"),
         pytest.param(grid(3, 3), id="grid3x3"),
@@ -197,22 +198,33 @@ class TestPipelines:
     def test_solve_runs_on_the_narrower_decomposition(self, capsys,
                                                       monkeypatch, e, problem):
         g = e.graph
-        planar = planar_bfs_td(e, min_eccentricity_root(g)).width
-        heuristic = heuristic_td(g).width
         code, out, err = invoke(capsys, monkeypatch,
                                 ["solve", "--problem", problem],
                                 stdin=emit_graph(e))
         report = json.loads(out)
         assert code == 0 and err == "" and report["verified"]
-        assert report["width"] == min(planar, heuristic)
-        assert report["method"] == ("planar-bfs" if planar <= heuristic
-                                    else "heuristic")
+        assert report["width"] == heuristic_td(g).width
+        assert "method" not in report
         assert report["value"] == oracle_solve(problem, g)[0]
 
+    def test_solve_builds_no_planar_decomposition(self, capsys, monkeypatch):
+        from shallowtd import cli
+
+        def unused(*args):
+            raise AssertionError("solve built a planar decomposition")
+
+        monkeypatch.setattr(cli, "planar_bfs_td", unused)
+        monkeypatch.setattr(cli, "min_eccentricity_root", unused)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "mis"],
+                                stdin=emit_graph(grid(4, 5)))
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == 10
+
     def test_relabelled_grid_is_narrower_under_planar_bfs(self):
-        # keeps the host above on the planar-bfs side of solve's pick:
-        # min-degree breaks ties on vertex ids, and under this labelling it
-        # ends one wider than the BFS construction
+        # the cost of solving on min-degree alone: it breaks ties on vertex
+        # ids, and under this labelling it ends one wider than the BFS
+        # construction
         e = relabel_embedded(grid(4, 5), GRID4X5_LABELS)
         assert planar_bfs_td(e, min_eccentricity_root(e.graph)).width == 4
         assert heuristic_td(e.graph).width == 5
@@ -348,15 +360,62 @@ class TestPipelines:
 
     @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
     def test_solve_two_dart_face(self, capsys, monkeypatch, problem):
-        # parallel edges bound a face that cannot be triangulated, so the
-        # host is solved on min-degree alone, as without rotation lines
+        # parallel edges bound a face of two darts; min-degree needs no
+        # triangulation
         code, out, err = invoke(capsys, monkeypatch,
                                 ["solve", "--problem", problem], stdin=DIGON)
         report = json.loads(out)
         assert code == 0 and err == "" and report["verified"]
-        assert report["method"] == "heuristic"
         assert report["value"] == oracle_solve(problem,
                                                parse_graph(DIGON).graph)[0]
+
+    @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
+    def test_ptas_two_dart_face(self, capsys, monkeypatch, problem):
+        # the later parallel edge is dropped before the band host is
+        # triangulated
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["ptas", "--problem", problem, "--k", "2"],
+                                stdin=DIGON)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["bound_checked"]
+        g = parse_graph(DIGON).graph
+        opt = oracle_solve(problem, g)[0]
+        check_solution(problem, g, set(report["witness"]))
+        assert report["value"] == len(report["witness"])
+        if problem == "mis":
+            assert report["value"] >= opt - opt // 2
+        elif problem == "vc":
+            assert report["value"] <= opt + opt // 2
+        else:
+            assert report["value"] <= opt + 2 * math.ceil(opt / 2)
+
+    def test_subiso_two_dart_face(self, capsys, monkeypatch, tmp_path):
+        pattern = tmp_path / "p.txt"
+        pattern.write_text("v 2\ne 0 1\n")
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["subiso", "--pattern", str(pattern)],
+                                stdin=DIGON)
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["found"]
+        u, v = report["mapping"]
+        assert parse_graph(DIGON).graph.adjacent(u, v)
+
+    @pytest.mark.parametrize("files, line", [
+        pytest.param({"g.g": "v 2\ne 0 y\n", "g.td": "td 1 1 2\nb 0 0 1\n"},
+                     "line 2: a field of 'e 0 y' is not an integer",
+                     id="graph"),
+        pytest.param({"g.g": "v 2\ne 0 1\n", "g.td": "td 1 1 2\nb 0 0 x\n"},
+                     "line 2: a field of 'b 0 0 x' is not an integer",
+                     id="decomposition")])
+    def test_non_integer_token_names_its_line(self, capsys, monkeypatch,
+                                              tmp_path, files, line):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["validate", "--graph", str(tmp_path / "g.g"),
+                                 "--td", str(tmp_path / "g.td")])
+        assert code == 1 and out == ""
+        assert err == f"error: {line}\n"
 
     def test_genus_decompose_single_vertex(self, capsys, monkeypatch):
         # no edge, so no face: the dual tree is empty
@@ -478,13 +537,16 @@ class TestOptimizedInterpreter:
         assert report["violation"] == ("bags containing a vertex do not form "
                                        "a subtree")
 
-    def test_two_dart_face_exits_one(self, tmp_path):
+    def test_two_dart_face_decomposes(self, tmp_path):
+        # the later parallel edge is dropped before triangulating
         (tmp_path / "g.txt").write_text(DIGON)
-        res = run_optimized(["decompose", "--root", "0", "--input", "g.txt"],
-                            tmp_path)
-        assert res.returncode == 1 and res.stdout == ""
-        assert "fewer than 3 darts" in res.stderr
-        assert "Traceback" not in res.stderr
+        res = run_optimized(["decompose", "--root", "0", "--input", "g.txt",
+                             "--out", "g.td"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["valid"] and report["bound_checked"]
+        td, host_n = parse_td((tmp_path / "g.td").read_text())
+        assert host_n == 3 and validate(td, parse_graph(DIGON).graph).valid
 
     def test_solve_ds(self, tmp_path):
         (tmp_path / "g.txt").write_text(emit_graph(grid(4, 4)))

@@ -201,8 +201,8 @@ class TestSubisoDriver:
             subiso_driver(toroidal_grid(3, 3), path_graph(9))
 
     def test_component_smaller_than_the_pattern_is_skipped(self):
-        # the first component, DIGON, could not be triangulated; a
-        # four-vertex pattern never needs it and is found in the C4 beside it
+        # a four-vertex pattern never needs the first component, DIGON, and
+        # is found in the C4 beside it
         e = parse_graph(DIGON.replace("v 3", "v 7") +
                         "e 3 4\ne 4 5\ne 5 6\ne 6 3\n"
                         "rot 3 6 13\nrot 4 7 8\nrot 5 9 10\nrot 6 11 12\n")

@@ -8,7 +8,8 @@ from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, contract_connected_set, diameter,
                              embed, emit_graph, is_connected, parse_graph,
-                             planar_is_connected, triangulate)
+                             planar_is_connected, simple_embedding,
+                             triangulate)
 
 
 class TestBuildGraph:
@@ -212,6 +213,30 @@ class TestTextFormat:
         with pytest.raises(GraphInputError, match="line 1: rot line for "
                                                   "vertex 2, outside"):
             parse_graph("rot 2\nv 2\ne 0 1\nrot 0 0\nrot 1 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("v x\n", "line 1: a field of 'v x' is not an integer"),
+        ("v 2\n\ne 0 y # comment\n",
+         "line 3: a field of 'e 0 y # comment' is not an integer"),
+        ("v 2\ne 0 1\nrot 0 0\nrot 1 1.0\n",
+         "line 4: a field of 'rot 1 1.0' is not an integer"),
+        # a line of the wrong shape is reported as before
+        ("v 2\ne 0 x y\n", "line 2: cannot parse 'e 0 x y'")])
+    def test_non_integer_field_names_its_line(self, text, message):
+        with pytest.raises(GraphInputError, match=message):
+            parse_graph(text)
+
+
+class TestSimpleEmbedding:
+    def test_simple_host_is_returned_as_is(self):
+        e = grid(3, 3)
+        assert simple_embedding(e) is e
+
+    def test_later_parallel_edge_is_dropped(self):
+        e = simple_embedding(parse_graph(DIGON))
+        assert e.graph.edges == [(0, 1), (1, 2)]
+        assert e.rotation == [[0], [1, 2], [3]]
+        assert e.euler_genus == 0 and e.faces == [[0, 2, 3, 1]]
 
 
 @pytest.mark.parametrize("e", [

@@ -2,12 +2,12 @@
 
 import pytest
 
-from conftest import cycle_graph, embed_outerplanar
+from conftest import DIGON, cycle_graph, embed_outerplanar
 from shallowtd import _kernels
 from shallowtd.decomp import validate
 from shallowtd.generators import grid, random_planar_triangulation, wall
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
-                             build_graph, embed, triangulate)
+                             build_graph, embed, parse_graph, triangulate)
 from shallowtd.planar_td import (band_host, min_eccentricity_root,
                                  planar_bfs_td, slice_td, tree_cotree)
 
@@ -82,6 +82,13 @@ class TestPlanarBfsTd:
         from shallowtd.generators import toroidal_grid
         with pytest.raises(EmbeddingError):
             planar_bfs_td(toroidal_grid(3, 3), 0)
+
+    def test_band_host_of_a_two_dart_face_is_simple(self):
+        # its layering, triangulation and graph share the simple edge ids
+        host = band_host(parse_graph(DIGON), 0)
+        assert host.graph.edges == [(0, 1), (1, 2)]
+        assert host.layering.parent_edge == [-1, 0, 1]
+        assert validate(host.td, host.graph).valid
 
 
 class TestSliceTd:
