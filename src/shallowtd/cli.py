@@ -6,8 +6,9 @@ process, a handler returns `(report, exit_code)`, and `run` times it, maps a
 domain error to exit 1 and writes the report as one JSON line on stdout
 (`command` first, `version` and `wall_time` last; `generate` writes graph
 text instead).  Exit codes: 0 success, 1 domain error (invalid or
-infeasible input), 2 usage error (argparse, including `ptas --k` below 2).
-Diagnostics go to stderr.
+infeasible input), 2 usage error (argparse, including `ptas --k` below 2
+and `bench --repeats` below 1).  Diagnostics go to stderr.  Run it as
+`shallowtd` or as `python -m shallowtd.cli`.
 """
 
 from __future__ import annotations
@@ -234,15 +235,19 @@ def _cmd_bench(args) -> tuple[dict, int]:
 # Argument parsing.
 
 
-def _slicing_k(text: str) -> int:
-    """argparse type of `ptas --k`: an integer of at least 2."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {k}")
-    return k
+def _at_least(low: int):
+    """argparse type: an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -285,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("ptas", help="level-slicing approximation scheme")
     pt.add_argument("--problem", required=True, choices=["mis", "vc", "ds"])
-    pt.add_argument("--k", type=_slicing_k, required=True)
+    pt.add_argument("--k", type=_at_least(2), required=True)
     pt.add_argument("--input", default=None)
     pt.set_defaults(func=_cmd_ptas)
 
@@ -305,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="decomposition kernel benchmark")
     ben.add_argument("--max-edges", type=int, default=100_000)
-    ben.add_argument("--repeats", type=int, default=3)
+    ben.add_argument("--repeats", type=_at_least(1), default=3)
     ben.set_defaults(func=_cmd_bench)
     return p
 
@@ -331,3 +336,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

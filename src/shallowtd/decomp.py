@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, GraphInputError, text_records
 
@@ -30,27 +30,34 @@ class ValidationReport:
     witness: object = None
 
 
-def _is_tree(nodes: int, edges: list[tuple[int, int]]) -> bool:
+def _root_tree(nodes: int, edges: list[tuple[int, int]]
+               ) -> tuple[list[int], list[list[int]]] | None:
+    """(order, children) of the tree on nodes 0..nodes-1 with `edges`,
+    rooted at node 0: `order` lists every node after its parent, and
+    `children[x]` lists x's children in the order of its edges.  None when
+    the edges do not form a tree."""
     if nodes == 0 or len(edges) != nodes - 1:
-        return False
+        return None
     adj = [[] for _ in range(nodes)]
     for a, b in edges:
         if not (0 <= a < nodes and 0 <= b < nodes):
-            return False
+            return None
         adj[a].append(b)
         adj[b].append(a)
+    children: list[list[int]] = [[] for _ in range(nodes)]
     seen = [False] * nodes
-    stack = [0]
     seen[0] = True
-    cnt = 1
+    order = [0]
+    stack = [0]
     while stack:
         x = stack.pop()
         for y in adj[x]:
             if not seen[y]:
                 seen[y] = True
-                cnt += 1
+                children[x].append(y)
+                order.append(y)
                 stack.append(y)
-    return cnt == nodes
+    return (order, children) if len(order) == nodes else None
 
 
 def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
@@ -74,7 +81,7 @@ def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
     width = td.width
     if len(td.bags) != td.nodes:
         return ValidationReport(False, width, "bag count does not match node count", None)
-    if not _is_tree(td.nodes, td.tree_edges):
+    if _root_tree(td.nodes, td.tree_edges) is None:
         return ValidationReport(False, width, "decomposition edges do not form a tree", None)
     bag_sets = [set(b) for b in td.bags]
     holding: list[list[int]] = [[] for _ in range(g.n)]
@@ -137,7 +144,9 @@ class NiceDecomposition:
     """Rooted binary decomposition of leaf/introduce/forget/join nodes.
 
     The root bag is empty.  `children[i]` lists child node indices,
-    `vertex[i]` is the introduced/forgotten vertex where applicable.
+    `vertex[i]` is the introduced/forgotten vertex where applicable.  Every
+    child's index is below its parent's and the root is the last node, so
+    ascending indices walk the tree bottom-up.
     """
 
     kind: list[str]
@@ -153,19 +162,6 @@ class NiceDecomposition:
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bag) - 1
-
-    def postorder(self) -> list[int]:
-        order = []
-        stack = [(self.root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.children[node]:
-                    stack.append((c, False))
-        return order
 
 
 class _NiceBuilder:
@@ -196,30 +192,17 @@ class _NiceBuilder:
 
 
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
-    """Convert to nice form; the width is preserved exactly."""
-    if not _is_tree(td.nodes, td.tree_edges):
+    """Convert to nice form; the width is preserved exactly.  Nodes are
+    numbered as they are built, each after its children."""
+    rooted = _root_tree(td.nodes, td.tree_edges)
+    if rooted is None:
         raise GraphInputError("input decomposition is not a tree")
+    order, children = rooted
     b = _NiceBuilder()
-    adj = [[] for _ in range(td.nodes)]
-    for x, y in td.tree_edges:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    # iterative post-order over the td tree rooted at 0
-    parent = {0: None}
-    order = [0]
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-    top: dict[int, int] = {}
+    top = [0] * td.nodes            # per td node, the nice node atop its bag
     for x in reversed(order):
         bag = td.bags[x]
-        morphed = ([b.morph(top[y], bag) for y in adj[x] if parent[y] == x]
+        morphed = ([b.morph(top[y], bag) for y in children[x]]
                    or [b.morph(b.add(LEAF, ()), bag)])
         node = morphed[0]
         for other in morphed[1:]:

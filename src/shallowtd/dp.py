@@ -5,11 +5,12 @@ set (with a required-domination subset), and fixed-pattern subgraph
 isomorphism, plus the level-slicing driver that searches a planar host for a
 small connected pattern window by window.
 
-All solvers walk the nice decomposition bottom-up.  Edge checks happen at
-introduce nodes: the minimal node whose bag contains both endpoints of a host
-edge is an introduce of one endpoint with the other present, so checking a
-newly introduced vertex against its bag suffices to see every edge exactly
-once per branch.
+All solvers walk the nice decomposition bottom-up, in ascending node ids:
+``make_nice`` numbers each node after its children and the root last.  Edge
+checks happen at introduce nodes: the minimal node whose bag contains both
+endpoints of a host edge is an introduce of one endpoint with the other
+present, so checking a newly introduced vertex against its bag suffices to
+see every edge exactly once per branch.
 
 The MIS and DS tables are keyed by Python-int bitmasks over vertex ids
 (bit v for vertex v): the chosen bag vertices for MIS, the black and
@@ -143,7 +144,7 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     nmask = _neighbour_masks(g)
     tables: dict[int, dict[int, tuple]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         if kind == LEAF:
             out = {0: _LEAF_ENTRY}
@@ -215,7 +216,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     low = (1 << n) - 1                    # the black half of a state
     tables: dict[int, dict[int, tuple]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         if kind == LEAF:
             out = {0: _LEAF_ENTRY}
@@ -406,7 +407,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     start = tuple([_UNSEEN] * h.n)
     tables: dict[int, dict[tuple[int, ...], tuple]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         if kind == LEAF:
             tables[node] = {start: _LEAF_ENTRY}

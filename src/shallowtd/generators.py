@@ -228,8 +228,6 @@ def subdivide(e: EmbeddedGraph, factor: int) -> EmbeddedGraph:
     """Replace every edge by a path of `factor` edges (uniform subdivision)."""
     if factor < 1:
         raise GraphInputError("factor must be positive")
-    if factor == 1:
-        return embed(e.graph, [list(c) for c in e.rotation])
     g = e.graph
     nxt = g.n
     edges = []

@@ -111,14 +111,17 @@ class Layering:
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     """BFS from `root`; the parent of a vertex is its lowest-numbered
-    neighbor in the preceding level."""
+    neighbor in the preceding level, and its parent edge the lowest-id edge
+    between the two."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
     level, parent = _kernels.bfs_levels(g.neighbor_lists(), root)
     parent_edge = [-1] * g.n
-    for v, p in enumerate(parent):
-        if p >= 0:
-            parent_edge[v] = min(e for e in g.adj[v] if g.other_end(e, v) == p)
+    for eid, (u, v) in enumerate(g.edges):      # ascending: the first wins
+        if parent[v] == u and parent_edge[v] < 0:
+            parent_edge[v] = eid
+        elif parent[u] == v and parent_edge[u] < 0:
+            parent_edge[u] = eid
     depth = max((l for l in level if l >= 0), default=0)
     return Layering(root=root, level=level, parent=parent, parent_edge=parent_edge, depth=depth)
 
@@ -171,10 +174,6 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Embeddings
 
-def dart_tail(g: Graph, d: int) -> int:
-    return g.edges[d >> 1][d & 1]
-
-
 @dataclass
 class EmbeddedGraph:
     """A multigraph with an orientable rotation system and its derived faces."""
@@ -183,7 +182,6 @@ class EmbeddedGraph:
     rotation: list[list[int]]
     faces: list[list[int]]
     euler_genus: int
-    _face_of: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -192,14 +190,6 @@ class EmbeddedGraph:
     @property
     def m(self) -> int:
         return self.graph.m
-
-    def face_of(self, d: int) -> int:
-        if self._face_of is None:
-            self._face_of = {}
-            for i, cyc in enumerate(self.faces):
-                for d2 in cyc:
-                    self._face_of[d2] = i
-        return self._face_of[d]
 
 
 def _rotation_successors(m: int, rotation: list[list[int]]) -> list[int]:

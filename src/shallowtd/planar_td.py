@@ -73,6 +73,10 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
         if pe >= 0:
             is_tree_edge[pe] = True
 
+    face_of = [0] * (2 * g.m)
+    for i, cyc in enumerate(e.faces):
+        for d in cyc:
+            face_of[d] = i
     nfaces = len(e.faces)
     dual_parent = [-2] * nfaces
     dual_parent_edge = [-1] * nfaces
@@ -87,7 +91,7 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
             eid = d >> 1
             if is_tree_edge[eid] or crossed[eid]:
                 continue
-            f2 = e.face_of(d ^ 1)
+            f2 = face_of[d ^ 1]
             if dual_parent[f2] == -2:
                 crossed[eid] = True
                 dual_parent[f2] = f
@@ -318,39 +322,28 @@ def slice_td(host: BandHost, lo: int, hi: int,
 def level_windows(depth: int, k: int, offset: int,
                   mode: str) -> list[tuple[int, int, tuple[int, int]]]:
     """(lo, hi, core-range) triples of the bands of one slicing mode (see
-    ``baker``) over the levels [0, depth]; ranges are inclusive levels.  In
-    "delete" mode the bands are the maximal runs of levels that skip the
-    levels ≡ offset (mod k), and each band is its own core."""
-    out = []
+    ``baker``) over the levels [0, depth], for k >= 2 and 0 <= offset < k;
+    ranges are inclusive and clipped to [0, depth].  Each mode steps a level
+    s by k from offset - k (from 0 when offset is 0).  "delete": the band
+    between the removed levels s and s + k is its own core.  "duplicate":
+    the band [s, s + k] is its own core, so neighbouring bands share a
+    level.  "dominate": the cores [s, s + k - 1] partition the levels and
+    each band adds one level on either side."""
+    start = offset - k if offset else 0
     if mode == "delete":
-        lo = None
-        for lvl in range(depth + 2):
-            wall = lvl > depth or lvl % k == offset
-            if wall:
-                if lo is not None:
-                    out.append((lo, lvl - 1, (lo, lvl - 1)))
-                    lo = None
-            elif lo is None:
-                lo = lvl
+        cores = [(max(0, s + 1), min(depth, s + k - 1))
+                 for s in range(start, depth, k)]
     elif mode == "duplicate":
-        start = offset - k if offset else 0
-        while True:
-            lo, hi = max(0, start), min(depth, start + k)
-            out.append((lo, hi, (lo, hi)))
-            if hi == depth:
-                break
-            start += k
+        cores = [(max(0, s), min(depth, s + k))
+                 for s in range(start, max(depth, 1), k)]
     elif mode == "dominate":
-        start = offset - k if offset else 0
-        while True:
-            clo, chi = max(0, start), min(depth, start + k - 1)
-            out.append((max(0, clo - 1), min(depth, chi + 1), (clo, chi)))
-            if chi == depth:
-                break
-            start += k
+        cores = [(max(0, s), min(depth, s + k - 1))
+                 for s in range(start, depth + 1, k)]
+        return [(max(0, lo - 1), min(depth, hi + 1), (lo, hi))
+                for lo, hi in cores]
     else:
         raise GraphInputError(f"unknown slicing mode {mode!r}")
-    return out
+    return [(lo, hi, (lo, hi)) for lo, hi in cores]
 
 
 def min_eccentricity_root(g: Graph) -> int:

@@ -1,9 +1,14 @@
-"""Numpy reference for ``shallowtd.planar_td.slice_td``.
+"""Numpy reference for ``shallowtd.planar_td.slice_td``, and the level-by-
+level loop reference for ``shallowtd.planar_td.level_windows``.
 
 This is the band restriction as it ran on the host bags in CSR arrays: the
 band is masked over the whole bag data at once and each bag becomes a set
 before the subset contraction.  The property tests require ``slice_td`` to
 return the same back map, node count, tree edges and bags on every band.
+
+``level_windows`` here walks the levels one at a time (delete) or moves a
+window start until a band reaches the last level (duplicate, dominate);
+the tests require the stride version to return the same triples.
 """
 
 import numpy as np
@@ -63,3 +68,37 @@ def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
                              "root paths of its BFS tree")
     return Slice(window=(lo, hi), graph=graph, back_map=back_map, td=td,
                  core=tuple(range(graph.n)))
+
+
+def level_windows(depth: int, k: int, offset: int,
+                  mode: str) -> list[tuple[int, int, tuple[int, int]]]:
+    out = []
+    if mode == "delete":
+        lo = None
+        for lvl in range(depth + 2):
+            wall = lvl > depth or lvl % k == offset
+            if wall:
+                if lo is not None:
+                    out.append((lo, lvl - 1, (lo, lvl - 1)))
+                    lo = None
+            elif lo is None:
+                lo = lvl
+    elif mode == "duplicate":
+        start = offset - k if offset else 0
+        while True:
+            lo, hi = max(0, start), min(depth, start + k)
+            out.append((lo, hi, (lo, hi)))
+            if hi == depth:
+                break
+            start += k
+    elif mode == "dominate":
+        start = offset - k if offset else 0
+        while True:
+            clo, chi = max(0, start), min(depth, start + k - 1)
+            out.append((max(0, clo - 1), min(depth, chi + 1), (clo, chi)))
+            if chi == depth:
+                break
+            start += k
+    else:
+        raise GraphInputError(f"unknown slicing mode {mode!r}")
+    return out

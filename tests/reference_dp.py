@@ -7,6 +7,8 @@ tests require ``dp_mis``, ``dp_vc`` and ``dp_ds`` to return the same witness
 set on every input.  ``dp_subiso`` here tests every mapped pattern vertex
 against every candidate one pair at a time; the property tests require the
 bitmask version to return the same mapping (or None) on every input.
+Like the engines, every reference walks the nice node ids in ascending
+order, children before parents.
 """
 
 from shallowtd.decomp import FORGET, INTRODUCE, LEAF, NiceDecomposition
@@ -32,7 +34,7 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph, minimize: bool):
     better = min if minimize else max
     tables: dict[int, dict[frozenset[int], frozenset[int]]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         if kind == LEAF:
             tables[node] = {frozenset(): frozenset()}
@@ -98,7 +100,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
     nbr = g.neighbor_sets()
     tables: dict[int, dict[tuple[int, ...], frozenset[int]]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         bag = nd.bag[node]
         if kind == LEAF:
@@ -199,7 +201,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     start = tuple([_UNSEEN] * h.n)
     tables: dict[int, dict[tuple[int, ...], tuple]] = {}
 
-    for node in nd.postorder():
+    for node in range(nd.node_count):
         kind = nd.kind[node]
         if kind == LEAF:
             tables[node] = {start: ()}

@@ -5,7 +5,7 @@ property tests require the linear-time validator to return an equal
 ``ValidationReport`` (verdict, violation and witness) on every input.
 """
 
-from shallowtd.decomp import (TreeDecomposition, ValidationReport, _is_tree)
+from shallowtd.decomp import TreeDecomposition, ValidationReport, _root_tree
 from shallowtd.graph import Graph
 
 
@@ -13,7 +13,7 @@ def validate_quadratic(td: TreeDecomposition, g: Graph) -> ValidationReport:
     width = td.width
     if len(td.bags) != td.nodes:
         return ValidationReport(False, width, "bag count does not match node count", None)
-    if not _is_tree(td.nodes, td.tree_edges):
+    if _root_tree(td.nodes, td.tree_edges) is None:
         return ValidationReport(False, width, "decomposition edges do not form a tree", None)
     bag_sets = [set(b) for b in td.bags]
     for b in bag_sets:

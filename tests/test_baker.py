@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import reference_bands
 from conftest import (cycle_graph, embed_outerplanar, path_graph, star_graph)
 from shallowtd.baker import build_slices, ptas_ds, ptas_mis, ptas_vc
 from shallowtd import baker
@@ -13,7 +14,7 @@ from shallowtd.dp import SolutionCheckError
 from shallowtd.generators import grid, random_planar_triangulation
 from shallowtd.graph import GraphInputError, build_graph, embed
 from shallowtd.oracles import oracle_solve
-from shallowtd.planar_td import band_host
+from shallowtd.planar_td import band_host, level_windows
 
 
 def _p10():
@@ -70,6 +71,23 @@ class TestBuildSlices:
             build_slices(host, 3, 3, "delete")
         with pytest.raises(GraphInputError):
             build_slices(host, 3, 0, "bogus")
+
+
+class TestLevelWindows:
+    @pytest.mark.parametrize("mode", ["delete", "duplicate", "dominate"])
+    def test_matches_loop_reference(self, mode):
+        for depth in range(41):
+            for k in range(2, 9):
+                for offset in range(k):
+                    assert (level_windows(depth, k, offset, mode)
+                            == reference_bands.level_windows(depth, k, offset,
+                                                             mode)), \
+                        (depth, k, offset)
+
+    def test_unknown_mode(self):
+        for windows in (level_windows, reference_bands.level_windows):
+            with pytest.raises(GraphInputError, match="unknown slicing mode"):
+                windows(5, 3, 0, "bogus")
 
 
 class TestPtasMis:

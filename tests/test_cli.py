@@ -253,6 +253,15 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert "argument --k" in err
 
+    @pytest.mark.parametrize("repeats", ["0", "-1", "x"])
+    def test_bench_repeats_below_one_or_not_int_is_usage_error(
+            self, capsys, monkeypatch, repeats):
+        # zero repeats would time nothing and write Infinity into the report
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["bench", "--repeats", repeats])
+        assert code == 2 and out == ""
+        assert "argument --repeats" in err
+
     def test_subiso_and_oracle(self, capsys, monkeypatch, tmp_path):
         gtext = self._grid_text(capsys, monkeypatch)
         pat = tmp_path / "c4.g"
@@ -577,6 +586,29 @@ class TestOptimizedInterpreter:
         report = json.loads(res.stdout)
         assert report["found"] and report["verified"]
         assert '"verified": true' in res.stdout
+
+
+def run_module(args, cwd, stdin="") -> subprocess.CompletedProcess:
+    """``python -m shallowtd.cli`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "shallowtd.cli", *args],
+                          cwd=cwd, env=env, input=stdin, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_solve_writes_a_report(self, tmp_path):
+        res = run_module(["solve", "--problem", "mis"], tmp_path,
+                         stdin=emit_graph(grid(3, 3)))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["command"] == "solve" and report["verified"]
+        assert report["value"] == 5        # independence number of the 3x3 grid
+
+    def test_help_prints_usage(self, tmp_path):
+        res = run_module(["--help"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: shallowtd")
 
 
 def run_fresh(code: str, args, cwd) -> subprocess.CompletedProcess:

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from conftest import cycle_graph, path_graph
+from shallowtd.baker import build_slices
 from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
                               TreeDecomposition, emit_td, heuristic_td,
                               make_nice, parse_td, validate)
-from shallowtd.generators import grid
+from shallowtd.generators import (apex_over_grid, grid,
+                                  random_planar_triangulation, toroidal_grid)
+from shallowtd.genus_td import genus_td
 from shallowtd.graph import GraphInputError, build_graph
-from shallowtd.planar_td import planar_bfs_td
+from shallowtd.planar_td import band_host, planar_bfs_td
 
 
 class TestValidate:
@@ -103,6 +106,33 @@ class TestMakeNice:
         nd = make_nice(td)
         self._check_nice(nd)
         assert nd.width == td.width
+
+    # The DP engines walk node ids in ascending order: every child must be
+    # numbered below its parent, and the root last.
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: [heuristic_td(apex_over_grid(4)),
+                              heuristic_td(grid(5, 6).graph)], id="heuristic"),
+        pytest.param(lambda: [planar_bfs_td(random_planar_triangulation(40, 3),
+                                            0), planar_bfs_td(grid(6, 6), 7)],
+                     id="planar-bfs"),
+        pytest.param(lambda: [genus_td(toroidal_grid(5, 5), 0)[0]],
+                     id="genus"),
+        pytest.param(lambda: [s.td for mode in ("delete", "duplicate",
+                                                "dominate")
+                              for s in build_slices(band_host(grid(7, 7), 0),
+                                                    3, 1, mode).slices],
+                     id="band-slices"),
+    ])
+    def test_children_numbered_before_parents(self, build):
+        for td in build():
+            nd = make_nice(td)
+            assert nd.root == nd.node_count - 1
+            parent = [None] * nd.node_count
+            for i, kids in enumerate(nd.children):
+                for c in kids:
+                    assert c < i and parent[c] is None
+                    parent[c] = i
+            assert [i for i, p in enumerate(parent) if p is None] == [nd.root]
 
 
 class TestHeuristicTd:

@@ -103,8 +103,7 @@ class TestWall:
         outer = spec.outer_vertices()
         # boundary = the one face longer than a hexagon
         big = max(e.faces, key=len)
-        from shallowtd.graph import dart_tail
-        boundary = {dart_tail(e.graph, d) for d in big}
+        boundary = {e.graph.edges[d >> 1][d & 1] for d in big}
         assert outer == boundary
 
     def test_zero_rejected(self):
