@@ -149,15 +149,17 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
         if kind == LEAF:
             out = {0: _LEAF_ENTRY}
         elif kind == INTRODUCE:
-            # v is in no child state, so no two outputs share a key.
+            # v is in no child state, so no two outputs share a key.  A
+            # state holds only chosen bag vertices (an introduce adds a bag
+            # vertex, a forget clears one, a join pairs equal keys), so
+            # testing v's neighbours against it needs no bag mask.
             v = nd.vertex[node]
-            bit = 1 << v
-            bag_nbrs = nmask[v] & sum(1 << u for u in nd.bag[node])
+            bit, vnbr = 1 << v, nmask[v]
             child = tables.pop(nd.children[node][0])
             out = {}
             for state, entry in child.items():
                 out[state] = entry
-                if not bag_nbrs & state:           # v independent of chosen bag
+                if not vnbr & state:               # v independent of chosen bag
                     out[state | bit] = (entry[0] + 1, v, entry)
         elif kind == FORGET:
             keep = ~(1 << nd.vertex[node])

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import TreeDecomposition
-from .graph import EmbeddedGraph, bfs_layering, reembed, simple_embedding
+from .graph import (EmbeddedGraph, _rotation_successors, bfs_layering, reembed,
+                    simple_embedding)
 from .planar_td import planar_bfs_td, tree_cotree
 
 
@@ -39,105 +40,90 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
         raise GenusPipelineError(
             f"tree-cotree leftover count {len(leftover)} != 2g = {2 * e.euler_genus}")
 
+    # X: the leftover edges and the root paths of their ends.  A walk up the
+    # BFS tree stops at the first vertex already in X; the root is in X and
+    # the layering spans the graph (``tree_cotree`` checks it).
     g = e.graph
-    xv: set[int] = {root}
-    xe: set[int] = set(leftover)
+    in_x = bytearray(g.n)
+    in_x[root] = 1
+    xe = set(leftover)
     for eid in leftover:
         for v in g.edges[eid]:
-            path = lay.path_to_root(v)
-            xv.update(path)
-            for w in path:
-                pe = lay.parent_edge[w]
-                if pe >= 0:
-                    xe.add(pe)
-    return CutGraph(host=e, root=root, x_vertices=tuple(sorted(xv)),
+            while not in_x[v]:
+                in_x[v] = 1
+                xe.add(lay.parent_edge[v])
+                v = lay.parent[v]
+    return CutGraph(host=e, root=root,
+                    x_vertices=tuple(v for v in range(g.n) if in_x[v]),
                     x_edges=tuple(sorted(xe)), leftover_edges=tuple(sorted(leftover)),
                     depth=lay.depth)
 
 
-def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, dict[int, int]]:
+def contract_cut_graph(cg: CutGraph) -> tuple[EmbeddedGraph, list[int]]:
     """Contract X to a single vertex and re-embed the quotient in the sphere.
 
     Splicing rotations preserves genus, so a mechanical contraction would stay
     on the original surface.  Instead we use that the complement of X is a
     disk: the subgraph (x_vertices, x_edges) has exactly one face, and walking
-    its boundary visits every angular sector around X exactly once.  Reading
-    off the outgoing darts along that walk is a valid rotation for the
-    contracted vertex in the sphere; every other vertex keeps its rotation.
-    Both passes re-embed through ``graph.reembed``.  The contraction is
-    checked for genus 0 before its loops and parallel duplicates are dropped
-    (``graph.simple_embedding``), because dropping a loop can lower the genus
-    and so hide a cut graph whose complement is not a disk; the simplified
-    embedding is checked again.
+    its boundary visits every angular sector around X exactly once.  The walk
+    runs on rotation successors: arriving at a vertex by the X-dart d, it
+    follows the rotation from d ^ 1, and the non-X darts it passes before the
+    next X-dart, which leaves the corner, are that corner's sector.  The
+    sectors in walk order are a valid rotation for the contracted vertex in
+    the sphere; every other vertex keeps its rotation.  Both passes re-embed
+    through ``graph.reembed``.  The contraction is checked for genus 0 before
+    its loops and parallel duplicates are dropped (``graph.simple_embedding``),
+    because dropping a loop can lower the genus and so hide a cut graph whose
+    complement is not a disk; the simplified embedding is checked again.
 
-    The contracted vertex is 0; returns (embedding, old_vertex -> new_vertex).
+    The contracted vertex is 0 and the other vertices follow in their old
+    order; returns (embedding, old vertex -> new vertex).
     """
     e = cg.host
     g = e.graph
-    xset = set(cg.x_vertices)
-    xeset = set(cg.x_edges)
+    in_x = bytearray(g.m)
+    for eid in cg.x_edges:
+        in_x[eid] = 1
 
-    if xeset:
-        # Boundary walk of the X-subgraph under the inherited rotation.
-        x_rot = {v: [d for d in e.rotation[v] if (d >> 1) in xeset]
-                 for v in cg.x_vertices}
-        x_pos = {v: {d: i for i, d in enumerate(ds)} for v, ds in x_rot.items()}
-
-        def head(d: int) -> int:
-            eid, side = d >> 1, d & 1
-            return g.edges[eid][1 - side]
-
-        def x_succ(d: int) -> int:
-            v = head(d)
-            ds = x_rot[v]
-            return ds[(x_pos[v][d ^ 1] + 1) % len(ds)]
-
+    if cg.x_edges:
+        succ = _rotation_successors(g.m, e.rotation)
         start = 2 * cg.x_edges[0]
-        walk = [start]
-        d = x_succ(start)
-        while d != start:
-            walk.append(d)
-            d = x_succ(d)
-        if len(walk) != 2 * len(cg.x_edges):
+        sectors: list[int] = []
+        walked = 0
+        d = start
+        while True:
+            walked += 1
+            d = succ[d ^ 1]
+            while not in_x[d >> 1]:
+                sectors.append(d)
+                d = succ[d]
+            if d == start:
+                break
+        if walked != 2 * len(cg.x_edges):
             raise GenusPipelineError(
                 "cut graph complement is not a disk: its boundary splits into "
-                f"several walks ({len(walk)} of {2 * len(cg.x_edges)} darts on one)")
-
-        # Collect, per corner of the walk, the outgoing darts strictly between
-        # the arrival dart and the next X-dart in the full rotation.
-        sectors: list[int] = []
-        for d in walk:
-            v = head(d)
-            rot = e.rotation[v]
-            i = rot.index(d ^ 1)
-            for step in range(1, len(rot)):
-                nxt = rot[(i + step) % len(rot)]
-                if (nxt >> 1) in xeset:
-                    break
-                sectors.append(nxt)
+                f"several walks ({walked} of {2 * len(cg.x_edges)} darts on one)")
     else:
         sectors = list(e.rotation[cg.root])
 
-    expected = sum(len(e.rotation[v]) for v in cg.x_vertices) - 2 * len(xeset)
+    expected = sum(len(e.rotation[v]) for v in cg.x_vertices) - 2 * len(cg.x_edges)
     if len(sectors) != expected:
         raise GenusPipelineError(
             f"boundary walk covered {len(sectors)} darts, expected {expected}")
 
-    old_to_new = {v: 0 for v in xset}
-    nxt_id = 1
-    for v in range(g.n):
-        if v not in xset:
-            old_to_new[v] = nxt_id
-            nxt_id += 1
-
+    xv = set(cg.x_vertices)
+    rest = [v for v in range(g.n) if v not in xv]
+    old_to_new = [0] * g.n
+    for i, v in enumerate(rest, 1):
+        old_to_new[v] = i
     emap: dict[int, int] = {}
     new_edges = []
     for eid, (u, w) in enumerate(g.edges):
-        if eid not in xeset:
+        if not in_x[eid]:
             emap[eid] = len(new_edges)
             new_edges.append((old_to_new[u], old_to_new[w]))
-    rotation = [sectors] + [e.rotation[v] for v in range(g.n) if v not in xset]
-    contracted = reembed(nxt_id, new_edges, emap, rotation)
+    rotation = [sectors] + [e.rotation[v] for v in rest]
+    contracted = reembed(len(rest) + 1, new_edges, emap, rotation)
     if contracted.euler_genus != 0:
         raise GenusPipelineError(
             f"contracting the cut graph left genus {contracted.euler_genus}, expected 0")
@@ -157,11 +143,9 @@ def genus_td(e: EmbeddedGraph, root: int) -> tuple[TreeDecomposition, int]:
     adjoined to each."""
     cg = cut_graph(e, root)
     contracted, old_to_new = contract_cut_graph(cg)
-    super_v = old_to_new[root]
-    xset = set(cg.x_vertices)
-    new_to_old = {old_to_new[v]: v for v in range(e.graph.n) if v not in xset}
-    td_c = planar_bfs_td(contracted, super_v)
-    bags = [tuple(sorted(xset | {new_to_old[w] for w in bag if w != super_v}))
+    new_to_old = [root] + [v for v, w in enumerate(old_to_new) if w]
+    td_c = planar_bfs_td(contracted, 0)
+    bags = [tuple(sorted([*cg.x_vertices, *(new_to_old[w] for w in bag if w)]))
             for bag in td_c.bags]
     td = TreeDecomposition(nodes=td_c.nodes, tree_edges=td_c.tree_edges, bags=bags)
     bound = 3 * (cg.depth + 1) + len(cg.x_vertices)

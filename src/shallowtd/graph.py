@@ -102,12 +102,6 @@ class Layering:
     def complete(self) -> bool:
         return -1 not in self.level
 
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     """BFS from `root`; the parent of a vertex is its lowest-numbered
@@ -327,8 +321,11 @@ def simple_embedding(e: EmbeddedGraph) -> EmbeddedGraph:
 
 
 def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
-    """Induced embedded subgraph: surviving darts keep their cyclic order."""
+    """Induced embedded subgraph: surviving darts keep their cyclic order;
+    `e` itself when `keep` is every vertex."""
     keep = sorted(set(keep))
+    if keep == list(range(e.n)):
+        return e, keep
     new_id = {v: i for i, v in enumerate(keep)}
     edge_map: dict[int, int] = {}
     edges = []

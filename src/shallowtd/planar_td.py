@@ -139,7 +139,7 @@ def _planar_component(e: EmbeddedGraph, root: int) -> EmbeddedGraph:
         raise EmbeddingError("the three-path decomposition requires a planar "
                              "embedding")
     if not (0 <= root < e.graph.n):
-        raise GraphInputError(f"root {root} out of range")
+        raise GraphInputError(f"root {root} out of range [0, {e.graph.n})")
     if not planar_is_connected(e):
         raise GraphInputError("graph is not connected")
     return e if all(len(f) >= 3 for f in e.faces) else simple_embedding(e)

@@ -180,6 +180,17 @@ class TestPipelines:
         assert report["width"] == width
         assert "root" not in report and "depth" not in report
 
+    @pytest.mark.parametrize("method, e", [("planar-bfs", grid(3, 3)),
+                                           ("genus", toroidal_grid(3, 3))])
+    @pytest.mark.parametrize("root", ["-1", "9"])
+    def test_decompose_root_out_of_range(self, capsys, monkeypatch, method, e,
+                                         root):
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["decompose", "--method", method,
+                                 "--root", root], stdin=emit_graph(e))
+        assert code == 1 and out == ""
+        assert f"root {root} out of range [0, 9)" in err
+
     # solve builds min-degree alone for every host, the relabelled grid4x5
     # included, where planar_bfs_td would be one narrower
     @pytest.mark.parametrize("e", [

@@ -1,5 +1,6 @@
 """Cut graphs on positive-genus surfaces and the contraction pipeline."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from shallowtd import _kernels
 from shallowtd.decomp import TreeDecomposition, validate
 from shallowtd.generators import grid, toroidal_grid
-from shallowtd.genus_td import (GenusPipelineError, contract_cut_graph,
-                                cut_graph, genus_td)
+from shallowtd.genus_td import (CutGraph, GenusPipelineError,
+                                contract_cut_graph, cut_graph, genus_td)
 from shallowtd.graph import EmbeddingError, bfs_layering, build_graph, embed
 
 
@@ -55,6 +56,43 @@ class TestContractCutGraph:
         contracted, vmap = contract_cut_graph(cg)
         assert contracted.euler_genus == 0
         assert contracted.graph.n == e.graph.n
+
+
+class TestContractionChecks:
+    """Hand-built cut graphs on the 4x4 torus, rooted at 0, that each fail
+    one check of ``contract_cut_graph``."""
+
+    E = toroidal_grid(4, 4)
+
+    @classmethod
+    def x(cls, path, extra=()):
+        edges = cls.E.graph.edges
+        x_edges = [next(i for i, uv in enumerate(edges) if set(uv) == {a, b})
+                   for a, b in zip(path, path[1:])]
+        return CutGraph(host=cls.E, root=0,
+                        x_vertices=tuple(sorted({*path, *extra})),
+                        x_edges=tuple(sorted(x_edges)), leftover_edges=(),
+                        depth=4)
+
+    @pytest.mark.parametrize("path, extra, message", [
+        ((0, 1, 5, 4, 0), (), r"several walks \(4 of 8 darts on one\)"),
+        ((0, 1, 2), (10,), "boundary walk covered 8 darts, expected 12"),
+        ((0, 1, 2), (), "contracting the cut graph left genus 1, expected 0"),
+    ])
+    def test_broken_cut_graph_is_refused(self, path, extra, message):
+        # a contractible cycle has two faces; a vertex with no X edge adds
+        # darts that no corner of the walk reaches; a path cuts no handle
+        with pytest.raises(GenusPipelineError, match=message):
+            contract_cut_graph(self.x(path, extra))
+
+    def test_cut_graph_without_a_leftover_edge_is_refused(self):
+        cg = cut_graph(self.E, 0)
+        assert cg.leftover_edges == (4, 21)
+        broken = dataclasses.replace(
+            cg, x_edges=tuple(x for x in cg.x_edges if x != 4))
+        with pytest.raises(GenusPipelineError,
+                           match=r"several walks \(10 of 14 darts on one\)"):
+            contract_cut_graph(broken)
 
 
 class TestGenusTd:

@@ -7,9 +7,9 @@ from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, contract_connected_set, diameter,
-                             embed, emit_graph, is_connected, parse_graph,
-                             planar_is_connected, simple_embedding,
-                             triangulate)
+                             embed, emit_graph, induced_embedded_subgraph,
+                             is_connected, parse_graph, planar_is_connected,
+                             simple_embedding, triangulate)
 
 
 class TestBuildGraph:
@@ -115,6 +115,18 @@ class TestMinorOps:
     def test_contract_nonplanar_rejected(self):
         with pytest.raises(EmbeddingError):
             contract_connected_set(toroidal_grid(3, 3), {0, 1})
+
+    def test_induced_subgraph_on_every_vertex_is_the_host(self):
+        e = grid(3, 4)
+        sub, keep = induced_embedded_subgraph(e, reversed(range(e.n)))
+        assert sub is e and keep == list(range(e.n))
+
+    def test_induced_proper_subgraph_is_reembedded(self):
+        e = grid(3, 4)
+        sub, keep = induced_embedded_subgraph(e, range(1, e.n))
+        assert sub is not e and keep == list(range(1, e.n))
+        assert (sub.n, sub.m, sub.euler_genus) == (e.n - 1, e.m - 2, 0)
+        assert embed(sub.graph, sub.rotation).faces == sub.faces
 
     def test_contraction_never_increases_distance(self):
         e = grid(3, 3)

@@ -3,12 +3,12 @@
 import pytest
 
 from conftest import DIGON, cycle_graph, embed_outerplanar
-from shallowtd import _kernels
+from shallowtd import _kernels, graph
 from shallowtd.decomp import validate
 from shallowtd.generators import grid, random_planar_triangulation, wall
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, embed, parse_graph, triangulate)
-from shallowtd.planar_td import (band_host, min_eccentricity_root,
+from shallowtd.planar_td import (band_host, band_hosts, min_eccentricity_root,
                                  planar_bfs_td, slice_td, tree_cotree)
 
 
@@ -89,6 +89,24 @@ class TestPlanarBfsTd:
         assert host.graph.edges == [(0, 1), (1, 2)]
         assert host.layering.parent_edge == [-1, 0, 1]
         assert validate(host.td, host.graph).valid
+
+
+class TestBandHosts:
+    def test_connected_host_is_not_reembedded(self, monkeypatch):
+        e = grid(5, 5)
+        calls = []
+        monkeypatch.setattr(graph, "embed",
+                            lambda *args: calls.append(args) or embed(*args))
+        [(host, back)] = band_hosts(e)
+        assert host.graph is e.graph and back == list(range(e.n))
+        assert calls == []
+
+    def test_each_component_is_reembedded(self):
+        e = embed_outerplanar(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+        hosts = list(band_hosts(e))
+        assert [back for _, back in hosts] == [[0, 1, 2], [3, 4]]
+        assert [h.graph.edges for h, _ in hosts] == [[(0, 1), (1, 2)],
+                                                      [(0, 1)]]
 
 
 class TestSliceTd:

@@ -1,8 +1,8 @@
 """Property tests: the linear validator against its quadratic reference,
 the list kernels against their numpy-scalar reference, the linear
 triangulation against its quadratic reference, contraction of BFS
-level prefixes, Euler genus against an independent planarity test, width
-bounds of whole-host and level-band decompositions, whole-host and
+level prefixes, the genus cut-graph pipeline against its reference, Euler
+genus against an independent planarity test, width bounds of whole-host and level-band decompositions, whole-host and
 band-host decompositions against their uncontracted reference, level bands
 against their numpy reference and no narrower than those of the
 uncontracted band host, the exact DP against its frozenset reference and the
@@ -11,6 +11,7 @@ mapping on twin-free patterns, the same existence on patterns with
 twins), and heap min-degree elimination against its rescanning
 reference."""
 
+import dataclasses
 from functools import cache
 
 import networkx as nx
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import reference_bands
 import reference_dp
+import reference_genus
 import reference_heuristic
 import reference_kernels
 import reference_planar
@@ -32,8 +34,10 @@ from shallowtd.dp import dp_ds, dp_mis, dp_subiso, dp_vc, verify_subiso
 from shallowtd.generators import (apex_over_grid, grid,
                                   random_planar_triangulation, subdivide,
                                   toroidal_grid, wall)
-from shallowtd.genus_td import cut_graph, genus_td
-from shallowtd.graph import (bfs_layering, build_graph, contract_connected_set,
+from shallowtd.genus_td import (GenusPipelineError, contract_cut_graph,
+                                cut_graph, genus_td)
+from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
+                             build_graph, contract_connected_set,
                              eccentricity, embed, induced_embedded_subgraph,
                              triangulate)
 from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
@@ -348,6 +352,95 @@ def test_contracting_a_level_prefix_stays_simple_and_planar(n, seed, data):
     assert c.graph.n == n - len(prefix) + 1
     assert all(u != v for u, v in c.graph.edges)
     assert len({(min(u, v), max(u, v)) for u, v in c.graph.edges}) == c.graph.m
+
+
+# ---------------------------------------------------------------------------
+# The genus pipeline == its reference
+
+
+def _random_rotation_system(draw):
+    """A small random connected multigraph (loops and parallel edges
+    allowed) under a random rotation system, so of any genus."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    g = build_graph(n, edges)
+    tails = [v for uv in g.edges for v in uv]
+    rotation = [draw(st.permutations([d for d, t in enumerate(tails) if t == v]))
+                for v in range(n)]
+    return embed(g, rotation)
+
+
+def _outcome(f, *args):
+    """(f(*args), None), or (None, (type, message)) of the error it raises."""
+    try:
+        return f(*args), None
+    except (GenusPipelineError, GraphInputError, EmbeddingError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _damaged_cut_graph(cg, draw):
+    """`cg` without one X edge (its boundary splits), with one more vertex
+    (the sectors miss its darts) or without its leftover edges (a tree,
+    whose contraction keeps the genus); `cg` itself when none applies."""
+    damage = draw(st.sampled_from(["edge", "vertex", "tree"]))
+    if damage == "edge" and cg.x_edges:
+        drop = draw(st.sampled_from(cg.x_edges))
+        return dataclasses.replace(
+            cg, x_edges=tuple(x for x in cg.x_edges if x != drop))
+    outside = sorted(set(range(cg.host.n)) - set(cg.x_vertices))
+    if damage == "vertex" and outside:
+        extra = draw(st.sampled_from(outside))
+        return dataclasses.replace(
+            cg, x_vertices=tuple(sorted(cg.x_vertices + (extra,))))
+    if damage == "tree":
+        return dataclasses.replace(cg, x_edges=tuple(
+            x for x in cg.x_edges if x not in cg.leftover_edges))
+    return cg
+
+
+def _assert_same_contraction(cg):
+    got, err = _outcome(contract_cut_graph, cg)
+    ref, ref_err = _outcome(reference_genus.contract_cut_graph, cg)
+    assert err == ref_err
+    if err is None:
+        (c, old_to_new), (rc, ref_map) = got, ref
+        assert c.graph.edges == rc.graph.edges
+        assert c.rotation == rc.rotation
+        assert c.faces == rc.faces
+        assert c.euler_genus == rc.euler_genus == 0
+        assert old_to_new == [ref_map[v] for v in range(cg.host.n)]
+
+
+@PROPERTY
+@given(st.data())
+def test_genus_pipeline_matches_its_reference(data):
+    kind = data.draw(st.sampled_from(["torus", "subdivided", "rotation"]))
+    if kind == "rotation":
+        e = _random_rotation_system(data.draw)
+    else:
+        e = toroidal_grid(data.draw(st.integers(3, 8)),
+                          data.draw(st.integers(3, 8)))
+        if kind == "subdivided":
+            e = subdivide(e, data.draw(st.integers(2, 3)))
+    root = data.draw(st.integers(0, e.n - 1))
+
+    cg, err = _outcome(cut_graph, e, root)
+    ref, ref_err = _outcome(reference_genus.cut_graph, e, root)
+    assert err == ref_err
+    if err is None:
+        assert cg == ref
+        _assert_same_contraction(cg)
+        _assert_same_contraction(_damaged_cut_graph(cg, data.draw))
+
+    got, err = _outcome(genus_td, e, root)
+    ref, ref_err = _outcome(reference_genus.genus_td, e, root)
+    assert err == ref_err
+    if err is None:
+        (td, bound), (ref_td, ref_bound) = got, ref
+        assert (td.nodes, td.tree_edges, td.bags, bound) == (
+            ref_td.nodes, ref_td.tree_edges, ref_td.bags, ref_bound)
 
 
 # ---------------------------------------------------------------------------
