@@ -9,10 +9,13 @@ each widened by one halo level per side so a core vertex's best dominator is
 always inside its band).
 
 All three try every offset and return the best result; ties go to the
-smaller offset.  Each connected component is decomposed once
-(``planar_td.band_hosts``) and every band gets that decomposition restricted
-to its levels.  Disconnected inputs are handled per component; the additive
-guarantees compose (dominating set requires a connected input).
+smaller offset.  Each connected component is levelled once
+(``planar_td.band_hosts``).  Every band gets the min-degree decomposition of
+the subgraph it induces, or, when that is wider than the band's proven
+bound, the component's root-path decomposition restricted to its levels,
+built on first need (``planar_td.slice_td``).  Disconnected inputs are
+handled per component; the additive guarantees compose (dominating set
+requires a connected input).
 """
 
 from __future__ import annotations

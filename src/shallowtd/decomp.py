@@ -215,7 +215,8 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
 # ---------------------------------------------------------------------------
 # Heuristic decomposition for arbitrary hosts (min-degree elimination).
-# `solve` runs its DP on it for every host, planar or not; it makes no width
+# `solve` runs its DP on it for every host, planar or not, and `slice_td` on
+# every level band it keeps within the band's bound; it makes no width
 # guarantee, and is narrower than `planar_bfs_td` on most planar hosts.
 
 def heuristic_td(g: Graph) -> TreeDecomposition:

@@ -10,29 +10,35 @@ to one vertex per level.
 
 Neighbouring triangles mostly have nested bags, so ``planar_bfs_td`` first
 contracts every dual-tree edge whose one bag is nested in the other (the
-subset rule ``slice_td`` applies to bands), testing nesting on DFS intervals
-of the BFS tree, and builds bags only for the triangles that survive: one
-node per maximal bag along the dual tree (the 45x45 grid: 4,046 -> 271
-nodes, same width).  Whole hosts and level-band hosts share this
-construction (``_root_path_td``).
+subset rule ``restrict_td`` applies to bands), testing nesting on DFS
+intervals of the BFS tree, and builds bags only for the triangles that
+survive: one node per maximal bag along the dual tree (the 45x45 grid:
+4,046 -> 271 nodes, same width).  Whole hosts and level-band hosts share
+this construction (``_root_path_td``).
 
-Level bands use one host decomposition per connected component
-(``band_host``): the same construction on the triangulated component, but
-with the BFS tree of the component itself, whose levels define the bands.
-``slice_td`` restricts the host bags to the levels [lo, hi] of a band and
-contracts the bags that the restriction nests, by the same rule.
-Restricting a tree decomposition to a vertex set decomposes the subgraph it
-induces, and each root path meets the band in at most hi - lo + 1 vertices,
-so the band's width is at most 3(hi - lo + 1) - 1 (Baker's bounded-treewidth
-bands).
+Level bands are solved per connected component (``band_hosts``).  Each
+band of levels [lo, hi] of the component's own BFS tree gets the min-degree
+elimination decomposition of the subgraph it induces (``heuristic_td``,
+the engine ``solve`` uses), which on grids and triangulations is far
+narrower than the proven bound.  Only when that decomposition is wider
+than 3(hi - lo + 1) - 1 does ``slice_td`` fall back to the proven one: the
+root-path construction on the triangulated component (``BandHost.td``, built
+on first use and kept for the component's other bands), restricted to the
+band with the bags this nests contracted by the same rule
+(``restrict_td``).  Restricting a tree decomposition to a vertex set
+decomposes the subgraph it induces, and each root path meets the band in at
+most hi - lo + 1 vertices, so the fallback's width is at most
+3(hi - lo + 1) - 1 (Baker's bounded-treewidth bands); every band's width is
+checked against that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernels
-from .decomp import TreeDecomposition
+from .decomp import TreeDecomposition, heuristic_td
 from .graph import (
     EmbeddedGraph,
     EmbeddingError,
@@ -244,23 +250,32 @@ def _contract(nodes: int, tree_edges: list[tuple[int, int]], nested
 
 @dataclass
 class BandHost:
-    """One connected planar component, decomposed once for all its bands."""
+    """One connected planar component, whose BFS levels define its bands.
+    Its root-path decomposition (``td``) is built only when a band needs
+    it (see ``slice_td``), then kept for the component's other bands."""
 
-    graph: Graph
+    embedding: EmbeddedGraph     # the component, simplified as triangulate needs
     layering: Layering           # BFS levels of graph; they define the bands
-    td: TreeDecomposition        # bags are root paths of the layering's tree
+
+    @property
+    def graph(self) -> Graph:
+        return self.embedding.graph
+
+    @cached_property
+    def td(self) -> TreeDecomposition:
+        """Decomposition of graph whose bags are root paths of the
+        layering's tree; one node per maximal bag."""
+        e = self.embedding
+        return (_single_bag(e.graph.n) if e.graph.n <= 2
+                else _root_path_td(triangulate(e), self.layering))
 
 
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:
-    """Host decomposition of a connected planar embedding whose bags are
-    root paths in the BFS tree of e.graph from `root` (not of its
-    triangulation), so that every bag meets each level at most three times;
-    one node per maximal bag, as in ``planar_bfs_td``."""
+    """Band host of a connected planar embedding, levelled by the BFS tree
+    of e.graph from `root` (not of its triangulation), so that every
+    root-path bag meets each level at most three times."""
     e = _planar_component(e, root)     # the layering and bags share its edges
-    lay = bfs_layering(e.graph, root)
-    td = (_single_bag(e.graph.n) if e.graph.n <= 2
-          else _root_path_td(triangulate(e), lay))
-    return BandHost(graph=e.graph, layering=lay, td=td)
+    return BandHost(embedding=e, layering=bfs_layering(e.graph, root))
 
 
 def band_hosts(e: EmbeddedGraph, min_vertices: int = 0):
@@ -278,7 +293,7 @@ def band_hosts(e: EmbeddedGraph, min_vertices: int = 0):
 @dataclass
 class Slice:
     """A level band [lo, hi] of a host: the subgraph its vertices induce, with
-    local ids, and the host decomposition restricted to it."""
+    local ids, and a decomposition of it."""
 
     window: tuple[int, int]      # inclusive level range
     graph: Graph
@@ -291,24 +306,21 @@ def slice_td(host: BandHost, lo: int, hi: int,
              core: tuple[int, int] | None = None) -> Slice:
     """Decompose the band of levels [lo, hi]; width <= 3 * (hi - lo + 1) - 1.
 
-    Every host bag is cut to the band, then each tree edge whose one bag is
-    a subset of the other is contracted into the larger bag, which removes
-    the empty bags.  The core is the band's vertices in the inclusive level
-    range `core`, the whole band when None.
+    The band's induced subgraph gets its min-degree decomposition
+    (``heuristic_td``) when that is within the bound, and the host's
+    root-path decomposition restricted to the band (``restrict_td``)
+    otherwise, which the bound holds for.  The core is the band's vertices
+    in the inclusive level range `core`, the whole band when None.
     """
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
     level = host.layering.level
     graph, back_map = induced_subgraph(
         host.graph, [v for v in range(len(level)) if lo <= level[v] <= hi])
-    band = set(back_map)
-    sets = [band.intersection(bag) for bag in host.td.bags]
-    kept, tree_edges = _contract(host.td.nodes, host.td.tree_edges,
-                                 lambda a, b: sets[a] <= sets[b])
-    local = {v: i for i, v in enumerate(back_map)}
-    bags = [tuple(sorted(map(local.__getitem__, sets[x]))) for x in kept]
-    td = TreeDecomposition(nodes=len(kept), tree_edges=tree_edges, bags=bags)
     bound = 3 * (hi - lo + 1) - 1
+    td = heuristic_td(graph)
+    if td.width > bound:
+        td = restrict_td(host.td, back_map)
     if td.width > bound:
         raise EmbeddingError(f"band [{lo}, {hi}] decomposition has width "
                              f"{td.width} > {bound}: the host bags are not "
@@ -317,6 +329,21 @@ def slice_td(host: BandHost, lo: int, hi: int,
     return Slice(window=(lo, hi), graph=graph, back_map=back_map, td=td,
                  core=tuple(i for i, v in enumerate(back_map)
                             if clo <= level[v] <= chi))
+
+
+def restrict_td(td: TreeDecomposition,
+                back_map: list[int]) -> TreeDecomposition:
+    """`td` cut to the ascending host vertices `back_map`, renumbered to
+    their positions there.  Each tree edge whose one cut bag is a subset of
+    the other is contracted into the larger bag, which removes the empty
+    bags."""
+    band = set(back_map)
+    sets = [band.intersection(bag) for bag in td.bags]
+    kept, tree_edges = _contract(td.nodes, td.tree_edges,
+                                 lambda a, b: sets[a] <= sets[b])
+    local = {v: i for i, v in enumerate(back_map)}
+    bags = [tuple(sorted(map(local.__getitem__, sets[x]))) for x in kept]
+    return TreeDecomposition(nodes=len(kept), tree_edges=tree_edges, bags=bags)
 
 
 def level_windows(depth: int, k: int, offset: int,

@@ -1,10 +1,14 @@
-"""Numpy reference for ``shallowtd.planar_td.slice_td``, and the level-by-
-level loop reference for ``shallowtd.planar_td.level_windows``.
+"""Numpy reference for ``shallowtd.planar_td.restrict_td``, the band
+restriction of a host's root-path decomposition, and the level-by-level loop
+reference for ``shallowtd.planar_td.level_windows``.
 
 This is the band restriction as it ran on the host bags in CSR arrays: the
 band is masked over the whole bag data at once and each bag becomes a set
-before the subset contraction.  The property tests require ``slice_td`` to
-return the same back map, node count, tree edges and bags on every band.
+before the subset contraction.  ``slice_td`` reads any record with the
+host's graph, layering and decomposition (a ``BandHost`` or
+``reference_planar.BandRecord``).  The property tests require
+``restrict_td`` to return the same node count, tree edges and bags on every
+band, and the band to have the same back map.
 
 ``level_windows`` here walks the levels one at a time (delete) or moves a
 window start until a band reaches the last level (duplicate, dominate);
@@ -15,7 +19,7 @@ import numpy as np
 
 from shallowtd.decomp import TreeDecomposition
 from shallowtd.graph import EmbeddingError, GraphInputError, induced_subgraph
-from shallowtd.planar_td import BandHost, Slice
+from shallowtd.planar_td import Slice
 
 
 def csr_bags(td: TreeDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -25,7 +29,7 @@ def csr_bags(td: TreeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     return indptr, data
 
 
-def slice_td(host: BandHost, lo: int, hi: int) -> Slice:
+def slice_td(host, lo: int, hi: int) -> Slice:
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
     bag_indptr, bag_data = csr_bags(host.td)

@@ -4,20 +4,23 @@
 This is the root-path construction as it ran before nested bags were
 contracted: one node per triangle of the triangulation, joined by the dual
 tree, each bag the union of its corners' root paths.  ``band_host`` is the
-level-band host built that way, with the BFS tree of the host itself.
-``contract_subsets`` is the set-based subset rule that ``slice_td`` applies
-to bands.  The property tests require the contracted construction to return
-exactly ``contract_subsets`` of this reference, and every band of the
-contracted host to be as wide as the same band of this one.
+level-band host built that way, with the BFS tree of the host itself, as a
+plain record of its graph, layering and decomposition.
+``contract_subsets`` is the set-based subset rule that ``restrict_td``
+applies to bands.  The property tests require the contracted construction
+to return exactly ``contract_subsets`` of this reference, and the contracted
+host restricted to every band (``restrict_td``) to be as wide as this one
+restricted to the same band.
 """
+
+from typing import NamedTuple
 
 from shallowtd import _kernels
 from shallowtd.decomp import TreeDecomposition
 from shallowtd.genus_td import contract_cut_graph, cut_graph
-from shallowtd.graph import (EmbeddedGraph, EmbeddingError, Layering,
+from shallowtd.graph import (EmbeddedGraph, EmbeddingError, Graph, Layering,
                              bfs_layering, triangulate)
-from shallowtd.planar_td import (BandHost, _planar_component,
-                                 _single_bag, tree_cotree)
+from shallowtd.planar_td import _planar_component, _single_bag, tree_cotree
 
 
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
@@ -47,7 +50,13 @@ def _three_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
                              bags=_kernels.three_path_bags(lay.parent, corners))
 
 
-def band_host(e: EmbeddedGraph, root: int) -> BandHost:
+class BandRecord(NamedTuple):
+    graph: Graph
+    layering: Layering
+    td: TreeDecomposition
+
+
+def band_host(e: EmbeddedGraph, root: int) -> BandRecord:
     """Host decomposition of a connected planar embedding whose bags are
     root paths in the BFS tree of e.graph from `root` (not of its
     triangulation), so that every bag meets each level at most three times."""
@@ -57,7 +66,7 @@ def band_host(e: EmbeddedGraph, root: int) -> BandHost:
         td = _single_bag(e.graph.n)
     else:
         td = _three_path_td(triangulate(e), lay)
-    return BandHost(graph=e.graph, layering=lay, td=td)
+    return BandRecord(graph=e.graph, layering=lay, td=td)
 
 
 def genus_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:

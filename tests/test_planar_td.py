@@ -3,13 +3,16 @@
 import pytest
 
 from conftest import DIGON, cycle_graph, embed_outerplanar
-from shallowtd import _kernels, graph
-from shallowtd.decomp import validate
+from shallowtd import _kernels, graph, planar_td
+from shallowtd.baker import ptas_ds, ptas_mis, ptas_vc
+from shallowtd.decomp import TreeDecomposition, validate
+from shallowtd.dp import subiso_driver
 from shallowtd.generators import grid, random_planar_triangulation, wall
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, embed, parse_graph, triangulate)
-from shallowtd.planar_td import (band_host, band_hosts, min_eccentricity_root,
-                                 planar_bfs_td, slice_td, tree_cotree)
+from shallowtd.planar_td import (band_host, band_hosts, level_windows,
+                                 min_eccentricity_root, planar_bfs_td,
+                                 restrict_td, slice_td, tree_cotree)
 
 
 class TestTreeCotree:
@@ -155,6 +158,70 @@ class TestSliceTd:
             sd = slice_td(host, lo, hi)
             assert validate(sd.td, sd.graph).valid
             assert sd.td.width <= 3 * (hi - lo + 1) - 1
+
+
+def _one_bag(n: int) -> TreeDecomposition:
+    return TreeDecomposition(nodes=1, tree_edges=[], bags=[tuple(range(n))])
+
+
+class TestBandDecomposition:
+    def test_wide_min_degree_falls_back_to_the_host_restriction(
+            self, monkeypatch):
+        # one bag of the whole band is within the bound only on small bands
+        built = []
+
+        def counted(tri, lay):
+            built.append(tri)
+            return root_path_td(tri, lay)
+
+        root_path_td = planar_td._root_path_td
+        monkeypatch.setattr(planar_td, "heuristic_td", lambda g: _one_bag(g.n))
+        monkeypatch.setattr(planar_td, "_root_path_td", counted)
+        host = band_host(random_planar_triangulation(60, 3), 0)
+        fallbacks = 0
+        for k in (2, 3, 4):
+            for lo, hi, _core in level_windows(host.layering.depth, k, 0,
+                                               "duplicate"):
+                sl = slice_td(host, lo, hi)
+                bound = 3 * (hi - lo + 1) - 1
+                if sl.graph.n - 1 > bound:
+                    fallbacks += 1
+                    assert sl.td == restrict_td(host.td, sl.back_map)
+                else:
+                    assert sl.td == _one_bag(sl.graph.n)
+                assert sl.td.width <= bound
+                assert validate(sl.td, sl.graph).valid
+        assert fallbacks > 0
+        assert len(built) == 1          # once per host, on first need
+
+    def test_band_wider_than_its_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(planar_td, "heuristic_td", lambda g: _one_bag(g.n))
+        monkeypatch.setattr(planar_td, "_root_path_td",
+                            lambda tri, lay: _one_bag(len(lay.level)))
+        host = band_host(grid(6, 6), 0)
+        assert slice_td(host, 0, 1).td.width == 2       # 3 vertices, bound 5
+        with pytest.raises(EmbeddingError, match=r"band \[2, 3\] "
+                           r"decomposition has width 6 > 5"):
+            slice_td(host, 2, 3)
+
+    @pytest.mark.parametrize("solve", [ptas_mis, ptas_vc, ptas_ds])
+    def test_ptas_builds_no_host_decomposition(self, solve, monkeypatch):
+        self._forbid_host_decomposition(monkeypatch)
+        assert solve(grid(8, 8), 3)
+
+    def test_subiso_builds_no_host_decomposition(self, monkeypatch):
+        self._forbid_host_decomposition(monkeypatch)
+        e = grid(8, 8)
+        assert subiso_driver(e, cycle_graph(3)) is None      # a full scan
+        assert subiso_driver(e, cycle_graph(4)) is not None
+
+    @staticmethod
+    def _forbid_host_decomposition(monkeypatch):
+        def unused(*args):
+            raise AssertionError("a band built the host decomposition")
+
+        monkeypatch.setattr(planar_td, "triangulate", unused)
+        monkeypatch.setattr(planar_td, "_root_path_td", unused)
 
 
 class TestRootSelection:

@@ -3,13 +3,15 @@ the list kernels against their numpy-scalar reference, the linear
 triangulation against its quadratic reference, contraction of BFS
 level prefixes, the genus cut-graph pipeline against its reference, Euler
 genus against an independent planarity test, width bounds of whole-host and level-band decompositions, whole-host and
-band-host decompositions against their uncontracted reference, level bands
-against their numpy reference and no narrower than those of the
-uncontracted band host, the exact DP against its frozenset reference and the
+band-host decompositions against their uncontracted reference, the band
+restriction of the host decomposition against its numpy reference and no
+narrower than that of the uncontracted band host, each band's min-degree
+decomposition whenever it is within the band's bound, with the band DP
+against the oracle, the exact DP against its frozenset reference and the
 oracle, the pattern DP against its pairwise-check reference (the same
 mapping on twin-free patterns, the same existence on patterns with
-twins), and heap min-degree elimination against its rescanning
-reference."""
+twins) and against backtracking on min-degree decompositions, and heap
+min-degree elimination against its rescanning reference."""
 
 import dataclasses
 from functools import cache
@@ -40,8 +42,10 @@ from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, contract_connected_set,
                              eccentricity, embed, induced_embedded_subgraph,
                              triangulate)
-from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
-from shallowtd.planar_td import band_host, planar_bfs_td, slice_td
+from shallowtd.oracles import (MAX_SET_PROBLEM, oracle_solve,
+                               subiso_backtracking)
+from shallowtd.planar_td import (band_host, planar_bfs_td, restrict_td,
+                                 slice_td)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -522,12 +526,52 @@ def test_band_is_valid_narrow_and_exact(data):
     assert validate(sl.td, sl.graph).valid
     assert sl.td.width <= 3 * (hi - lo + 1) - 1
     # the contracted host loses no width on any band, only nodes
-    ref = slice_td(reference_planar.band_host(e, root), lo, hi)
-    assert sl.td.width == ref.td.width
-    assert sl.td.nodes <= ref.td.nodes
+    cut = restrict_td(host.td, sl.back_map)
+    ref = restrict_td(reference_planar.band_host(e, root).td, sl.back_map)
+    assert cut.width == ref.width
+    assert cut.nodes <= ref.nodes
     if sl.graph.n <= MAX_SET_PROBLEM:
         assert (len(dp_mis(make_nice(sl.td), sl.graph))
                 == oracle_solve("mis", sl.graph)[0])
+
+
+def _with_required(g, required):
+    """`g` plus a vertex x adjacent to every vertex outside `required` and
+    a pendant vertex on x.  Some minimum dominating set holds x, which
+    dominates exactly the unrequired vertices, so its size is one more than
+    the least set of g that dominates `required`."""
+    x = g.n
+    rest = [(v, x) for v in range(g.n) if v not in required]
+    return build_graph(g.n + 2, list(g.edges) + rest + [(x, x + 1)])
+
+
+@PROPERTY
+@given(st.data())
+def test_band_takes_min_degree_within_its_bound(data):
+    """A band gets its min-degree decomposition when that is within the
+    bound and the host's restricted one otherwise, and the band DP is exact
+    on it for every problem, dominating set with the band's core."""
+    _e, _root, host, lo, hi = _band(data.draw)
+    clo = data.draw(st.integers(lo, hi))
+    core = (clo, data.draw(st.integers(clo, hi)))
+    sl = slice_td(host, lo, hi, core)
+    bound = 3 * (hi - lo + 1) - 1
+    md = heuristic_td(sl.graph)
+    if md.width <= bound:
+        assert sl.td == md
+    else:
+        assert sl.td == restrict_td(host.td, sl.back_map)
+    assert sl.core == tuple(i for i, v in enumerate(sl.back_map)
+                            if clo <= host.layering.level[v] <= core[1])
+    if sl.graph.n + 2 <= MAX_SET_PROBLEM:
+        nd = make_nice(sl.td)
+        assert len(dp_mis(nd, sl.graph)) == oracle_solve("mis", sl.graph)[0]
+        assert len(dp_vc(nd, sl.graph)) == oracle_solve("vc", sl.graph)[0]
+        ds = dp_ds(nd, sl.graph, sl.core)
+        nbr = sl.graph.neighbor_sets()
+        assert all(v in ds or nbr[v] & ds for v in sl.core)
+        assert (len(ds) + 1
+                == oracle_solve("ds", _with_required(sl.graph, sl.core))[0])
 
 
 @PROPERTY
@@ -535,11 +579,12 @@ def test_band_is_valid_narrow_and_exact(data):
 def test_band_matches_numpy_reference(data):
     _e, _root, host, lo, hi = _band(data.draw)
     sl = slice_td(host, lo, hi)
+    cut = restrict_td(host.td, sl.back_map)
     ref = reference_bands.slice_td(host, lo, hi)
     assert sl.back_map == ref.back_map
-    assert sl.td.nodes == ref.td.nodes
-    assert sl.td.tree_edges == ref.td.tree_edges
-    assert sl.td.bags == ref.td.bags
+    assert cut.nodes == ref.td.nodes
+    assert cut.tree_edges == ref.td.tree_edges
+    assert cut.bags == ref.td.bags
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +685,52 @@ def test_dp_subiso_matches_reference(data):
     else:
         assert (mine is None) == (ref is None)
         assert mine is None or verify_subiso(g, h, mine, induced)
+
+
+def _fixed_pattern(draw):
+    """A star K_{1,3} or K_{1,4}, C4, K_{2,3} or a spider (two or three legs
+    of one or two edges, at most six vertices), relabelled at random."""
+    kind = draw(st.sampled_from(["star", "c4", "k23", "spider"]))
+    if kind == "star":
+        k = draw(st.integers(4, 5))
+        edges = [(0, i) for i in range(1, k)]
+    elif kind == "c4":
+        k, edges = 4, [(0, 1), (1, 2), (2, 3), (3, 0)]
+    elif kind == "k23":
+        k, edges = 5, [(a, b) for a in range(2) for b in range(2, 5)]
+    else:
+        legs = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+        if sum(legs) > 5:
+            legs[-1] = 1
+        k, edges = 1, []
+        for length in legs:
+            prev = 0
+            for _ in range(length):
+                edges.append((prev, k))
+                prev, k = k, k + 1
+    label = draw(st.permutations(range(k)))
+    return build_graph(k, [(label[u], label[v]) for u, v in edges])
+
+
+@PROPERTY
+@given(st.data())
+def test_dp_subiso_on_min_degree_decompositions(data):
+    """Elimination trees branch, so level bands reach many join nodes; on
+    small planar hosts and their sparse spanning subgraphs the pattern DP
+    over the min-degree decomposition agrees with backtracking on
+    existence and returns a valid embedding."""
+    e = random_planar_triangulation(data.draw(st.integers(3, 14)),
+                                    data.draw(st.integers(0, 10**6)))
+    extra = data.draw(st.sampled_from([None, 0.0, 0.3, 0.6]))
+    if extra is not None:
+        e = _spanning_subgraph(e, data.draw(st.randoms(use_true_random=False)),
+                               extra)
+    g, h = e.graph, _fixed_pattern(data.draw)
+    induced = data.draw(st.booleans())
+    found = dp_subiso(make_nice(heuristic_td(g)), g, h, induced)
+    expected = subiso_backtracking(g, h, induced).mapping
+    assert (found is None) == (expected is None)
+    assert found is None or verify_subiso(g, h, found, induced)
 
 
 # ---------------------------------------------------------------------------
