@@ -89,10 +89,9 @@ def _dot_td(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_dot(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_dot(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +110,8 @@ def _cmd_generate(args) -> tuple[None, int]:
     else:  # random-triangulation; argparse restricts the choices
         obj = random_planar_triangulation(args.size, args.seed)
     sys.stdout.write(emit_graph(obj))
-    _write_dot(args.dot, _dot_graph(_plain(obj)))
+    if args.dot:
+        _write_dot(args.dot, _dot_graph(_plain(obj)))
     return None, 0
 
 
@@ -131,7 +131,8 @@ def _cmd_decompose(args) -> tuple[dict, int]:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(td_text)
-    _write_dot(args.dot, _dot_td(td))
+    if args.dot:
+        _write_dot(args.dot, _dot_td(td))
     report = {"input_fingerprint": fingerprint, "method": args.method}
     if args.method == "heuristic":      # no root: min-degree needs none
         report.update(width=td.width, valid=rep.valid, nodes=td.nodes)

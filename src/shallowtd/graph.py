@@ -417,15 +417,13 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
     anchored at the first occurrence of its lowest vertex.  The ear at a
     corner c is the triangle of c and the next two corners, cut off by a
     chord from c to the corner two ahead.  It is valid when those two are
-    different vertices, and fresh when no edge or chord joins them yet.
-    Scanning forward from the last cut (from the anchor at first), the first
-    fresh valid ear is cut, or the first valid one when none is fresh; the
-    chord's dart takes c's place in the ring and the middle corner leaves
-    it.  Each cut is O(1) and a scan stops at the first fresh ear, so the
-    run is O(m) unless a face keeps offering chords that already exist (a
-    scan that finds no fresh ear visits the whole ring).  The result is
-    built directly, not re-embedded: each triangle starts at its lowest dart
-    and the faces are sorted by it, as ``embed`` would give them.
+    different vertices.  Scanning forward from the last cut (from the anchor
+    at first), the first valid ear is cut, even when its chord doubles an
+    edge; the chord's dart takes c's place in the ring and the middle corner
+    leaves it.  Each cut is O(1) and a scan stops at the first valid ear.
+    The result is built directly, not re-embedded: each triangle starts at
+    its lowest dart and the faces are sorted by it, as ``embed`` would give
+    them.
 
     Raises EmbeddingError for a nonzero genus, a face of fewer than three
     darts or a face with no valid ear, and GraphInputError for a
@@ -445,7 +443,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
     tail = [v for uv in edges for v in uv]
     succ = _rotation_successors(g.m, e.rotation)
     head = [cyc[0] for cyc in e.rotation]
-    pairs = {u * n + v if u < v else v * n + u for u, v in edges}
     triangles: list[list[int]] = []
     for face in e.faces:
         size = len(face)
@@ -463,24 +460,14 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
         prev = i - 1 if i else size - 1
         while size > 3:
             x, px = i, prev
-            first = -1
             for _ in range(size):
                 x2 = nxt[nxt[x]]
                 a, b = corner[x], corner[x2]
                 if a != b:
-                    key = a * n + b if a < b else b * n + a
-                    if key not in pairs:
-                        break
-                    if first < 0:
-                        first, pfirst = x, px
+                    break
                 px, x = x, nxt[x]
             else:
-                if first < 0:
-                    raise EmbeddingError("no valid ear in face; embedding is degenerate")
-                x, px = first, pfirst
-                x2 = nxt[nxt[x]]
-                a, b = corner[x], corner[x2]
-                key = a * n + b if a < b else b * n + a
+                raise EmbeddingError("no valid ear in face; embedding is degenerate")
             # Cut the ear (q, da, db): chord p = a->b goes before da at a,
             # q = b->a before dart[x2] at b.  In a face, the dart before
             # dart[y] in its tail's rotation is the reverse of the ring dart
@@ -499,7 +486,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
                 head[a] = p
             if head[b] == dc:
                 head[b] = q
-            pairs.add(key)
             triangles.append([da, db, q] if da < db else [db, q, da])
             dart[x] = p
             nxt[x] = x2

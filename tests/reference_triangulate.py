@@ -3,8 +3,10 @@
 This is the ear-cutting triangulation as it ran before faces became linked
 rings: each cut rebuilds the face's corner list and rescans it from the last
 cut, chords go into Python rotation lists with ``list.index``, and the result
-is re-embedded.  The property tests require the linear routine to return the
-same edges, rotation and faces.
+is re-embedded.  It holds the same chord rule: scanning from the last cut,
+the first valid ear (its two outer corners are different vertices) is cut,
+even when its chord doubles an edge.  The property tests require the linear
+routine to return the same edges, rotation and faces.
 """
 
 from shallowtd.graph import (EmbeddedGraph, EmbeddingError, GraphInputError,
@@ -31,7 +33,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
     for eid, (u, v) in enumerate(edges):
         tails[2 * eid] = u
         tails[2 * eid + 1] = v
-    simple_pairs = {(min(u, v), max(u, v)) for u, v in edges}
 
     def add_chord(face: list[int], i: int, j: int) -> tuple[int, int]:
         # chord between the corners at positions i and j of the face cycle;
@@ -45,7 +46,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
         tails[q] = b
         rot[a].insert(rot[a].index(face[i]), p)
         rot[b].insert(rot[b].index(face[j]), q)
-        simple_pairs.add((min(a, b), max(a, b)))
         return p, q
 
     for face in _trace_faces(g, e.rotation):
@@ -62,10 +62,7 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
             candidates = [i for i in range(L) if corners[i] != corners[(i + 2) % L]]
             if not candidates:
                 raise EmbeddingError("no valid ear in face; embedding is degenerate")
-            fresh = [i for i in candidates
-                     if (min(corners[i], corners[(i + 2) % L]),
-                         max(corners[i], corners[(i + 2) % L])) not in simple_pairs]
-            i = (fresh or candidates)[0]
+            i = candidates[0]
             j = (i + 2) % L
             p, _q = add_chord(face, i, j)
             # ear (q, face[i], face[i+1]) is cut off; continue on the rest

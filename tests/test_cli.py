@@ -332,6 +332,33 @@ class TestPipelines:
                              "--cols", "2", "--dot", str(dot)])
         assert code == 0 and dot.read_text().startswith("graph G")
 
+    def test_decompose_dot_export(self, capsys, monkeypatch, tmp_path):
+        dot, out = tmp_path / "td.dot", tmp_path / "g.td"
+        code, _, _ = invoke(capsys, monkeypatch,
+                            ["decompose", "--out", str(out), "--dot", str(dot)],
+                            stdin=self._grid_text(capsys, monkeypatch, 3, 3))
+        assert code == 0
+        td, _ = parse_td(out.read_text())
+        lines = dot.read_text().splitlines()
+        assert lines[0] == "graph TD {" and lines[-1] == "}"
+        assert sum("[label=" in line for line in lines) == len(td.bags)
+
+    @pytest.mark.parametrize("argv, builder", [
+        (["decompose"], "_dot_td"),
+        (["generate", "--kind", "grid", "--rows", "2", "--cols", "2"],
+         "_dot_graph"),
+    ])
+    def test_dot_text_built_only_with_dot(self, capsys, monkeypatch, argv,
+                                          builder):
+        from shallowtd import cli
+
+        def unwanted(obj):
+            raise AssertionError(f"{builder} ran without --dot")
+        monkeypatch.setattr(cli, builder, unwanted)
+        code, _, err = invoke(capsys, monkeypatch, argv,
+                              stdin=emit_graph(grid(3, 3)))
+        assert code == 0, err
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "--input", "{dir}"],
         ["decompose", "--out", "{dir}"],

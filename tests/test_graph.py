@@ -163,6 +163,20 @@ class TestTriangulate:
         assert t.graph.edges[:e.graph.m] == e.graph.edges
         assert t.euler_genus == 0
 
+    @pytest.mark.parametrize("g, chords", [
+        (cycle_graph(4), [(0, 2), (0, 2)]),
+        (path_graph(4), [(0, 2), (0, 3), (0, 2)]),
+        (star_graph(3), [(1, 2), (1, 0), (1, 3)]),
+    ])
+    def test_cuts_first_valid_ear(self, g, chords):
+        # each scan from the last cut takes the first valid ear, even when
+        # its chord doubles an edge
+        t = triangulate(embed_outerplanar(g))
+        assert t.graph.edges[g.m:] == chords
+        assert all(len(f) == 3 for f in t.faces)
+        assert embed(t.graph, t.rotation).faces == t.faces
+        assert t.euler_genus == 0
+
     def test_nonplanar_rejected(self):
         with pytest.raises(EmbeddingError, match="planar embedding"):
             triangulate(toroidal_grid(3, 3))
