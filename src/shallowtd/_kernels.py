@@ -4,9 +4,9 @@ Both run on plain Python lists.  They are interpreted loops that touch one
 vertex at a time, and indexing a list is several times cheaper than indexing
 a numpy array element-wise, which boxes a numpy scalar on every read.
 Whole-array numpy versions lose here.  A level-synchronous numpy BFS pays a
-fixed cost in array calls per level: the 16 BFS runs of the root search took
-4.3 ms against 0.13 ms on a 4x4 grid, and 152 ms against 100 ms on a
-100x100 grid, whose levels are many and thin.  Bag assembly keyed by
+fixed cost in array calls per level: 16 BFS runs took 4.3 ms against
+0.13 ms on a 4x4 grid, and 152 ms against 100 ms on a 100x100 grid, whose
+levels are many and thin.  Bag assembly keyed by
 ``np.unique`` walks every root path in full and sorts all the
 (face, vertex) keys at once: on the triangulated 100x100 grid it took
 0.93 s and 53 MB of extra peak memory against 0.15 s and 2.4 MB for one

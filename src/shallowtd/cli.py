@@ -273,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="tree-decompose a graph")
     dec.add_argument("--method", default="planar-bfs",
                      choices=["planar-bfs", "genus", "heuristic"])
-    dec.add_argument("--root", type=int, default=None)
+    dec.add_argument("--root", type=int, default=None,
+                     help="BFS root for planar-bfs and genus (default: the "
+                          "midpoint of a double BFS sweep)")
     dec.add_argument("--input", default=None, help="graph file (default stdin)")
     dec.add_argument("--out", default=None, help="write decomposition text here")
     dec.add_argument("--dot", metavar="FILE", default=None)

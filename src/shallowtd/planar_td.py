@@ -8,6 +8,13 @@ reaches every triangle; this is checked at runtime.  Any spanning tree of the
 triangulation gives a valid decomposition; a BFS tree bounds every root path
 to one vertex per level.
 
+The root is the one free choice, and the width bound is 3 times its BFS
+depth.  The default root (``min_eccentricity_root``) is the midpoint of a
+double BFS sweep: BFS from vertex 0 to its farthest vertex u, BFS from u to
+its farthest vertex w at distance d, and the root is the vertex ceil(d/2)
+steps from w on w's BFS-tree path to u (ties to the lowest id).  Two BFS;
+on grids and walls it gives narrower bags than a least-eccentricity pick.
+
 Neighbouring triangles mostly have nested bags, so ``planar_bfs_td`` first
 contracts every dual-tree edge whose one bag is nested in the other (the
 subset rule ``restrict_td`` applies to bands), testing nesting on DFS
@@ -47,7 +54,6 @@ from .graph import (
     Layering,
     bfs_layering,
     connected_components,
-    eccentricity,
     induced_embedded_subgraph,
     induced_subgraph,
     planar_is_connected,
@@ -374,8 +380,21 @@ def level_windows(depth: int, k: int, offset: int,
 
 
 def min_eccentricity_root(g: Graph) -> int:
-    """Least-eccentricity vertex of ~16 evenly spaced ids (default root)."""
+    """Default root: the midpoint of a double BFS sweep (Corneil, Dragan and
+    Köhler, Networks 2003).  BFS from vertex 0; u is the lowest-id vertex
+    at its largest level.  BFS from u; w is the lowest-id vertex at its
+    largest level d.  The root is the vertex ceil(d/2) steps from w along
+    w's BFS parent chain toward u.  Two BFS in all.  On a disconnected graph
+    the root is 0, which the constructions then reject."""
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
-    step = max(1, g.n // 16)
-    return min(range(0, g.n, step), key=lambda v: eccentricity(g, v))
+    nbrs = g.neighbor_lists()
+    level, _parent = _kernels.bfs_levels(nbrs, 0)
+    if min(level) < 0:
+        return 0
+    level, parent = _kernels.bfs_levels(nbrs, level.index(max(level)))
+    d = max(level)
+    v = level.index(d)
+    for _ in range((d + 1) // 2):
+        v = parent[v]
+    return v

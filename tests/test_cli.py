@@ -25,7 +25,7 @@ from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a labelling of grid(4, 5) under which min-degree elimination is wider
-# (5) than planar_bfs_td (4); solve still runs on min-degree
+# (5) than planar_bfs_td from root 5 (4); solve still runs on min-degree
 GRID4X5_LABELS = [14, 11, 12, 15, 10, 16, 1, 17, 7, 4, 3, 18, 5, 8, 6, 13,
                   19, 0, 2, 9]
 
@@ -191,6 +191,19 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert f"root {root} out of range [0, 9)" in err
 
+    @pytest.mark.parametrize("method", ["planar-bfs", "genus"])
+    @pytest.mark.parametrize("text, message", [
+        ("v 4\ne 0 1\ne 2 3\nrot 0 0\nrot 1 1\nrot 2 2\nrot 3 3\n",
+         "graph is not connected"),
+        ("v 3\ne 0 1\nrot 0 0\nrot 1 1\nrot 2\n", "graph is not connected"),
+        ("v 0\n", "empty graph has no root")])
+    def test_decompose_default_root_on_host_without_one(
+            self, capsys, monkeypatch, method, text, message):
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["decompose", "--method", method], stdin=text)
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
     # solve builds min-degree alone for every host, the relabelled grid4x5
     # included, where planar_bfs_td would be one narrower
     @pytest.mark.parametrize("e", [
@@ -235,9 +248,9 @@ class TestPipelines:
     def test_relabelled_grid_is_narrower_under_planar_bfs(self):
         # the cost of solving on min-degree alone: it breaks ties on vertex
         # ids, and under this labelling it ends one wider than the BFS
-        # construction
+        # construction from root 5
         e = relabel_embedded(grid(4, 5), GRID4X5_LABELS)
-        assert planar_bfs_td(e, min_eccentricity_root(e.graph)).width == 4
+        assert planar_bfs_td(e, 5).width == 4
         assert heuristic_td(e.graph).width == 5
 
     def test_ptas(self, capsys, monkeypatch):
@@ -528,7 +541,7 @@ class TestFrame:
 
     def test_back_to_back_runs_share_no_parser_state(self, capsys,
                                                      monkeypatch):
-        # grid(5, 5): the min-eccentricity root is the centre, vertex 12
+        # grid(5, 5): the default root, the double-sweep midpoint, is 4
         text = emit_graph(grid(5, 5))
         roots = []
         for argv in (["decompose", "--root", "0"], ["decompose"],
@@ -536,7 +549,7 @@ class TestFrame:
             code, out, _ = invoke(capsys, monkeypatch, argv, stdin=text)
             assert code == 0
             roots.append(json.loads(out)["root"])
-        assert roots == [0, 12, 3, 12]
+        assert roots == [0, 4, 3, 4]
 
     def test_solver_is_looked_up_at_call_time(self, capsys, monkeypatch):
         # a wrapper bound onto the module attribute, as a tracer binds it,

@@ -1,13 +1,17 @@
 """BFS-tree planar decompositions, level-band slices, tree-cotree partition."""
 
+import random
+
 import pytest
 
-from conftest import DIGON, cycle_graph, embed_outerplanar
+from conftest import DIGON, cycle_graph, embed_outerplanar, path_graph
 from shallowtd import _kernels, graph, planar_td
 from shallowtd.baker import ptas_ds, ptas_mis, ptas_vc
 from shallowtd.decomp import TreeDecomposition, validate
 from shallowtd.dp import subiso_driver
-from shallowtd.generators import grid, random_planar_triangulation, wall
+from shallowtd.generators import (grid, random_planar_triangulation,
+                                  toroidal_grid, wall)
+from shallowtd.genus_td import cut_graph, genus_td
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, embed, parse_graph, triangulate)
 from shallowtd.planar_td import (band_host, band_hosts, level_windows,
@@ -225,12 +229,96 @@ class TestBandDecomposition:
 
 
 class TestRootSelection:
-    def test_min_eccentricity_root_deterministic(self):
-        g = grid(5, 5).graph
-        assert min_eccentricity_root(g) == min_eccentricity_root(g)
+    """The default root is the midpoint of a double BFS sweep."""
+
+    SWEEP_HOSTS = [path_graph(1), path_graph(2), path_graph(6),
+                   path_graph(7), grid(1, 5).graph, grid(5, 5).graph,
+                   grid(4, 7).graph, grid(6, 3).graph, wall(2)[1].graph,
+                   wall(3)[1].graph, wall(4)[1].graph,
+                   random_planar_triangulation(30, 1).graph,
+                   random_planar_triangulation(80, 2).graph]
+
+    @staticmethod
+    def _farthest(g, v):
+        """The lowest-id vertex at the largest BFS level from v, and the
+        layering."""
+        lay = bfs_layering(g, v)
+        return lay.level.index(lay.depth), lay
+
+    @pytest.mark.parametrize("g", SWEEP_HOSTS)
+    def test_root_is_the_sweep_midpoint(self, g):
+        u, _ = self._farthest(g, 0)
+        w, from_u = self._farthest(g, u)
+        d = from_u.depth
+        chain = [w]                       # w's BFS parent chain up to u
+        while chain[-1] != u:
+            chain.append(from_u.parent[chain[-1]])
+        root = min_eccentricity_root(g)
+        assert root == chain[(d + 1) // 2]
+        assert bfs_layering(g, root).level[w] == (d + 1) // 2
+        assert from_u.level[root] == d // 2
+
+    @pytest.mark.parametrize("g, root", [(path_graph(6), 3),
+                                         (path_graph(7), 3),
+                                         (grid(5, 5).graph, 4),
+                                         (grid(4, 7).graph, 5)])
+    def test_known_roots(self, g, root):
+        assert min_eccentricity_root(g) == root
 
     def test_center_beats_corner(self):
         g = grid(5, 5).graph
         root = min_eccentricity_root(g)
         ecc = bfs_layering(g, root).depth
         assert ecc <= bfs_layering(g, 0).depth
+
+    def test_min_eccentricity_root_deterministic(self):
+        e = random_planar_triangulation(60, 3)
+        rebuilt = build_graph(e.n, list(e.graph.edges))
+        root = min_eccentricity_root(e.graph)
+        assert min_eccentricity_root(e.graph) == root
+        assert min_eccentricity_root(rebuilt) == root
+
+    def test_two_bfs_calls(self, monkeypatch):
+        calls = []
+        honest = _kernels.bfs_levels
+
+        def counting(nbrs, root):
+            calls.append(root)
+            return honest(nbrs, root)
+
+        monkeypatch.setattr(_kernels, "bfs_levels", counting)
+        min_eccentricity_root(grid(9, 6).graph)
+        assert calls == [0, 53]           # vertex 0, then the far corner u
+
+    def test_disconnected_host_gets_root_zero(self):
+        assert min_eccentricity_root(build_graph(4, [(1, 2), (2, 3)])) == 0
+        assert min_eccentricity_root(build_graph(4, [(0, 1), (2, 3)])) == 0
+
+    def test_empty_graph_has_no_root(self):
+        with pytest.raises(GraphInputError, match="empty graph has no root"):
+            min_eccentricity_root(build_graph(0, []))
+
+    @staticmethod
+    def _random_hosts(rng, planar):
+        for _ in range(4):
+            yield grid(rng.randint(1, 9), rng.randint(2, 9))
+            yield wall(rng.randint(1, 5))[1]
+            yield random_planar_triangulation(rng.randint(3, 90),
+                                              rng.randrange(10**6))
+            if not planar:
+                yield toroidal_grid(rng.randint(3, 7), rng.randint(3, 7))
+
+    def test_default_root_planar_bfs_within_bound(self):
+        for e in self._random_hosts(random.Random(20), planar=True):
+            root = min_eccentricity_root(e.graph)
+            td = planar_bfs_td(e, root)
+            assert validate(td, e.graph).valid
+            assert td.width <= 3 * bfs_layering(e.graph, root).depth
+
+    def test_default_root_genus_within_bound(self):
+        for e in self._random_hosts(random.Random(21), planar=False):
+            root = min_eccentricity_root(e.graph)
+            td, bound = genus_td(e, root)
+            x = cut_graph(e, root).x_vertices
+            assert bound == 3 * (bfs_layering(e.graph, root).depth + 1) + len(x)
+            assert validate(td, e.graph).valid and td.width <= bound
