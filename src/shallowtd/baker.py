@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .decomp import make_nice
 from .dp import check_solution, dp_ds, dp_mis, dp_vc
-from .graph import EmbeddedGraph, GraphInputError, is_connected
+from .graph import EmbeddedGraph, GraphInputError, planar_is_connected
 from .planar_td import BandHost, Slice, band_hosts, level_windows, slice_td
 
 
@@ -77,9 +77,10 @@ def _ptas_detail(e: EmbeddedGraph, problem: str, k: int) -> PtasResult:
         raise GraphInputError(f"unknown problem {problem!r}")
     if k < 2:
         raise GraphInputError(f"slicing parameter k must be >= 2, got {k}")
+    # band_hosts checks genus 0 at call time, as planar_is_connected needs
     hosts = band_hosts(e)
     g = e.graph
-    if problem == "ds" and not is_connected(g):
+    if problem == "ds" and not planar_is_connected(e):
         raise GraphInputError("dominating-set slicing requires a connected graph")
     mode, sign = _MODES[problem]
 

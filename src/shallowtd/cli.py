@@ -6,9 +6,9 @@ process, a handler returns `(report, exit_code)`, and `run` times it, maps a
 domain error to exit 1 and writes the report as one JSON line on stdout
 (`command` first, `version` and `wall_time` last; `generate` writes graph
 text instead).  Exit codes: 0 success, 1 domain error (invalid or
-infeasible input), 2 usage error (argparse, including `ptas --k` below 2
-and `bench --repeats` below 1).  Diagnostics go to stderr.  Run it as
-`shallowtd` or as `python -m shallowtd.cli`.
+infeasible input, or out of memory), 2 usage error (argparse, including
+`ptas --k` below 2 and `bench --repeats` below 1).  Diagnostics go to
+stderr.  Run it as `shallowtd` or as `python -m shallowtd.cli`.
 """
 
 from __future__ import annotations
@@ -328,6 +328,9 @@ def run(argv: list[str] | None = None) -> int:
         report, code = args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:                # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
     if report is not None:
         json.dump({"command": args.cmd, **report, "version": __version__,

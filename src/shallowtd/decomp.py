@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -143,14 +144,13 @@ LEAF, INTRODUCE, FORGET, JOIN = "leaf", "introduce", "forget", "join"
 class NiceDecomposition:
     """Rooted binary decomposition of leaf/introduce/forget/join nodes.
 
-    The root bag is empty.  `children[i]` lists child node indices,
-    `vertex[i]` is the introduced/forgotten vertex where applicable.  Every
-    child's index is below its parent's and the root is the last node, so
-    ascending indices walk the tree bottom-up.
+    `children[i]` lists child ids and `vertex[i]` the introduced or
+    forgotten vertex.  Children come before parents and the root last, so
+    ascending ids walk the tree bottom-up.  The DP engines read only these;
+    `bag` is replayed from them once, on first read, for other readers.
     """
 
     kind: list[str]
-    bag: list[tuple[int, ...]]
     children: list[tuple[int, ...]]
     vertex: list[int | None]
     root: int
@@ -159,58 +159,58 @@ class NiceDecomposition:
     def node_count(self) -> int:
         return len(self.kind)
 
+    @functools.cached_property
+    def bag(self) -> list[tuple[int, ...]]:
+        """Sorted bags: a leaf's is empty, an introduce adds its vertex to
+        its child's, a forget drops it, a join copies its first child's."""
+        bags: list[tuple[int, ...]] = []
+        for kind, kids, v in zip(self.kind, self.children, self.vertex):
+            below = bags[kids[0]] if kids else ()
+            if kind == INTRODUCE:
+                below = tuple(sorted((*below, v)))
+            elif kind == FORGET:
+                below = tuple(u for u in below if u != v)
+            bags.append(below)
+        return bags
+
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bag) - 1
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.kind: list[str] = []
-        self.bag: list[tuple[int, ...]] = []
-        self.children: list[tuple[int, ...]] = []
-        self.vertex: list[int | None] = []
-
-    def add(self, kind, bag, children=(), vertex=None) -> int:
-        self.kind.append(kind)
-        self.bag.append(tuple(sorted(bag)))
-        self.children.append(tuple(children))
-        self.vertex.append(vertex)
-        return len(self.kind) - 1
-
-    def morph(self, node: int, target: tuple[int, ...]) -> int:
-        """Forget/introduce chain turning `node`'s bag into `target`."""
-        cur = set(self.bag[node])
-        tgt = set(target)
-        for v in sorted(cur - tgt):
-            cur.discard(v)
-            node = self.add(FORGET, cur, (node,), v)
-        for v in sorted(tgt - cur):
-            cur.add(v)
-            node = self.add(INTRODUCE, cur, (node,), v)
-        return node
-
-
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
-    """Convert to nice form; the width is preserved exactly.  Nodes are
-    numbered as they are built, each after its children."""
+    """Convert to nice form with an empty root bag and the same width.
+    Nodes are numbered as built, each after its children; no bag is built."""
     rooted = _root_tree(td.nodes, td.tree_edges)
     if rooted is None:
         raise GraphInputError("input decomposition is not a tree")
     order, children = rooted
-    b = _NiceBuilder()
+    kind, kids, vertex = [], [], []         # the fields, per nice node
+
+    def add(k: str, below: tuple[int, ...], v: int | None = None) -> int:
+        kind.append(k)
+        kids.append(below)
+        vertex.append(v)
+        return len(kind) - 1
+
+    def morph(node: int, source, target) -> int:    # node's bag is source
+        src, tgt = set(source), set(target)
+        for v in sorted(src - tgt):
+            node = add(FORGET, (node,), v)
+        for v in sorted(tgt - src):
+            node = add(INTRODUCE, (node,), v)
+        return node
+
     top = [0] * td.nodes            # per td node, the nice node atop its bag
     for x in reversed(order):
         bag = td.bags[x]
-        morphed = ([b.morph(top[y], bag) for y in children[x]]
-                   or [b.morph(b.add(LEAF, ()), bag)])
+        morphed = ([morph(top[y], td.bags[y], bag) for y in children[x]]
+                   or [morph(add(LEAF, ()), (), bag)])
         node = morphed[0]
         for other in morphed[1:]:
-            node = b.add(JOIN, bag, (node, other))
+            node = add(JOIN, (node, other))
         top[x] = node
-    root = b.morph(top[0], ())
-    return NiceDecomposition(kind=b.kind, bag=b.bag, children=b.children,
-                             vertex=b.vertex, root=root)
+    return NiceDecomposition(kind, kids, vertex, morph(top[0], td.bags[0], ()))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,13 @@ class TestPtasDs:
         with pytest.raises(GraphInputError):
             ptas_ds(e, 2)
 
+    def test_two_triangles_rejected(self):
+        e = embed_outerplanar(build_graph(6, [(0, 1), (1, 2), (2, 0),
+                                              (3, 4), (4, 5), (5, 3)]))
+        assert e.euler_genus == 0
+        with pytest.raises(GraphInputError, match="connected"):
+            ptas_ds(e, 2)
+
 
 class TestDisconnectedInputs:
     def test_mis_and_vc_per_component(self):

@@ -1,19 +1,24 @@
 """Command-line interface: exit codes, JSON reports, artifact round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_planar
 from conftest import DIGON, relabel_embedded, witness_entry
 from shallowtd.cli import run
-from shallowtd.decomp import heuristic_td, parse_td, validate
+from shallowtd.decomp import emit_td, heuristic_td, parse_td, validate
 from shallowtd.dp import check_solution, dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
@@ -385,6 +390,18 @@ class TestPipelines:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_out_of_memory_exit_one(self, capsys, monkeypatch):
+        from shallowtd import cli
+
+        def exhausted(text):
+            raise MemoryError          # as from "v 100000000" under a cap
+        monkeypatch.setattr(cli, "parse_graph", exhausted)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "mis"],
+                                stdin="v 100000000\n")
+        assert code == 1 and out == ""
+        assert err == "error: out of memory\n"
+
     def test_self_loop_input_exit_one(self, capsys, monkeypatch):
         code, out, err = invoke(capsys, monkeypatch,
                                 ["solve", "--problem", "mis"],
@@ -567,6 +584,95 @@ class TestFrame:
                               stdin=emit_graph(grid(3, 3)))
         assert code == 0 and json.loads(out)["value"] == 5
         assert calls == [9]
+
+
+# ---------------------------------------------------------------------------
+# Mutated input: every command exits 0, 1 or 2, and nothing escapes run().
+
+FUZZ_HOSTS = [emit_graph(grid(3, 3)), emit_graph(toroidal_grid(3, 3)),
+              emit_graph(wall(2)[1]),
+              emit_graph(random_planar_triangulation(8, 1)),
+              "v 6\ne 0 1\ne 1 2\ne 2 0\ne 2 3\ne 3 4\ne 4 5\n"]
+FUZZ_COMMANDS = [
+    ["decompose", "--method", "planar-bfs"],
+    ["decompose", "--method", "genus"],
+    ["decompose", "--method", "heuristic"],
+    ["solve", "--problem", "mis"], ["solve", "--problem", "ds"],
+    ["ptas", "--problem", "vc", "--k", "2"],
+    ["ptas", "--problem", "ds", "--k", "3"],
+    ["subiso", "--pattern", "{triangle}"],
+    ["oracle", "--problem", "mis"],
+    ["validate", "--graph", "{graph}"],
+]
+FUZZ_KEYWORDS = ["v", "e", "rot", "td", "b", "t", "x"]
+
+
+def _mutated(draw, text: str) -> str:
+    """`text` after one to three mutations: a line dropped, duplicated or
+    swapped with another, one integer changed, or a keyword changed.  New
+    integers stay small, so that no case allocates much memory; running
+    out of memory has its own test."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["drop", "duplicate", "swap", "integer",
+                                    "keyword"]))
+        words = lines[i].split()
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "integer" and len(words) > 1:
+            words[draw(st.integers(1, len(words) - 1))] = str(
+                draw(st.integers(-3, 40)))
+            lines[i] = " ".join(words)
+        elif how == "keyword":
+            words[0] = draw(st.sampled_from(FUZZ_KEYWORDS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    triangle = root / "triangle.txt"
+    triangle.write_text("v 3\ne 0 1\ne 1 2\ne 2 0\n")
+    return {"triangle": str(triangle), "graph": str(root / "graph.txt")}
+
+
+def _host_td_text(text: str) -> str:
+    obj = parse_graph(text)
+    g = getattr(obj, "graph", obj)
+    return emit_td(heuristic_td(g), g.n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_exits_zero_one_or_two(fuzz_files, data):
+    host = data.draw(st.sampled_from(FUZZ_HOSTS))
+    argv = [a.format(**fuzz_files)
+            for a in data.draw(st.sampled_from(FUZZ_COMMANDS))]
+    if argv[0] != "validate":
+        stdin = _mutated(data.draw, host)
+    else:
+        # the decomposition on stdin, its host in a file; one is mutated
+        stdin, graph_text = _host_td_text(host), host
+        if data.draw(st.booleans()):
+            stdin = _mutated(data.draw, stdin)
+        else:
+            graph_text = _mutated(data.draw, host)
+        Path(fuzz_files["graph"]).write_text(graph_text)
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(sys, "stdin", io.StringIO(stdin)),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, stdin, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def run_optimized(args, cwd):

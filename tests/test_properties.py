@@ -10,8 +10,9 @@ decomposition whenever it is within the band's bound, with the band DP
 against the oracle, the exact DP against its frozenset reference and the
 oracle, the pattern DP against its pairwise-check reference (the same
 mapping on twin-free patterns, the same existence on patterns with
-twins) and against backtracking on min-degree decompositions, and heap
-min-degree elimination against its rescanning reference."""
+twins) and against backtracking on min-degree decompositions, heap
+min-degree elimination against its rescanning reference, and the nice form
+and its replayed bags against the builder that stored every bag."""
 
 import dataclasses
 from functools import cache
@@ -26,10 +27,12 @@ import reference_dp
 import reference_genus
 import reference_heuristic
 import reference_kernels
+import reference_nice
 import reference_planar
 import reference_triangulate
 from reference_validate import validate_quadratic
 from shallowtd import _kernels
+from shallowtd.baker import build_slices
 from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
                               validate)
 from shallowtd.dp import dp_ds, dp_mis, dp_subiso, dp_vc, verify_subiso
@@ -784,3 +787,65 @@ def test_heuristic_td_matches_rescanning_reference(data):
     assert td.tree_edges == ref.tree_edges
     assert td.bags == ref.bags
     assert validate(td, g).valid
+
+
+# ---------------------------------------------------------------------------
+# make_nice == its stored-bag reference
+
+
+def _nice_input(draw) -> TreeDecomposition:
+    """A random tree, star or path (sometimes one node) with random
+    duplicate-free bags, some empty; the min-degree decomposition of a
+    random graph; or the root-path decomposition of a grid or a
+    triangulation from a random root."""
+    kind = draw(st.sampled_from(["tree", "star", "path", "heuristic",
+                                 "grid", "triangulation"]))
+    if kind == "heuristic":
+        n = draw(st.integers(0, 25))
+        p = draw(st.floats(0.05, 0.6))
+        return heuristic_td(build_graph(n, _random_graph(draw, n, p)))
+    if kind in ("grid", "triangulation"):
+        if kind == "grid":
+            e = grid(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+        else:
+            e = random_planar_triangulation(draw(st.integers(3, 60)),
+                                            draw(st.integers(0, 10**6)))
+        return planar_bfs_td(e, draw(st.integers(0, e.n - 1)))
+    nodes = draw(st.integers(1, 9))
+    labels = draw(st.permutations(range(nodes)))
+    tree_edges = []
+    for i in range(1, nodes):
+        if kind == "tree":
+            parent = draw(st.integers(0, i - 1))
+        else:
+            parent = 0 if kind == "star" else i - 1
+        a, b = labels[parent], labels[i]
+        tree_edges.append((a, b) if draw(st.booleans()) else (b, a))
+    bags = [tuple(sorted(draw(st.sets(st.integers(0, 7), max_size=5))))
+            for _ in range(nodes)]
+    return TreeDecomposition(nodes, tree_edges, bags)
+
+
+def _assert_nice_matches_reference(td: TreeDecomposition) -> None:
+    nd, ref = make_nice(td), reference_nice.make_nice(td)
+    assert nd.kind == ref.kind
+    assert nd.children == ref.children
+    assert nd.vertex == ref.vertex
+    assert nd.root == ref.root
+    assert nd.bag is nd.bag                  # replayed once, then kept
+    assert nd.bag == ref.bag
+
+
+@PROPERTY
+@given(st.data())
+def test_make_nice_matches_stored_bag_reference(data):
+    _assert_nice_matches_reference(_nice_input(data.draw))
+
+
+def test_make_nice_matches_stored_bag_reference_on_every_band():
+    for e in (grid(9, 11), random_planar_triangulation(120, 3)):
+        host = band_host(e, 0)
+        for k in (2, 3, 4):
+            for offset in range(k):
+                for sl in build_slices(host, k, offset, "delete").slices:
+                    _assert_nice_matches_reference(sl.td)
