@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 
 from .baker import SliceFamily, build_slices, ptas_ds, ptas_mis, ptas_vc
 from .decomp import (NiceDecomposition, TreeDecomposition, emit_td,
-                     heuristic_td, make_nice, parse_td, validate)
+                     heuristic_td, make_nice, narrower_td, parse_td,
+                     validate)
 from .dp import (SolutionCheckError, check_mapping, check_solution, dp_ds,
                  dp_mis, dp_subiso, dp_vc, subiso_driver, verify_subiso)
 from .generators import (apex_over_grid, grid, hex_set_graph,

@@ -1,6 +1,7 @@
-"""Hot kernels: BFS layering and three-path bag assembly.
+"""Hot kernels: BFS layering, the double-sweep start, and three-path bag
+assembly.
 
-Both run on plain Python lists.  They are interpreted loops that touch one
+They run on plain Python lists.  They are interpreted loops that touch one
 vertex at a time, and indexing a list is several times cheaper than indexing
 a numpy array element-wise, which boxes a numpy scalar on every read.
 Whole-array numpy versions lose here.  A level-synchronous numpy BFS pays a
@@ -42,6 +43,17 @@ def bfs_levels(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int]]:
         nxt.sort()
         frontier = nxt
     return level, parent
+
+
+def far_sweep(nbrs: list[list[int]]) -> tuple[list[int], list[int]] | None:
+    """The first half of a double BFS sweep over a non-empty vertex set:
+    BFS from vertex 0, and u is the lowest-id vertex at its largest level.
+    Returns ``bfs_levels(nbrs, u)``, or None when vertex 0 does not reach
+    every vertex."""
+    level, _parent = bfs_levels(nbrs, 0)
+    if min(level) < 0:
+        return None
+    return bfs_levels(nbrs, level.index(max(level)))
 
 
 def three_path_bags(parent: list[int],

@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .baker import _ptas_detail
 from .decomp import (TreeDecomposition, emit_td, heuristic_td, make_nice,
-                     parse_td, validate)
+                     narrower_td, parse_td, validate)
 from .dp import SolutionCheckError, dp_ds, dp_mis, dp_vc, subiso_driver
 from .generators import (apex_over_grid, grid, random_planar_triangulation,
                          toroidal_grid, wall)
@@ -172,7 +172,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
 def _cmd_solve(args) -> tuple[dict, int]:
     obj, fingerprint = _read_graph(args.input)
     g = _plain(obj)
-    td = heuristic_td(g)
+    td = narrower_td(g)
     # looked up at call time, so a wrapper rebound onto this module's
     # dp_mis, dp_vc or dp_ds (a tracer, a test) is the one that runs
     solver = {"mis": dp_mis, "vc": dp_vc, "ds": dp_ds}[args.problem]

@@ -7,6 +7,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from . import _kernels
 from .graph import Graph, GraphInputError, text_records
 
 
@@ -214,10 +215,13 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic decomposition for arbitrary hosts (min-degree elimination).
-# `solve` runs its DP on it for every host, planar or not, and `slice_td` on
-# every level band it keeps within the band's bound; it makes no width
-# guarantee, and is narrower than `planar_bfs_td` on most planar hosts.
+# Heuristic decompositions for arbitrary hosts, by vertex elimination.
+# `slice_td` takes min-degree elimination (`heuristic_td`) for every level
+# band it keeps within the band's bound.  `solve` takes `narrower_td`:
+# min-degree, unless eliminating the deepest BFS level first is strictly
+# narrower.  On grids, walls and tori min-degree is up to 1.4 times the
+# treewidth and level order tracks the BFS depth the paper bounds it by; on
+# triangulations level order is far wider.  Neither makes a width guarantee.
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
     """Min-degree elimination: repeatedly eliminate the live vertex of
@@ -255,6 +259,45 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
             na.discard(v)
             if len(na) != before:
                 heapq.heappush(heap, (len(na), a))
+    return _td_from_elimination(order, later)
+
+
+def narrower_td(g: Graph) -> TreeDecomposition:
+    """`heuristic_td`, unless eliminating in deepest-BFS-level-first order
+    is strictly narrower; ties, disconnected and empty hosts keep it.
+
+    The levels come from the BFS of ``_kernels.far_sweep`` (rooted at the
+    lowest-id vertex farthest from vertex 0), and vertices are eliminated in
+    (-level, id) order with `heuristic_td`'s live-neighbour update.  The run
+    stops, keeping min-degree, as soon as a live neighbourhood reaches
+    min-degree's width; and it does not start when that width is at most
+    the minimum degree, a lower bound on the treewidth (every stacked
+    triangulation).  A neighbour set is copied on its first change, so an
+    early stop has copied only the sets it touched.
+    """
+    td = heuristic_td(g)
+    width = td.width
+    nbrs = g.neighbor_sets()
+    if g.n == 0 or width <= min(map(len, nbrs)):
+        return td
+    sweep = _kernels.far_sweep(g.neighbor_lists())
+    if sweep is None:
+        return td
+    order = sorted(range(g.n), key=sweep[0].__getitem__, reverse=True)
+    live: list[set[int] | None] = [None] * g.n     # None: still nbrs[v]
+    later: list[set[int]] = []
+    for v in order:
+        live_nb = nbrs[v] if live[v] is None else live[v]
+        if len(live_nb) >= width:
+            return td
+        later.append(live_nb)
+        for a in live_nb:
+            na = live[a]
+            if na is None:
+                na = live[a] = set(nbrs[a])
+            na |= live_nb
+            na.discard(a)
+            na.discard(v)
     return _td_from_elimination(order, later)
 
 

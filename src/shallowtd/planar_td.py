@@ -384,15 +384,15 @@ def min_eccentricity_root(g: Graph) -> int:
     Köhler, Networks 2003).  BFS from vertex 0; u is the lowest-id vertex
     at its largest level.  BFS from u; w is the lowest-id vertex at its
     largest level d.  The root is the vertex ceil(d/2) steps from w along
-    w's BFS parent chain toward u.  Two BFS in all.  On a disconnected graph
+    w's BFS parent chain toward u.  Two BFS in all, the first half shared
+    with `decomp.narrower_td` (`_kernels.far_sweep`).  On a disconnected graph
     the root is 0, which the constructions then reject."""
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
-    nbrs = g.neighbor_lists()
-    level, _parent = _kernels.bfs_levels(nbrs, 0)
-    if min(level) < 0:
+    sweep = _kernels.far_sweep(g.neighbor_lists())
+    if sweep is None:
         return 0
-    level, parent = _kernels.bfs_levels(nbrs, level.index(max(level)))
+    level, parent = sweep
     d = max(level)
     v = level.index(d)
     for _ in range((d + 1) // 2):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,19 +19,25 @@ from hypothesis import strategies as st
 import reference_planar
 from conftest import DIGON, relabel_embedded, witness_entry
 from shallowtd.cli import run
-from shallowtd.decomp import emit_td, heuristic_td, parse_td, validate
-from shallowtd.dp import check_solution, dp_mis
+from shallowtd.decomp import (emit_td, heuristic_td, narrower_td, parse_td,
+                              validate)
+from shallowtd.dp import MAX_STATES, check_solution, dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
 from shallowtd.graph import emit_graph, parse_graph
-from shallowtd.oracles import oracle_solve
+from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
 from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# optima of the 7x7 grid, past the oracles' size limit: independence number
+# ceil(49 / 2), its complement, and the domination number of the 7x7 grid
+GRID7X7_OPTIMA = {"mis": 25, "vc": 24, "ds": 12}
+
 # a labelling of grid(4, 5) under which min-degree elimination is wider
-# (5) than planar_bfs_td from root 5 (4); solve still runs on min-degree
+# (5) than planar_bfs_td from root 5 (4); level order is no narrower, so
+# solve still runs on min-degree
 GRID4X5_LABELS = [14, 11, 12, 15, 10, 16, 1, 17, 7, 4, 3, 18, 5, 8, 6, 13,
                   19, 0, 2, 9]
 
@@ -209,8 +216,9 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert message in err and "Traceback" not in err
 
-    # solve builds min-degree alone for every host, the relabelled grid4x5
-    # included, where planar_bfs_td would be one narrower
+    # solve builds elimination orders alone for every host, the relabelled
+    # grid4x5 included, where planar_bfs_td would be one narrower; on the
+    # 7x7 grid level order is the narrower (7 against min-degree's 8)
     @pytest.mark.parametrize("e", [
         pytest.param(grid(1, 5), id="grid1x5"),
         pytest.param(grid(3, 3), id="grid3x3"),
@@ -222,7 +230,8 @@ class TestPipelines:
         pytest.param(wall(2)[1], id="wall2"),
         pytest.param(random_planar_triangulation(6, 0), id="tri6"),
         pytest.param(random_planar_triangulation(9, 1), id="tri9"),
-        pytest.param(random_planar_triangulation(12, 1), id="tri12")])
+        pytest.param(random_planar_triangulation(12, 1), id="tri12"),
+        pytest.param(grid(7, 7), id="grid7x7")])
     @pytest.mark.parametrize("problem", ["mis", "vc", "ds"])
     def test_solve_runs_on_the_narrower_decomposition(self, capsys,
                                                       monkeypatch, e, problem):
@@ -232,9 +241,11 @@ class TestPipelines:
                                 stdin=emit_graph(e))
         report = json.loads(out)
         assert code == 0 and err == "" and report["verified"]
-        assert report["width"] == heuristic_td(g).width
+        assert report["width"] == narrower_td(g).width
         assert "method" not in report
-        assert report["value"] == oracle_solve(problem, g)[0]
+        assert report["value"] == (oracle_solve(problem, g)[0]
+                                   if g.n <= MAX_SET_PROBLEM
+                                   else GRID7X7_OPTIMA[problem])
 
     def test_solve_builds_no_planar_decomposition(self, capsys, monkeypatch):
         from shallowtd import cli
@@ -251,12 +262,30 @@ class TestPipelines:
         assert json.loads(out)["value"] == 10
 
     def test_relabelled_grid_is_narrower_under_planar_bfs(self):
-        # the cost of solving on min-degree alone: it breaks ties on vertex
-        # ids, and under this labelling it ends one wider than the BFS
-        # construction from root 5
+        # the cost of solving on elimination orders alone: both break ties
+        # on vertex ids, and under this labelling they end one wider than
+        # the BFS construction from root 5
         e = relabel_embedded(grid(4, 5), GRID4X5_LABELS)
         assert planar_bfs_td(e, 5).width == 4
         assert heuristic_td(e.graph).width == 5
+        assert narrower_td(e.graph).width == 5
+
+    @pytest.mark.parametrize("host, argv", [
+        pytest.param(["--kind", "grid", "--rows", "30", "--cols", "30"],
+                     ["solve", "--problem", "mis"], id="solve-mis-grid30"),
+        pytest.param(["--kind", "apex", "--size", "12"],
+                     ["solve", "--problem", "ds"], id="solve-ds-apex12"),
+        pytest.param(["--kind", "grid", "--rows", "20", "--cols", "20"],
+                     ["ptas", "--problem", "mis", "--k", "40"],
+                     id="ptas-mis-grid20-k40")])
+    def test_dp_past_its_state_budget_exits_1(self, capsys, monkeypatch,
+                                               host, argv):
+        _, text, _ = invoke(capsys, monkeypatch, ["generate", *host])
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=text)
+        assert code == 1 and out == ""
+        assert f"the budget is {MAX_STATES}" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 30
 
     def test_ptas(self, capsys, monkeypatch):
         gtext = self._grid_text(capsys, monkeypatch)

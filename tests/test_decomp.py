@@ -1,16 +1,19 @@
-"""Decomposition validator, nice form, heuristic decomposition, text format."""
+"""Decomposition validator, nice form, heuristic decompositions, text
+format."""
 
 import random
 
 import pytest
 
 from conftest import cycle_graph, path_graph
+from shallowtd import _kernels
 from shallowtd.baker import build_slices
 from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
                               TreeDecomposition, emit_td, heuristic_td,
-                              make_nice, parse_td, validate)
+                              make_nice, narrower_td, parse_td, validate)
 from shallowtd.generators import (apex_over_grid, grid,
-                                  random_planar_triangulation, toroidal_grid)
+                                  random_planar_triangulation, toroidal_grid,
+                                  wall)
 from shallowtd.genus_td import genus_td
 from shallowtd.graph import GraphInputError, build_graph
 from shallowtd.planar_td import band_host, planar_bfs_td
@@ -159,6 +162,45 @@ class TestHeuristicTd:
         assert looped == plain
         assert validate(looped, looped_graph).valid
         assert heuristic_td(build_graph(1, [(0, 0)])).bags == [(0,)]
+
+
+class TestNarrowerTd:
+    """Validity and width against min-degree on random grids, walls, tori
+    and triangulations: test_properties.py, against a reference."""
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_square_grid_width_is_its_side(self, n):
+        g = grid(n, n).graph
+        assert heuristic_td(g).width > n
+        assert narrower_td(g).width == n
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(random_planar_triangulation(80, 3).graph, id="tri80"),
+        pytest.param(apex_over_grid(6), id="apex6"),
+        pytest.param(grid(5, 5).graph, id="grid5x5-tie"),
+        pytest.param(wall(2)[1].graph, id="wall2-tie"),
+        pytest.param(build_graph(0, []), id="empty"),
+        pytest.param(build_graph(98, [(u + 49 * k, v + 49 * k)
+                                      for k in (0, 1)
+                                      for u, v in grid(7, 7).graph.edges]),
+                     id="two-grid7x7-disconnected")])
+    def test_keeps_min_degree_unless_strictly_narrower(self, g):
+        td, md = narrower_td(g), heuristic_td(g)
+        assert td.bags == md.bags and td.tree_edges == md.tree_edges
+
+    @pytest.mark.parametrize("g, sweeps", [
+        # min-degree width 3 = minimum degree, which bounds the treewidth
+        pytest.param(random_planar_triangulation(40, 2).graph, 0, id="tri40"),
+        # min-degree width 3, one above the minimum degree
+        pytest.param(grid(3, 3).graph, 1, id="grid3x3")])
+    def test_sweeps_only_when_min_degree_may_be_beaten(self, monkeypatch, g,
+                                                      sweeps):
+        calls = []
+        honest = _kernels.far_sweep
+        monkeypatch.setattr(_kernels, "far_sweep",
+                            lambda nbrs: calls.append(1) or honest(nbrs))
+        assert narrower_td(g) == heuristic_td(g)
+        assert len(calls) == sweeps
 
 
 class TestTdTextFormat:

@@ -1,4 +1,5 @@
-"""Exact DP solvers over nice decompositions, and the pattern-search driver."""
+"""Exact DP solvers over nice decompositions, their state budget, and the
+pattern-search driver."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
-from shallowtd.decomp import JOIN, heuristic_td, make_nice
+from shallowtd.decomp import JOIN, TreeDecomposition, heuristic_td, make_nice
 from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
                           dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
                           verify_subiso)
@@ -303,3 +304,30 @@ class TestResultChecks:
             dp_mis(nice(g), g)
         with pytest.raises(SolutionCheckError, match="misses edge"):
             dp_vc(nice(g), g)
+
+
+class TestStateBudget:
+    """Every engine refuses a table past dp.MAX_STATES with a typed error
+    naming the table size, the width and the budget."""
+
+    # one bag over the path 0-1-2; the independent-set engine's largest
+    # table is the five independent subsets of the bag
+    BAG = make_nice(TreeDecomposition(nodes=1, tree_edges=[],
+                                      bags=[(0, 1, 2)]))
+
+    def test_a_table_at_the_budget_is_solved(self, monkeypatch):
+        monkeypatch.setattr(dp, "MAX_STATES", 5)
+        assert dp_mis(self.BAG, path_graph(3)) == {0, 2}
+
+    @pytest.mark.parametrize("solve", [
+        pytest.param(dp_mis, id="mis"),
+        pytest.param(dp_vc, id="vc"),
+        pytest.param(dp_ds, id="ds"),
+        pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(2)),
+                     id="subiso")])
+    def test_a_table_past_the_budget_is_refused(self, monkeypatch, solve):
+        monkeypatch.setattr(dp, "MAX_STATES", 4)
+        message = (r"table reached \d+ states on a decomposition of width 2;"
+                   r" the budget is 4$")
+        with pytest.raises(GraphInputError, match=message):
+            solve(self.BAG, path_graph(3))

@@ -7,7 +7,7 @@ import pytest
 from conftest import DIGON, cycle_graph, embed_outerplanar, path_graph
 from shallowtd import _kernels, graph, planar_td
 from shallowtd.baker import ptas_ds, ptas_mis, ptas_vc
-from shallowtd.decomp import TreeDecomposition, validate
+from shallowtd.decomp import TreeDecomposition, narrower_td, validate
 from shallowtd.dp import subiso_driver
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
@@ -289,6 +289,20 @@ class TestRootSelection:
         monkeypatch.setattr(_kernels, "bfs_levels", counting)
         min_eccentricity_root(grid(9, 6).graph)
         assert calls == [0, 53]           # vertex 0, then the far corner u
+
+    def test_one_sweep_serves_the_root_and_the_level_order(self, monkeypatch):
+        sweeps = []
+        honest = _kernels.far_sweep
+
+        def recording(nbrs):
+            sweeps.append(honest(nbrs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(_kernels, "far_sweep", recording)
+        g = grid(9, 6).graph
+        min_eccentricity_root(g)
+        narrower_td(g)
+        assert len(sweeps) == 2 and sweeps[0] == sweeps[1]
 
     def test_disconnected_host_gets_root_zero(self):
         assert min_eccentricity_root(build_graph(4, [(1, 2), (2, 3)])) == 0

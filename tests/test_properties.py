@@ -11,7 +11,9 @@ against the oracle, the exact DP against its frozenset reference and the
 oracle, the pattern DP against its pairwise-check reference (the same
 mapping on twin-free patterns, the same existence on patterns with
 twins) and against backtracking on min-degree decompositions, heap
-min-degree elimination against its rescanning reference, and the nice form
+min-degree elimination against its rescanning reference, the choice of
+level-order or min-degree elimination against its full-elimination
+reference, and the nice form
 and its replayed bags against the builder that stored every bag."""
 
 import dataclasses
@@ -34,7 +36,7 @@ from reference_validate import validate_quadratic
 from shallowtd import _kernels
 from shallowtd.baker import build_slices
 from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
-                              validate)
+                              narrower_td, validate)
 from shallowtd.dp import dp_ds, dp_mis, dp_subiso, dp_vc, verify_subiso
 from shallowtd.generators import (apex_over_grid, grid,
                                   random_planar_triangulation, subdivide,
@@ -772,6 +774,10 @@ def _min_degree_host(draw):
     else:
         g = random_planar_triangulation(draw(st.integers(3, 60)),
                                         draw(st.integers(0, 10**6))).graph
+    return _maybe_relabelled(draw, g)
+
+
+def _maybe_relabelled(draw, g):
     if draw(st.booleans()):
         label = draw(st.permutations(range(g.n)))
         g = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
@@ -787,6 +793,42 @@ def test_heuristic_td_matches_rescanning_reference(data):
     assert td.tree_edges == ref.tree_edges
     assert td.bags == ref.bags
     assert validate(td, g).valid
+
+
+# ---------------------------------------------------------------------------
+# narrower_td == its full-elimination reference
+
+
+def _chooser_host(draw):
+    """The min-degree hosts, plus grids, walls and tori of the sizes where
+    level order is often the narrower; relabelled at random half the
+    time."""
+    kind = draw(st.sampled_from(["min_degree", "grid", "wall", "torus"]))
+    if kind == "min_degree":
+        return _min_degree_host(draw)
+    if kind == "grid":
+        g = grid(draw(st.integers(5, 9)), draw(st.integers(5, 10))).graph
+    elif kind == "wall":
+        g = wall(draw(st.integers(3, 5)))[1].graph
+    else:
+        g = toroidal_grid(draw(st.integers(5, 8)),
+                          draw(st.integers(5, 9))).graph
+    return _maybe_relabelled(draw, g)
+
+
+@PROPERTY
+@given(st.data())
+def test_narrower_td_matches_full_elimination_reference(data):
+    g = _chooser_host(data.draw)
+    td, md = narrower_td(g), heuristic_td(g)
+    ref = reference_heuristic.narrower_td(g)
+    assert td.nodes == ref.nodes
+    assert td.tree_edges == ref.tree_edges
+    assert td.bags == ref.bags
+    assert validate(td, g).valid
+    assert td.width <= md.width
+    if td.width == md.width:                  # ties keep min-degree
+        assert td == md
 
 
 # ---------------------------------------------------------------------------
