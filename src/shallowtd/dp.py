@@ -5,12 +5,19 @@ set (with a required-domination subset), and fixed-pattern subgraph
 isomorphism, plus the level-slicing driver that searches a planar host for a
 small connected pattern window by window.
 
-All solvers walk the nice decomposition bottom-up, in ascending node ids:
-``make_nice`` numbers each node after its children and the root last.  Edge
-checks happen at introduce nodes: the minimal node whose bag contains both
+Every engine runs on one walk, ``_walk``, and supplies only its introduce,
+forget and join transitions.  The walk visits the nice decomposition
+bottom-up, in ascending node ids (``make_nice`` numbers each node after its
+children and the root last), starts each leaf from the engine's start
+state, and drops each child table once its parent is built.  Edge checks
+happen at introduce nodes: the minimal node whose bag contains both
 endpoints of a host edge is an introduce of one endpoint with the other
 present, so checking a newly introduced vertex against its bag suffices to
-see every edge exactly once per branch.
+see every edge exactly once per branch.  One state survives every
+transition (no bag vertex chosen for MIS, every bag vertex black for DS,
+every pattern vertex unseen for the pattern search), so no table is ever
+empty; a decomposition that does not match the graph is caught by the
+check of the returned witness.
 
 The MIS and DS tables are keyed by Python-int bitmasks over vertex ids
 (bit v for vertex v): the chosen bag vertices for MIS, the black and
@@ -24,10 +31,12 @@ property tests hold it equal to the witness of a reference engine that
 copies a full witness set into every entry, so the level-slicing unions
 built from band witnesses do not drift when the engine changes.
 
-Every engine refuses an input once one of its tables holds more than
+The walk refuses an input once one of its tables holds more than
 ``MAX_STATES`` entries, with a GraphInputError naming the table size, the
 decomposition width and the budget: a wide decomposition ends in a typed
-error, not in hours of work or an out-of-memory kill.
+error, not in hours of work or an out-of-memory kill.  The dominating-set
+and pattern joins, whose output can outgrow both inputs, check the budget
+after each left state, so they stop as soon as their table passes it.
 
 The pattern search counts its states up to pattern twins (vertices with the
 same neighbours besides each other): a state holds one sorted multiset of
@@ -41,8 +50,7 @@ reference's.
 
 from __future__ import annotations
 
-from .decomp import (FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition,
-                     make_nice)
+from .decomp import INTRODUCE, JOIN, LEAF, NiceDecomposition, make_nice
 from .graph import EmbeddedGraph, Graph, GraphInputError, diameter
 from .planar_td import band_hosts, level_windows, slice_td
 
@@ -128,6 +136,30 @@ def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
+def _walk(nd: NiceDecomposition, start, introduce, forget, join) -> dict:
+    """Run one engine bottom-up over nd and return the root table.
+
+    A leaf's table is {start: _LEAF_ENTRY}; an introduce or forget node's
+    is introduce(v, child) or forget(v, child), with v the node's vertex;
+    a join's is join(left, right).  Each child table is popped as its
+    parent is built, and a table past MAX_STATES is refused."""
+    tables: dict[int, dict] = {}
+    for node in range(nd.node_count):
+        kind = nd.kind[node]
+        children = nd.children[node]
+        if kind == LEAF:
+            out = {start: _LEAF_ENTRY}
+        elif kind == JOIN:
+            out = join(tables.pop(children[0]), tables.pop(children[1]))
+        else:
+            step = introduce if kind == INTRODUCE else forget
+            out = step(nd.vertex[node], tables.pop(children[0]))
+        if len(out) > MAX_STATES:
+            raise _over_budget(nd, out)
+        tables[node] = out
+    return tables[nd.root]
+
+
 # ---------------------------------------------------------------------------
 # Independent set, and vertex cover as its complement: states are subsets.
 
@@ -160,50 +192,42 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     and tie rule fix which optimal witness is returned.
     """
     nmask = _neighbour_masks(g)
-    tables: dict[int, dict[int, tuple]] = {}
 
-    for node in range(nd.node_count):
-        kind = nd.kind[node]
-        if kind == LEAF:
-            out = {0: _LEAF_ENTRY}
-        elif kind == INTRODUCE:
-            # v is in no child state, so no two outputs share a key.  A
-            # state holds only chosen bag vertices (an introduce adds a bag
-            # vertex, a forget clears one, a join pairs equal keys), so
-            # testing v's neighbours against it needs no bag mask.
-            v = nd.vertex[node]
-            bit, vnbr = 1 << v, nmask[v]
-            child = tables.pop(nd.children[node][0])
-            out = {}
-            for state, entry in child.items():
+    def introduce(v, child):
+        # v is in no child state, so no two outputs share a key.  A state
+        # holds only chosen bag vertices (an introduce adds a bag vertex, a
+        # forget clears one, a join pairs equal keys), so testing v's
+        # neighbours against it needs no bag mask.
+        bit, vnbr = 1 << v, nmask[v]
+        out = {}
+        for state, entry in child.items():
+            out[state] = entry
+            if not vnbr & state:               # v independent of chosen bag
+                out[state | bit] = (entry[0] + 1, v, entry)
+        return out
+
+    def forget(v, child):
+        keep = ~(1 << v)
+        out = {}
+        for state, entry in child.items():
+            state &= keep
+            cur = out.get(state)
+            if cur is None or entry[0] > cur[0]:
                 out[state] = entry
-                if not vnbr & state:               # v independent of chosen bag
-                    out[state | bit] = (entry[0] + 1, v, entry)
-        elif kind == FORGET:
-            keep = ~(1 << nd.vertex[node])
-            child = tables.pop(nd.children[node][0])
-            out = {}
-            for state, entry in child.items():
-                state &= keep
-                cur = out.get(state)
-                if cur is None or entry[0] > cur[0]:
-                    out[state] = entry
-        else:  # JOIN: one right state matches each left state.
-            left = tables.pop(nd.children[node][0])
-            right = tables.pop(nd.children[node][1])
-            out = {}
-            for state, entry in left.items():
-                other = right.get(state)
-                if other is not None:
-                    out[state] = (entry[0] + other[0] - state.bit_count(),
-                                  None, entry, other)
-        if not out:
-            raise GraphInputError("dynamic program ran out of states: "
-                                  "the decomposition does not match the graph")
-        if len(out) > MAX_STATES:
-            raise _over_budget(nd, out)
-        tables[node] = out
-    return tables[nd.root]
+        return out
+
+    def join(left, right):
+        # one right state matches each left state, so the output is never
+        # larger than the left table
+        out = {}
+        for state, entry in left.items():
+            other = right.get(state)
+            if other is not None:
+                out[state] = (entry[0] + other[0] - state.bit_count(),
+                              None, entry, other)
+        return out
+
+    return _walk(nd, 0, introduce, forget, join)
 
 
 # ---------------------------------------------------------------------------
@@ -236,66 +260,57 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     nmask = _neighbour_masks(g)
     n = g.n
     low = (1 << n) - 1                    # the black half of a state
-    tables: dict[int, dict[int, tuple]] = {}
 
-    for node in range(nd.node_count):
-        kind = nd.kind[node]
-        if kind == LEAF:
-            out = {0: _LEAF_ENTRY}
-        elif kind == INTRODUCE:
-            v = nd.vertex[node]
-            bit = 1 << v
-            ubit = bit << n
-            vnbr = nmask[v]
-            clear = ~(vnbr << n)
-            child = tables.pop(nd.children[node][0])
-            out = {}
-            for state, entry in child.items():
-                # v chosen: its undominated bag neighbours become dominated.
-                key = (state & clear) | bit
+    def introduce(v, child):
+        bit = 1 << v
+        ubit = bit << n
+        vnbr = nmask[v]
+        clear = ~(vnbr << n)
+        out = {}
+        for state, entry in child.items():
+            # v chosen: its undominated bag neighbours become dominated.
+            key = (state & clear) | bit
+            cur = out.get(key)
+            if cur is None or entry[0] + 1 < cur[0]:
+                out[key] = (entry[0] + 1, v, entry)
+            # v not chosen, dominated now iff some bag neighbour is black;
+            # no other output has this key.
+            out[state if state & vnbr else state | ubit] = entry
+        return out
+
+    def forget(v, child):
+        bit = 1 << v
+        dead = bit << n if v in required else 0
+        keep = ~(bit | bit << n)
+        out = {}
+        for state, entry in child.items():
+            if state & dead:
+                continue
+            key = state & keep
+            cur = out.get(key)
+            if cur is None or entry[0] < cur[0]:
+                out[key] = entry
+        return out
+
+    def join(left, right):
+        buckets: dict[int, list] = {}
+        for state, entry in right.items():
+            buckets.setdefault(state & low, []).append((state, entry))
+        out = {}
+        for state, entry in left.items():
+            black = state & low
+            base = entry[0] - black.bit_count()
+            for rstate, other in buckets.get(black, ()):
+                key = state & rstate               # equal black halves
+                value = base + other[0]
                 cur = out.get(key)
-                if cur is None or entry[0] + 1 < cur[0]:
-                    out[key] = (entry[0] + 1, v, entry)
-                # v not chosen, dominated now iff some bag neighbour is black;
-                # no other output has this key.
-                out[state if state & vnbr else state | ubit] = entry
-        elif kind == FORGET:
-            v = nd.vertex[node]
-            bit = 1 << v
-            dead = bit << n if v in required else 0
-            keep = ~(bit | bit << n)
-            child = tables.pop(nd.children[node][0])
-            out = {}
-            for state, entry in child.items():
-                if state & dead:
-                    continue
-                key = state & keep
-                cur = out.get(key)
-                if cur is None or entry[0] < cur[0]:
-                    out[key] = entry
-        else:  # JOIN
-            left = tables.pop(nd.children[node][0])
-            right = tables.pop(nd.children[node][1])
-            buckets: dict[int, list] = {}
-            for state, entry in right.items():
-                buckets.setdefault(state & low, []).append((state, entry))
-            out = {}
-            for state, entry in left.items():
-                black = state & low
-                base = entry[0] - black.bit_count()
-                for rstate, other in buckets.get(black, ()):
-                    key = state & rstate           # equal black halves
-                    value = base + other[0]
-                    cur = out.get(key)
-                    if cur is None or value < cur[0]:
-                        out[key] = (value, None, entry, other)
-        if not out:
-            raise GraphInputError("dominating-set dynamic program ran out of "
-                                  "states: no feasible assignment exists")
-        if len(out) > MAX_STATES:
-            raise _over_budget(nd, out)
-        tables[node] = out
-    witness = _unroll(tables[nd.root][0])
+                if cur is None or value < cur[0]:
+                    out[key] = (value, None, entry, other)
+            if len(out) > MAX_STATES:
+                raise _over_budget(nd, out)
+        return out
+
+    witness = _unroll(_walk(nd, 0, introduce, forget, join)[0])
     check_solution("ds", g, witness, required)
     return witness
 
@@ -428,100 +443,88 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     degree = [len(hnbr[members[0]]) for members in classes]
     slots = range(h.n)
 
-    start = tuple([_UNSEEN] * h.n)
-    tables: dict[int, dict[tuple[int, ...], tuple]] = {}
-
-    for node in range(nd.node_count):
-        kind = nd.kind[node]
-        if kind == LEAF:
-            tables[node] = {start: _LEAF_ENTRY}
-        elif kind == INTRODUCE:
-            v = nd.vertex[node]
-            gv = gnbr[v]
-            child = tables.pop(nd.children[node][0])
-            out: dict[tuple[int, ...], tuple] = {}
-            free = [(c, *runs[c]) for c in range(len(classes))
-                    if len(gv) >= degree[c]]
-            for state, wit in child.items():
-                out.setdefault(state, wit)       # v stays outside the image
-                # a member of class c may take v iff every mapped pattern
-                # neighbour has its image adjacent to v (and, if induced,
-                # every mapped image adjacent to v is the image of a
-                # pattern neighbour); members share their neighbours, so
-                # the run's first slot speaks for the class
-                mapped = near = 0
-                for s in slots:
-                    u = state[s]
-                    if u >= 0:
-                        mapped |= 1 << s
-                        if u in gv:
-                            near |= 1 << s
-                far = mapped & ~near
-                for c, a, b in free:
-                    if (state[a] == _UNSEEN and not smask[a] & far
-                            and not (induced and near & ~smask[a])):
-                        if b == a + 1:
-                            ns = state[:a] + (v,) + state[b:]
-                        else:
-                            run = state[a + 1:b] + (v,)
-                            ns = state[:a] + tuple(sorted(run)) + state[b:]
-                        if ns not in out:
-                            out[ns] = (c, v, wit)
-            tables[node] = out
-        elif kind == FORGET:
-            v = nd.vertex[node]
-            gv = gnbr[v]
-            child = tables.pop(nd.children[node][0])
-            out = {}
-            for state, wit in child.items():
-                if v not in state:
-                    out.setdefault(state, wit)
-                    continue
-                s = state.index(v)
-                # all pattern edges at s must be settled before v disappears
-                if any(state[t] == _UNSEEN or
-                       (state[t] >= 0 and state[t] not in gv)
-                       for t in snbr[s]):
-                    continue
-                a, b = run_of[s]
-                if b == a + 1:
-                    ns = state[:s] + (_DONE,) + state[b:]
-                else:
-                    run = state[a:s] + (_DONE,) + state[s + 1:b]
-                    ns = state[:a] + tuple(sorted(run)) + state[b:]
-                out.setdefault(ns, wit)
-            tables[node] = out
-        else:  # JOIN: bag images must agree; finished members must fit.
-            left = tables.pop(nd.children[node][0])
-            right = tables.pop(nd.children[node][1])
-            buckets: dict[tuple[int, ...], list] = {}
-            for state, wit in right.items():
-                key, _low, high = _split(state, wide)
-                buckets.setdefault(key, []).append((high, state, wit))
-            out = {}
-            for state, wit in left.items():
-                key, low, _high = _split(state, wide)
-                for rhigh, rstate, rwit in buckets.get(key, ()):
-                    if low & rhigh:
-                        continue
-                    # with equal images, a side without finished members
-                    # adds nothing to the other side's state
-                    if not rhigh:
-                        merged = state
-                    elif not low:
-                        merged = rstate
+    def introduce(v, child):
+        gv = gnbr[v]
+        out: dict[tuple[int, ...], tuple] = {}
+        free = [(c, *runs[c]) for c in range(len(classes))
+                if len(gv) >= degree[c]]
+        for state, wit in child.items():
+            out.setdefault(state, wit)           # v stays outside the image
+            # a member of class c may take v iff every mapped pattern
+            # neighbour has its image adjacent to v (and, if induced, every
+            # mapped image adjacent to v is the image of a pattern
+            # neighbour); members share their neighbours, so the run's
+            # first slot speaks for the class
+            mapped = near = 0
+            for s in slots:
+                u = state[s]
+                if u >= 0:
+                    mapped |= 1 << s
+                    if u in gv:
+                        near |= 1 << s
+            far = mapped & ~near
+            for c, a, b in free:
+                if (state[a] == _UNSEEN and not smask[a] & far
+                        and not (induced and near & ~smask[a])):
+                    if b == a + 1:
+                        ns = state[:a] + (v,) + state[b:]
                     else:
-                        merged = _merge(key, low | rhigh, wide)
-                    if merged not in out:
-                        out[merged] = (None, None, wit, rwit)
-            tables[node] = out
-        if not tables[node]:
-            return None
-        if len(tables[node]) > MAX_STATES:
-            raise _over_budget(nd, tables[node])
+                        run = state[a + 1:b] + (v,)
+                        ns = state[:a] + tuple(sorted(run)) + state[b:]
+                    if ns not in out:
+                        out[ns] = (c, v, wit)
+        return out
 
+    def forget(v, child):
+        gv = gnbr[v]
+        out = {}
+        for state, wit in child.items():
+            if v not in state:
+                out.setdefault(state, wit)
+                continue
+            s = state.index(v)
+            # all pattern edges at s must be settled before v disappears
+            if any(state[t] == _UNSEEN or
+                   (state[t] >= 0 and state[t] not in gv)
+                   for t in snbr[s]):
+                continue
+            a, b = run_of[s]
+            if b == a + 1:
+                ns = state[:s] + (_DONE,) + state[b:]
+            else:
+                run = state[a:s] + (_DONE,) + state[s + 1:b]
+                ns = state[:a] + tuple(sorted(run)) + state[b:]
+            out.setdefault(ns, wit)
+        return out
+
+    def join(left, right):
+        # bag images must agree; finished members must fit
+        buckets: dict[tuple[int, ...], list] = {}
+        for state, wit in right.items():
+            key, _low, high = _split(state, wide)
+            buckets.setdefault(key, []).append((high, state, wit))
+        out = {}
+        for state, wit in left.items():
+            key, low, _high = _split(state, wide)
+            for rhigh, rstate, rwit in buckets.get(key, ()):
+                if low & rhigh:
+                    continue
+                # with equal images, a side without finished members adds
+                # nothing to the other side's state
+                if not rhigh:
+                    merged = state
+                elif not low:
+                    merged = rstate
+                else:
+                    merged = _merge(key, low | rhigh, wide)
+                if merged not in out:
+                    out[merged] = (None, None, wit, rwit)
+            if len(out) > MAX_STATES:
+                raise _over_budget(nd, out)
+        return out
+
+    root = _walk(nd, tuple([_UNSEEN] * h.n), introduce, forget, join)
     goal = tuple([_DONE] * h.n)
-    root = tables[nd.root]
     if goal not in root:
         return None
     mapping = _class_images(root[goal], classes)

@@ -2,6 +2,7 @@
 pattern-search driver."""
 
 import random
+import re
 
 import pytest
 
@@ -305,6 +306,21 @@ class TestResultChecks:
         with pytest.raises(SolutionCheckError, match="misses edge"):
             dp_vc(nice(g), g)
 
+    def test_a_mismatched_decomposition_fails_the_witness_check(
+            self, triangle):
+        # no bag holds edges 0-2 and 1-2, so the engine never checks them
+        split = make_nice(TreeDecomposition(nodes=2, tree_edges=[(0, 1)],
+                                            bags=[(0, 1), (2,)]))
+        with pytest.raises(SolutionCheckError, match="not independent"):
+            dp_mis(split, triangle)
+        with pytest.raises(SolutionCheckError, match="misses edge"):
+            dp_vc(split, triangle)
+        # vertex 2 is in no bag, so no forget asks for it to be dominated
+        edge = make_nice(TreeDecomposition(nodes=1, tree_edges=[],
+                                           bags=[(0, 1)]))
+        with pytest.raises(SolutionCheckError, match="2 not dominated"):
+            dp_ds(edge, build_graph(3, [(0, 1)]))
+
 
 class TestStateBudget:
     """Every engine refuses a table past dp.MAX_STATES with a typed error
@@ -331,3 +347,31 @@ class TestStateBudget:
                    r" the budget is 4$")
         with pytest.raises(GraphInputError, match=message):
             solve(self.BAG, path_graph(3))
+
+    @staticmethod
+    def refused_size(solve) -> int:
+        with pytest.raises(GraphInputError) as refusal:
+            solve()
+        return int(re.search(r"reached (\d+) states", str(refusal.value))[1])
+
+    def test_a_dominating_set_join_stops_at_the_budget(self, monkeypatch):
+        # every table before the first join that passes 2^13 states holds
+        # at most 8,080; that join's whole table would hold 26,532
+        monkeypatch.setattr(dp, "MAX_STATES", 1 << 13)
+        g = grid(8, 8).graph
+        assert self.refused_size(lambda: dp_ds(nice(g), g)) <= 2 * (1 << 13)
+
+    def test_a_pattern_join_stops_at_the_budget(self, monkeypatch):
+        # six isolated vertices and the edge 5-6, in one-vertex bags and
+        # the bag {5, 6} around the hub 7; the pattern is two edges and
+        # four isolated vertices.  Every table before the last join holds
+        # at most 9 states, and that join's whole table would hold 27
+        g = build_graph(8, [(5, 6)])
+        td = TreeDecomposition(
+            nodes=7, tree_edges=[(0, i) for i in range(1, 7)],
+            bags=[(7,), (0,), (1,), (2,), (3,), (4,), (5, 6)])
+        h = build_graph(8, [(0, 1), (2, 3)])
+        monkeypatch.setattr(dp, "MAX_STATES", 9)
+        size = self.refused_size(
+            lambda: dp_subiso(make_nice(td), g, h, induced=True))
+        assert size <= 2 * 9
