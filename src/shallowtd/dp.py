@@ -15,9 +15,9 @@ endpoints of a host edge is an introduce of one endpoint with the other
 present, so checking a newly introduced vertex against its bag suffices to
 see every edge exactly once per branch.  One state survives every
 transition (no bag vertex chosen for MIS, every bag vertex black for DS,
-every pattern vertex unseen for the pattern search), so no table is ever
-empty; a decomposition that does not match the graph is caught by the
-check of the returned witness.
+no pattern vertex finished or mapped for the pattern search), so no table
+is ever empty; a decomposition that does not match the graph is caught by
+the check of the returned witness.
 
 The MIS and DS tables are keyed by Python-int bitmasks over vertex ids
 (bit v for vertex v): the chosen bag vertices for MIS, the black and
@@ -36,11 +36,14 @@ The walk refuses an input once one of its tables holds more than
 decomposition width and the budget: a wide decomposition ends in a typed
 error, not in hours of work or an out-of-memory kill.  The dominating-set
 and pattern joins, whose output can outgrow both inputs, check the budget
-after each left state, so they stop as soon as their table passes it.
+after each left state, and the pattern introduce, which can multiply its
+table by the number of twin classes plus one, after each child state, so
+they stop as soon as their table passes it.
 
 The pattern search counts its states up to pattern twins (vertices with the
-same neighbours besides each other): a state holds one sorted multiset of
-marks per twin class, not one copy per permutation of the class, and its
+same neighbours besides each other): per twin class, a state holds the
+count of members mapped to forgotten vertices and the sorted tuple of the
+members' bag images, not one copy per permutation of the class.  Its
 entries are shared witness links like those above, unrolled once at the
 root into one image set per class.  Its mapping is some valid embedding,
 fixed for each input: on a twin-free pattern it is the per-vertex
@@ -321,20 +324,18 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
 # Pattern vertices p and q are twins when N(p) - {q} = N(q) - {p}.  This is
 # an equivalence relation, each class is a clique or an independent set, and
 # swapping two twins is an automorphism of the pattern, so a state need not
-# say which member of a class has which image.  The pattern's slots are
-# renumbered so that each twin class is a contiguous run, and every run is
-# kept sorted: unseen slots (-2), then finished ones (-1), then images in
-# ascending order.  A state is thus one multiset per class, where a
-# per-vertex state would store one copy per permutation of the class (120
-# for K5).  On a twin-free pattern every run is one slot, and the states,
-# their order and the returned mapping are those of a per-vertex engine.
+# say which member of a class has which image.  A state is the pair
+# (finished, images): per class, the number of members mapped to forgotten
+# vertices, and the sorted tuple of its members' bag images; the other
+# members are unseen.  A per-vertex state would store one copy per
+# permutation of the class (120 for K5).  On a twin-free pattern every class
+# is one vertex, and the states, their order and the returned mapping are
+# those of a per-vertex engine.
 #
 # A table entry is a witness chain of the shape above: an introduce link
 # (class, image, rest) gives a member of the class its image.  The root
 # entry is read once into one image set per class; a set, because a vertex
 # of a join bag is introduced on both branches.
-
-_UNSEEN, _DONE = -2, -1
 
 
 def _twin_classes(h: Graph) -> list[list[int]]:
@@ -352,41 +353,6 @@ def _twin_classes(h: Graph) -> list[list[int]]:
         else:
             classes.append([p])
     return classes
-
-
-def _split(state: tuple[int, ...], wide: list[tuple[int, int]]
-           ) -> tuple[tuple[int, ...], int, int]:
-    """(key, low, high) of a state for a join.  The key clears finished
-    slots to unseen, which keeps every run sorted.  `high` has the bits of
-    the finished slots, which sit at the top of the key's unseen slots of
-    their run; `low` has as many bits per run at the bottom of the run.
-    Two states with equal keys can be joined iff no class has more
-    finished members on the two sides than unseen slots in the key, that
-    is iff one side's `low` and the other's `high` share no bit.  `wide`
-    lists the runs [a, b) of two or more slots; elsewhere low == high."""
-    if _DONE not in state:
-        return state, 0, 0
-    high = sum(1 << i for i, x in enumerate(state) if x == _DONE)
-    low = high
-    for a, b in wide:
-        run = state[a:b]
-        done = run.count(_DONE)
-        if done:
-            ones = (1 << done) - 1
-            low = low & ~(ones << (a + run.count(_UNSEEN))) | ones << a
-    return tuple(_UNSEEN if x == _DONE else x for x in state), low, high
-
-
-def _merge(key: tuple[int, ...], done: int, wide: list[tuple[int, int]]
-           ) -> tuple[int, ...]:
-    """The key with the slots in bitmask `done` finished, runs re-sorted."""
-    out = list(key)
-    for i in range(len(out)):
-        if done >> i & 1:
-            out[i] = _DONE
-    for a, b in wide:
-        out[a:b] = sorted(out[a:b])
-    return tuple(out)
 
 
 def _class_images(entry, classes: list[list[int]]) -> dict[int, int]:
@@ -407,13 +373,12 @@ def _class_images(entry, classes: list[list[int]]) -> dict[int, int]:
 def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
               induced: bool = False) -> dict[int, int] | None:
     """Injective map V(h) -> V(g) preserving edges (and non-edges if
-    induced), or None.  State: per twin class of h, the multiset of its
-    members' marks (unseen, finished, or a bag image), held in a sorted run
-    of slots.  An introduce offers v to each class once, through the first
-    slot of its run, which is unseen iff some member is; forgetting an image
-    requires every pattern neighbour of its slot to be finished or mapped
-    to an adjacent bag vertex.  A join pairs states whose images agree and
-    whose finished members fit into each class's unseen slots.
+    induced), or None.  State: per twin class of h, the count of members
+    finished (mapped to forgotten vertices) and the sorted tuple of the
+    members' bag images.  An introduce offers v to each class with an
+    unseen member; forgetting an image requires every pattern neighbour of
+    its member to be mapped.  A join pairs states with equal images whose
+    finished members fit into each class.
 
     The mapping is some valid embedding, fixed for each input: on a
     twin-free pattern it is the per-vertex engine's; otherwise the members
@@ -429,105 +394,106 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     gnbr = g.neighbor_sets()
     hnbr = h.neighbor_sets()
     classes = _twin_classes(h)
-    order = [p for members in classes for p in members]
-    slot = {p: s for s, p in enumerate(order)}
-    runs = []                              # [a, b) of each class's slots
-    for members in classes:
-        a = runs[-1][1] if runs else 0
-        runs.append((a, a + len(members)))
-    run_of = [r for r in runs for _ in range(r[1] - r[0])]
-    wide = [r for r in runs if r[1] - r[0] > 1]
-    # snbr[s]: slots of the pattern neighbours of slot s; smask[s] as a bitmask
-    snbr = [sorted(slot[q] for q in hnbr[p]) for p in order]
-    smask = [sum(1 << t for t in nb) for nb in snbr]
+    size = [len(members) for members in classes]
     degree = [len(hnbr[members[0]]) for members in classes]
-    slots = range(h.n)
+    # joined[c]: bit d set iff the members of class d are pattern neighbours
+    # of c's; twins make this all or nothing, and c is in it iff c is a
+    # clique of two or more
+    joined = [sum(1 << d for d, other in enumerate(classes)
+                  if other[-1] in hnbr[members[0]]) for members in classes]
+    indices = range(len(classes))
 
     def introduce(v, child):
         gv = gnbr[v]
-        out: dict[tuple[int, ...], tuple] = {}
-        free = [(c, *runs[c]) for c in range(len(classes))
-                if len(gv) >= degree[c]]
+        out: dict[tuple, tuple] = {}
+        free = [c for c in indices if len(gv) >= degree[c]]
         for state, wit in child.items():
             out.setdefault(state, wit)           # v stays outside the image
-            # a member of class c may take v iff every mapped pattern
-            # neighbour has its image adjacent to v (and, if induced, every
-            # mapped image adjacent to v is the image of a pattern
-            # neighbour); members share their neighbours, so the run's
-            # first slot speaks for the class
-            mapped = near = 0
-            for s in slots:
-                u = state[s]
-                if u >= 0:
-                    mapped |= 1 << s
+            # a member of class c may take v iff no class in joined[c] has
+            # an image away from v (and, if induced, no class outside it has
+            # one next to v)
+            finished, images = state
+            near = far = 0
+            for c, found in enumerate(images):
+                for u in found:
                     if u in gv:
-                        near |= 1 << s
-            far = mapped & ~near
-            for c, a, b in free:
-                if (state[a] == _UNSEEN and not smask[a] & far
-                        and not (induced and near & ~smask[a])):
-                    if b == a + 1:
-                        ns = state[:a] + (v,) + state[b:]
+                        near |= 1 << c
                     else:
-                        run = state[a + 1:b] + (v,)
-                        ns = state[:a] + tuple(sorted(run)) + state[b:]
+                        far |= 1 << c
+            for c in free:
+                if (finished[c] + len(images[c]) < size[c]
+                        and not joined[c] & far
+                        and not (induced and near & ~joined[c])):
+                    ns = (finished, images[:c] + (tuple(sorted(
+                        images[c] + (v,))),) + images[c + 1:])
                     if ns not in out:
                         out[ns] = (c, v, wit)
+            if len(out) > MAX_STATES:
+                raise _over_budget(nd, out)
         return out
 
     def forget(v, child):
-        gv = gnbr[v]
         out = {}
         for state, wit in child.items():
-            if v not in state:
+            finished, images = state
+            for c, found in enumerate(images):
+                if v in found:
+                    break
+            else:
                 out.setdefault(state, wit)
                 continue
-            s = state.index(v)
-            # all pattern edges at s must be settled before v disappears
-            if any(state[t] == _UNSEEN or
-                   (state[t] >= 0 and state[t] not in gv)
-                   for t in snbr[s]):
+            # every pattern edge at v's member must be settled before v
+            # leaves the bag: no joined class may have an unseen member.  A
+            # mapped neighbour needs no check, as every mapped pattern edge
+            # was checked at the introduce of its later endpoint and a join
+            # pairs only equal images
+            if any(finished[d] + len(images[d]) < size[d]
+                   for d in indices if joined[c] >> d & 1):
                 continue
-            a, b = run_of[s]
-            if b == a + 1:
-                ns = state[:s] + (_DONE,) + state[b:]
-            else:
-                run = state[a:s] + (_DONE,) + state[s + 1:b]
-                ns = state[:a] + tuple(sorted(run)) + state[b:]
-            out.setdefault(ns, wit)
+            i = found.index(v)
+            out.setdefault(
+                (finished[:c] + (finished[c] + 1,) + finished[c + 1:],
+                 images[:c] + (found[:i] + found[i + 1:],) + images[c + 1:]),
+                wit)
         return out
 
     def join(left, right):
-        # bag images must agree; finished members must fit
-        buckets: dict[tuple[int, ...], list] = {}
-        for state, wit in right.items():
-            key, _low, high = _split(state, wide)
-            buckets.setdefault(key, []).append((high, state, wit))
+        # the bag images must agree, and per class the finished members of
+        # both sides must fit beside the images: finished_l + finished_r +
+        # len(images) <= size.  Finished counts never fall, so an overfull
+        # state could never reach the goal: the fit test only prunes dead
+        # states.  A side without finished members adds nothing to the
+        # other, whose state fits already
+        buckets: dict[tuple, list] = {}
+        for (finished, images), wit in right.items():
+            buckets.setdefault(images, []).append((finished, wit))
         out = {}
         for state, wit in left.items():
-            key, low, _high = _split(state, wide)
-            for rhigh, rstate, rwit in buckets.get(key, ()):
-                if low & rhigh:
-                    continue
-                # with equal images, a side without finished members adds
-                # nothing to the other side's state
-                if not rhigh:
+            finished, images = state
+            for rfinished, rwit in buckets.get(images, ()):
+                if not any(rfinished):
                     merged = state
-                elif not low:
-                    merged = rstate
+                elif not any(finished):
+                    merged = (rfinished, images)
                 else:
-                    merged = _merge(key, low | rhigh, wide)
+                    total = tuple(a + b for a, b in zip(finished, rfinished))
+                    if any(t + len(found) > s
+                           for t, found, s in zip(total, images, size)):
+                        continue
+                    merged = (total, images)
                 if merged not in out:
                     out[merged] = (None, None, wit, rwit)
             if len(out) > MAX_STATES:
                 raise _over_budget(nd, out)
         return out
 
-    root = _walk(nd, tuple([_UNSEEN] * h.n), introduce, forget, join)
-    goal = tuple([_DONE] * h.n)
-    if goal not in root:
+    empty = tuple(() for _ in classes)
+    root = _walk(nd, (tuple(0 for _ in classes), empty),
+                 introduce, forget, join)
+    goal = root.get((tuple(size), empty))
+    if goal is None:
         return None
-    mapping = _class_images(root[goal], classes)
+    mapping = _class_images(goal, classes)
     check_mapping(g, h, mapping, induced)
     return mapping
 

@@ -157,7 +157,7 @@ class TestTwinClasses:
 
     def test_class_finishes_on_both_sides_of_a_join(self):
         # the decomposition of a star branches at its centre, so leaves of
-        # the claw finish on both sides of a join and meet in one run
+        # the claw finish on both sides of a join and add up in one count
         g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
         nd = nice(g)
         assert JOIN in nd.kind
@@ -375,3 +375,26 @@ class TestStateBudget:
         size = self.refused_size(
             lambda: dp_subiso(make_nice(td), g, h, induced=True))
         assert size <= 2 * 9
+
+    @pytest.mark.parametrize("g, h, budget", [
+        pytest.param(grid(3, 3).graph, path_graph(3), 7, id="p3-grid3x3"),
+        pytest.param(grid(2, 3).graph, cycle_graph(4), 4, id="c4-grid2x3")])
+    def test_a_pattern_introduce_stops_at_the_budget(self, monkeypatch, g, h,
+                                                     budget):
+        # an introduce offers the new vertex to every twin class, so one
+        # introduce's whole table would hold 15 and 9 states here
+        monkeypatch.setattr(dp, "MAX_STATES", budget)
+        size = self.refused_size(lambda: dp_subiso(nice(g), g, h))
+        assert size <= 2 * budget
+
+    def test_the_pattern_join_prunes_overfull_states(self, monkeypatch):
+        # the star's decomposition joins at the centre, where the claw's
+        # leaves finish on both sides; pairing states whose finished leaves
+        # overfill the class would take the search to 8 states
+        g = star_graph(5)
+        td = TreeDecomposition(
+            nodes=6, tree_edges=[(0, i) for i in range(1, 6)],
+            bags=[(0,)] + [(0, i) for i in range(1, 6)])
+        monkeypatch.setattr(dp, "MAX_STATES", 6)
+        found = dp_subiso(make_nice(td), g, star_graph(3))
+        assert found == {0: 0, 1: 3, 2: 4, 3: 5}
