@@ -19,14 +19,21 @@ no pattern vertex finished or mapped for the pattern search), so no table
 is ever empty; a decomposition that does not match the graph is caught by
 the check of the returned witness.
 
-The MIS and DS tables are keyed by Python-int bitmasks over vertex ids
-(bit v for vertex v): the chosen bag vertices for MIS, the black and
-undominated bag vertices for DS; a minimum vertex cover is the complement
-of the MIS witness.  A table entry holds the optimum value of its state and
-one O(1) link of a witness chain shared with the child tables; the witness
-set is rebuilt once, at the root.  Transitions run in a fixed order and
-only a strictly better value replaces an entry (the first of equal values
-stays), so among several optima each solver returns one fixed witness.  The
+The MIS and DS tables are keyed by bitmasks over bag positions, not vertex
+ids (the pattern search, whose states hold vertex images, takes no
+positions).  One top-down pass, ``_positions``, gives every bag vertex a
+position in 0..width: the lowest free one at the forget where the vertex
+enters the bag going down, given back at its introduce.  A state is then
+an int of at most width + 1 bits for MIS (the chosen bag vertices) and
+2 (width + 1) for DS (the black and undominated ones), however large the
+host; a minimum vertex cover is the complement of the MIS witness.  At
+every node the map from vertex ids to positions is one-to-one on the bag,
+so the tables hold the entries that vertex-id keys would, in the same
+order.  A table entry holds the optimum value of its state and one O(1)
+link of a witness chain shared with the child tables; the witness set is
+rebuilt once, at the root.  Transitions run in a fixed order and only a
+strictly better value replaces an entry (the first of equal values stays),
+so among several optima each solver returns one fixed witness.  The
 property tests hold it equal to the witness of a reference engine that
 copies a full witness set into every entry, so the level-slicing unions
 built from band witnesses do not drift when the engine changes.
@@ -61,7 +68,7 @@ MAX_PATTERN = 8
 # The largest table an engine builds; one past it is refused with a
 # GraphInputError.  A too-wide run keeps its tables just below the budget
 # for many nodes before one crosses it, so the time to a refusal grows with
-# the budget: on the 30x30 grid's MIS, 4.8 s at 2^17 against 79 s at 2^20.
+# the budget: on the 30x30 grid's MIS, 2-2.6 s at 2^17 against 48 s at 2^20.
 # 2^17 keeps the 16x16 grid's MIS (largest table 81,920).
 MAX_STATES = 1 << 17
 
@@ -109,11 +116,6 @@ def check_solution(problem: str, g: Graph, s, required=None) -> None:
 _LEAF_ENTRY = (0, None, None)
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Bit u of entry v is set iff u is a neighbour of v."""
-    return [sum(1 << u for u in nb) for nb in g.neighbor_sets()]
-
-
 def _links(entry: tuple):
     """The introduce links of the witness chain ending in `entry`."""
     stack = [entry]
@@ -139,13 +141,52 @@ def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
+def _positions(nd: NiceDecomposition,
+               g: Graph) -> tuple[list[int], list[int]]:
+    """(pos, near): per node, the position bit of its introduced or
+    forgotten vertex, and per introduce the mask of the positions held by
+    that vertex's bag neighbours (0 at every other node).
+
+    One top-down pass, in descending ids from the empty root bag, keeps the
+    {vertex: position bit} map of each bag whose node is still to visit: a
+    forget's child gets its map plus the vertex at the lowest free
+    position, an introduce's child its map less the vertex, and a join's
+    children the map and a copy of it.  A vertex enters a bag of k vertices
+    at a position below k, so no position reaches width + 1; a vertex that
+    an invalid decomposition puts in two disconnected subtrees gets an
+    independent position in each."""
+    nbr = g.neighbor_sets()
+    kinds, children, vertex = nd.kind, nd.children, nd.vertex
+    pos = [0] * nd.node_count
+    near = [0] * nd.node_count
+    held = {nd.root: {}}
+    for node in range(nd.node_count - 1, -1, -1):
+        at = held.pop(node)         # held by no other node: updated in place
+        kind = kinds[node]
+        if kind == JOIN:
+            left, right = children[node]
+            held[left], held[right] = at, at.copy()
+        elif kind != LEAF:
+            v = vertex[node]
+            if kind == INTRODUCE:
+                pos[node] = at.pop(v)
+                vnbr = nbr[v]
+                near[node] = sum(b for u, b in at.items() if u in vnbr)
+            else:
+                taken = sum(at.values())
+                pos[node] = at[v] = ~taken & (taken + 1)
+            held[children[node][0]] = at
+    return pos, near
+
+
 def _walk(nd: NiceDecomposition, start, introduce, forget, join) -> dict:
     """Run one engine bottom-up over nd and return the root table.
 
     A leaf's table is {start: _LEAF_ENTRY}; an introduce or forget node's
-    is introduce(v, child) or forget(v, child), with v the node's vertex;
-    a join's is join(left, right).  Each child table is popped as its
-    parent is built, and a table past MAX_STATES is refused."""
+    is introduce(node, child) or forget(node, child), with node its id, so
+    an engine reads the node's vertex and whatever it keeps per node; a
+    join's is join(left, right).  Each child table is popped as its parent
+    is built, and a table past MAX_STATES is refused."""
     tables: dict[int, dict] = {}
     for node in range(nd.node_count):
         kind = nd.kind[node]
@@ -156,7 +197,7 @@ def _walk(nd: NiceDecomposition, start, introduce, forget, join) -> dict:
             out = join(tables.pop(children[0]), tables.pop(children[1]))
         else:
             step = introduce if kind == INTRODUCE else forget
-            out = step(nd.vertex[node], tables.pop(children[0]))
+            out = step(node, tables.pop(children[0]))
         if len(out) > MAX_STATES:
             raise _over_budget(nd, out)
         tables[node] = out
@@ -184,7 +225,7 @@ def dp_vc(nd: NiceDecomposition, g: Graph) -> set[int]:
 def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     """The independent-set engine; returns the root table {0: entry}.
 
-    A state is the bitmask (bit v for vertex v) of the bag vertices chosen
+    A state is the bitmask, over bag positions, of the bag vertices chosen
     into the independent set.  A new vertex may join the chosen set only
     with no chosen bag neighbour, which keeps exactly the states extendable
     to independent sets.  A join's value is left + right - |state|, as the
@@ -194,23 +235,22 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
     """
-    nmask = _neighbour_masks(g)
+    vertex = nd.vertex
+    pos, near = _positions(nd, g)
 
-    def introduce(v, child):
-        # v is in no child state, so no two outputs share a key.  A state
-        # holds only chosen bag vertices (an introduce adds a bag vertex, a
-        # forget clears one, a join pairs equal keys), so testing v's
-        # neighbours against it needs no bag mask.
-        bit, vnbr = 1 << v, nmask[v]
+    def introduce(node, child):
+        # v's position is free in every child state, so no two outputs
+        # share a key; vnear holds the positions of v's bag neighbours
+        v, bit, vnear = vertex[node], pos[node], near[node]
         out = {}
         for state, entry in child.items():
             out[state] = entry
-            if not vnbr & state:               # v independent of chosen bag
+            if not vnear & state:              # v independent of chosen bag
                 out[state | bit] = (entry[0] + 1, v, entry)
         return out
 
-    def forget(v, child):
-        keep = ~(1 << v)
+    def forget(node, child):
+        keep = ~pos[node]
         out = {}
         for state, entry in child.items():
             state &= keep
@@ -243,8 +283,9 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
 
     Per bag vertex: chosen (black), not chosen but already dominated, or not
     chosen and so far undominated.  A state is the pair of bitmasks (black,
-    undominated) over vertex ids, packed into one int as
-    black | undominated << n; a bag vertex in neither is dominated.
+    undominated) over bag positions, packed into one int as
+    black | undominated << (width + 1); a bag vertex in neither is
+    dominated.
     Introducing a black vertex v clears its neighbours from the undominated
     mask; introducing v plain makes it undominated unless it has a black bag
     neighbour; forgetting an undominated required vertex kills the state; a
@@ -260,15 +301,16 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     required = set(range(g.n) if required is None else required)
     if not required:
         return set()
-    nmask = _neighbour_masks(g)
-    n = g.n
-    low = (1 << n) - 1                    # the black half of a state
+    vertex = nd.vertex
+    pos, near = _positions(nd, g)
+    # width + 1, as the highest position bit handed out is 1 << width
+    span = max(pos).bit_length()
+    low = (1 << span) - 1                 # the black half of a state
 
-    def introduce(v, child):
-        bit = 1 << v
-        ubit = bit << n
-        vnbr = nmask[v]
-        clear = ~(vnbr << n)
+    def introduce(node, child):
+        v, bit, vnear = vertex[node], pos[node], near[node]
+        ubit = bit << span
+        clear = ~(vnear << span)
         out = {}
         for state, entry in child.items():
             # v chosen: its undominated bag neighbours become dominated.
@@ -278,13 +320,13 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
                 out[key] = (entry[0] + 1, v, entry)
             # v not chosen, dominated now iff some bag neighbour is black;
             # no other output has this key.
-            out[state if state & vnbr else state | ubit] = entry
+            out[state if state & vnear else state | ubit] = entry
         return out
 
-    def forget(v, child):
-        bit = 1 << v
-        dead = bit << n if v in required else 0
-        keep = ~(bit | bit << n)
+    def forget(node, child):
+        bit = pos[node]
+        dead = bit << span if vertex[node] in required else 0
+        keep = ~(bit | bit << span)
         out = {}
         for state, entry in child.items():
             if state & dead:
@@ -403,7 +445,10 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                   if other[-1] in hnbr[members[0]]) for members in classes]
     indices = range(len(classes))
 
-    def introduce(v, child):
+    vertex = nd.vertex
+
+    def introduce(node, child):
+        v = vertex[node]
         gv = gnbr[v]
         out: dict[tuple, tuple] = {}
         free = [c for c in indices if len(gv) >= degree[c]]
@@ -432,7 +477,8 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                 raise _over_budget(nd, out)
         return out
 
-    def forget(v, child):
+    def forget(node, child):
+        v = vertex[node]
         out = {}
         for state, wit in child.items():
             finished, images = state

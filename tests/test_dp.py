@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import reference_dp
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
@@ -320,6 +321,35 @@ class TestResultChecks:
                                            bags=[(0, 1)]))
         with pytest.raises(SolutionCheckError, match="2 not dominated"):
             dp_ds(edge, build_graph(3, [(0, 1)]))
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(build_graph(2, [(0, 1)]), id="edge"),
+        pytest.param(build_graph(3, [(0, 1), (0, 2)]), id="vertex-in-no-bag")])
+    def test_a_vertex_in_two_disconnected_subtrees_matches_the_reference(
+            self, g):
+        # vertex 0 is in the first and the last bag of the path, not in the
+        # middle one, so each end gives it its own bag position
+        split = make_nice(TreeDecomposition(
+            nodes=3, tree_edges=[(0, 1), (1, 2)], bags=[(0, 1), (1,), (0, 1)]))
+
+        def outcome(solve):
+            try:
+                return solve()
+            except SolutionCheckError as exc:
+                return str(exc)
+
+        def checked(problem, witness):
+            check_solution(problem, g, witness)
+            return witness
+
+        everyone = set(range(g.n))
+        ref_mis = reference_dp.reference_mis(split, g)
+        assert outcome(lambda: dp_mis(split, g)) == outcome(
+            lambda: checked("mis", ref_mis))
+        assert outcome(lambda: dp_vc(split, g)) == outcome(
+            lambda: checked("vc", everyone - ref_mis))
+        assert outcome(lambda: dp_ds(split, g)) == outcome(
+            lambda: reference_dp.dp_ds(split, g, everyone))
 
 
 class TestStateBudget:

@@ -13,14 +13,18 @@ mapping on twin-free patterns, the same existence on patterns with
 twins) and against backtracking on min-degree decompositions, heap
 min-degree elimination against its rescanning reference, the choice of
 level-order or min-degree elimination against its full-elimination
-reference, and the nice form
-and its replayed bags against the builder that stored every bag."""
+reference, the nice form and its replayed bags against the builder that
+stored every bag, and the DP's bag positions: distinct within every bag,
+below width + 1, with table keys of at most 2 (width + 1) bits, on valid
+and invalid decompositions."""
 
 import dataclasses
 from functools import cache
+from unittest import mock
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,11 +37,12 @@ import reference_nice
 import reference_planar
 import reference_triangulate
 from reference_validate import validate_quadratic
-from shallowtd import _kernels
+from shallowtd import _kernels, dp
 from shallowtd.baker import build_slices
-from shallowtd.decomp import (TreeDecomposition, heuristic_td, make_nice,
-                              narrower_td, validate)
-from shallowtd.dp import dp_ds, dp_mis, dp_subiso, dp_vc, verify_subiso
+from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, TreeDecomposition,
+                              heuristic_td, make_nice, narrower_td, validate)
+from shallowtd.dp import (SolutionCheckError, dp_ds, dp_mis, dp_subiso, dp_vc,
+                          verify_subiso)
 from shallowtd.generators import (apex_over_grid, grid,
                                   random_planar_triangulation, subdivide,
                                   toroidal_grid, wall)
@@ -891,3 +896,111 @@ def test_make_nice_matches_stored_bag_reference_on_every_band():
             for offset in range(k):
                 for sl in build_slices(host, k, offset, "delete").slices:
                     _assert_nice_matches_reference(sl.td)
+
+
+# ---------------------------------------------------------------------------
+# DP bag positions: bag-local, and table keys of machine size
+
+
+def _table_keys(solve, nd, g) -> list[int]:
+    """Every key of every table that `solve` builds on nd, in build order;
+    a witness that fails its check ends the run, not the test."""
+    keys: list[int] = []
+    walk = dp._walk
+
+    def spy(nd, start, introduce, forget, join):
+        def kept(step):
+            def run(*args):
+                out = step(*args)
+                keys.extend(out)
+                return out
+            return run
+        return walk(nd, start, kept(introduce), kept(forget), kept(join))
+
+    with mock.patch.object(dp, "_walk", spy):
+        try:
+            solve(nd, g)
+        except SolutionCheckError:
+            pass
+    return keys
+
+
+def _assert_positions_are_bag_local(nd, g) -> None:
+    """Replay `dp._positions` bottom-up: each bag's vertices hold distinct
+    one-bit positions below width + 1, a forget takes back the position its
+    vertex holds, a join's two children agree on their bag's positions, and
+    an introduce's near mask is the positions of its vertex's bag
+    neighbours."""
+    pos, near = dp._positions(nd, g)
+    span = nd.width + 1
+    nbr = g.neighbor_sets()
+    held: list[dict[int, int]] = []          # per node, {vertex: position bit}
+    for node, kind in enumerate(nd.kind):
+        kids, v = nd.children[node], nd.vertex[node]
+        at = dict(held[kids[0]]) if kids else {}
+        if kind == JOIN:
+            assert held[kids[1]] == at
+        elif kind == INTRODUCE:
+            assert near[node] == sum(at[u] for u in nbr[v] & at.keys())
+            at[v] = pos[node]
+        elif kind == FORGET:
+            assert at.pop(v) == pos[node]
+        assert sorted(at) == list(nd.bag[node])
+        assert len(set(at.values())) == len(at)
+        assert all(b.bit_count() == 1 and b.bit_length() <= span
+                   for b in at.values())
+        held.append(at)
+
+
+def _assert_table_keys_fit(nd, g) -> None:
+    """Every MIS table key fits in width + 1 bits, every DS table key in
+    2 (width + 1)."""
+    span = nd.width + 1
+    assert all(key.bit_length() <= span
+               for key in _table_keys(dp_mis, nd, g))
+    assert all(key.bit_length() <= 2 * span
+               for key in _table_keys(dp_ds, nd, g))
+
+
+@PROPERTY
+@given(random_tree_decompositions())
+def test_dp_positions_are_bag_local_on_random_bags(case):
+    g, td = case
+    if (len(td.bags) != td.nodes
+            or any(not 0 <= v < g.n for bag in td.bags for v in bag)):
+        return          # make_nice wants a bag per node, the DP host vertices
+    try:
+        nd = make_nice(td)
+    except GraphInputError:
+        return                          # not a tree
+    _assert_positions_are_bag_local(nd, g)
+    _assert_table_keys_fit(nd, g)
+
+
+@PROPERTY
+@given(st.data())
+def test_dp_positions_are_bag_local_on_nice_inputs(data):
+    td = _nice_input(data.draw)
+    n = 1 + max((v for bag in td.bags for v in bag), default=-1)
+    g = build_graph(n, _random_graph(data.draw, n,
+                                     data.draw(st.floats(0.1, 0.9))))
+    nd = make_nice(td)
+    _assert_positions_are_bag_local(nd, g)
+    if nd.width <= 6:                   # 3^w DS tables: wider ones are slow
+        _assert_table_keys_fit(nd, g)
+
+
+@pytest.mark.parametrize("bags, tree_edges, n", [
+    pytest.param([(0, 1), (1,), (0, 1)], [(0, 1), (1, 2)], 2,
+                 id="vertex-in-two-subtrees"),
+    pytest.param([(0, 1), (2,)], [(0, 1)], 3, id="edges-in-no-bag"),
+    pytest.param([(0, 1)], [], 3, id="vertex-in-no-bag"),
+    pytest.param([(0, 2), (1,), (0, 3), (2, 3)], [(0, 1), (1, 2), (1, 3)], 4,
+                 id="two-subtrees-through-a-join")])
+def test_dp_positions_are_bag_local_on_invalid_decompositions(bags,
+                                                              tree_edges, n):
+    td = TreeDecomposition(len(bags), tree_edges, bags)
+    g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    nd = make_nice(td)
+    _assert_positions_are_bag_local(nd, g)
+    _assert_table_keys_fit(nd, g)
