@@ -5,16 +5,23 @@ Every subcommand runs in one frame, `run`: the parser is built once per
 process, a handler returns `(report, exit_code)`, and `run` times it, maps a
 domain error to exit 1 and writes the report as one JSON line on stdout
 (`command` first, `version` and `wall_time` last; `generate` writes graph
-text instead).  Exit codes: 0 success, 1 domain error (invalid or
-infeasible input, or out of memory), 2 usage error (argparse, including
-`ptas --k` below 2 and `bench --repeats` below 1).  Diagnostics go to
-stderr.  Run it as `shallowtd` or as `python -m shallowtd.cli`.
+text instead).  The handler runs with the cyclic garbage collector paused:
+the program's data (edge tuples, adjacency, faces, bags, DP witness links)
+hold no reference cycles, so reference counting frees all of it, and the
+collector would only re-walk live, acyclic structures.  `run` restores the
+caller's collector state afterwards (a collector already off stays off);
+parsing and the report run unpaused, and library calls never pause it.
+Exit codes: 0 success, 1 domain error (invalid or infeasible input, or out
+of memory), 2 usage error (argparse, including `ptas --k` below 2 and
+`bench --repeats` below 1).  Diagnostics go to stderr.  Run it as
+`shallowtd` or as `python -m shallowtd.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -324,6 +331,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:          # argparse uses 2 for usage errors
         return int(exc.code or 0)
     started = time.perf_counter()
+    collecting = gc.isenabled()
+    gc.disable()                       # the handler's data hold no cycles
     try:
         report, code = args.func(args)
     except _DOMAIN_ERRORS as exc:
@@ -332,6 +341,9 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError:                # its message is empty
         print("error: out of memory", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     if report is not None:
         json.dump({"command": args.cmd, **report, "version": __version__,
                    "wall_time": round(time.perf_counter() - started, 6)},

@@ -62,6 +62,20 @@ def _root_tree(nodes: int, edges: list[tuple[int, int]]
     return (order, children) if len(order) == nodes else None
 
 
+def _shape(td: TreeDecomposition
+           ) -> tuple[str | None, tuple[list[int], list[list[int]]] | None]:
+    """(violation, rooted): the first shape violation of td (its bag count,
+    then its tree edges) and None, or None and `_root_tree`'s (order,
+    children) of a well-shaped td.  `validate` reports the violation and
+    `make_nice` raises it."""
+    if len(td.bags) != td.nodes:
+        return "bag count does not match node count", None
+    rooted = _root_tree(td.nodes, td.tree_edges)
+    if rooted is None:
+        return "decomposition edges do not form a tree", None
+    return None, rooted
+
+
 def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
     """Check the three bag conditions; violations go into the report.
 
@@ -81,10 +95,9 @@ def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
     node it cannot reach).
     """
     width = td.width
-    if len(td.bags) != td.nodes:
-        return ValidationReport(False, width, "bag count does not match node count", None)
-    if _root_tree(td.nodes, td.tree_edges) is None:
-        return ValidationReport(False, width, "decomposition edges do not form a tree", None)
+    violation, _ = _shape(td)
+    if violation is not None:
+        return ValidationReport(False, width, violation, None)
     bag_sets = [set(b) for b in td.bags]
     holding: list[list[int]] = [[] for _ in range(g.n)]
     for i, b in enumerate(bag_sets):
@@ -182,9 +195,9 @@ class NiceDecomposition:
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Convert to nice form with an empty root bag and the same width.
     Nodes are numbered as built, each after its children; no bag is built."""
-    rooted = _root_tree(td.nodes, td.tree_edges)
-    if rooted is None:
-        raise GraphInputError("input decomposition is not a tree")
+    violation, rooted = _shape(td)
+    if violation is not None:
+        raise GraphInputError(f"input decomposition: {violation}")
     order, children = rooted
     kind, kids, vertex = [], [], []         # the fields, per nice node
 

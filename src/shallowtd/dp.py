@@ -16,8 +16,9 @@ present, so checking a newly introduced vertex against its bag suffices to
 see every edge exactly once per branch.  One state survives every
 transition (no bag vertex chosen for MIS, every bag vertex black for DS,
 no pattern vertex finished or mapped for the pattern search), so no table
-is ever empty; a decomposition that does not match the graph is caught by
-the check of the returned witness.
+is ever empty.  A decomposition naming a vertex outside the host is refused
+with a GraphInputError before any table is built; any other mismatch with
+the graph is caught by the check of the returned witness.
 
 The MIS and DS tables are keyed by bitmasks over bag positions, not vertex
 ids (the pattern search, whose states hold vertex images, takes no
@@ -141,6 +142,18 @@ def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
+def _check_vertices(nd: NiceDecomposition, g: Graph) -> None:
+    """Refuse nd, before any table is built, when a node names a vertex
+    outside 0..g.n-1 (a negative id would silently wrap in a list)."""
+    named = set(nd.vertex)
+    named.discard(None)                 # leaf and join nodes name none
+    bad = [v for v in named if not 0 <= v < g.n]
+    if bad:
+        raise GraphInputError(
+            f"nice decomposition names vertex {min(bad)}, not a vertex of "
+            f"the {g.n}-vertex host")
+
+
 def _positions(nd: NiceDecomposition,
                g: Graph) -> tuple[list[int], list[int]]:
     """(pos, near): per node, the position bit of its introduced or
@@ -235,6 +248,7 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
     """
+    _check_vertices(nd, g)
     vertex = nd.vertex
     pos, near = _positions(nd, g)
 
@@ -298,6 +312,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     and only a strictly smaller value replaces an entry: this order and tie
     rule fix which optimal witness is returned.
     """
+    _check_vertices(nd, g)
     required = set(range(g.n) if required is None else required)
     if not required:
         return set()
@@ -426,6 +441,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     twin-free pattern it is the per-vertex engine's; otherwise the members
     of each twin class get its images in ascending order.
     """
+    _check_vertices(nd, g)
     if h.n == 0:
         return {}
     if h.n > MAX_PATTERN:

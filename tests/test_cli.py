@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, artifact round-trips."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +27,7 @@ from shallowtd.dp import MAX_STATES, check_solution, dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
-from shallowtd.graph import emit_graph, parse_graph
+from shallowtd.graph import GraphInputError, emit_graph, parse_graph
 from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
 from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 
@@ -613,6 +615,99 @@ class TestFrame:
                               stdin=emit_graph(grid(3, 3)))
         assert code == 0 and json.loads(out)["value"] == 5
         assert calls == [9]
+
+    @pytest.mark.parametrize("raised, code", [
+        pytest.param(None, 0, id="success"),
+        pytest.param(GraphInputError("refused"), 1, id="domain-error"),
+        pytest.param(MemoryError(), 1, id="out-of-memory"),
+        pytest.param(RuntimeError("bug"), None, id="escaping-bug"),
+    ])
+    @pytest.mark.parametrize("collecting", [True, False],
+                             ids=["collector-on", "collector-off"])
+    def test_handler_runs_with_the_collector_paused(
+            self, capsys, monkeypatch, raised, code, collecting):
+        from shallowtd import cli
+        seen = []
+
+        def recording(nd, g):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return dp_mis(nd, g)
+
+        monkeypatch.setattr(cli, "dp_mis", recording)
+        argv = ["solve", "--problem", "mis"]
+        stdin = emit_graph(grid(3, 3))
+        gc.enable() if collecting else gc.disable()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError, match="bug"):
+                    invoke(capsys, monkeypatch, argv, stdin=stdin)
+                got = None
+            else:
+                got, _, _ = invoke(capsys, monkeypatch, argv, stdin=stdin)
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert got == code and seen == [False]
+        assert after == collecting          # the caller's state, restored
+
+    @pytest.mark.parametrize("collecting", [True, False],
+                             ids=["collector-on", "collector-off"])
+    def test_usage_error_keeps_the_callers_collector_state(
+            self, capsys, monkeypatch, collecting):
+        gc.enable() if collecting else gc.disable()
+        try:
+            code, _, _ = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "nope"])
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert code == 2 and after == collecting
+
+    def test_commands_leave_no_cyclic_garbage_of_their_own(
+            self, capsys, monkeypatch, tmp_path):
+        # the pause is safe only while reference counting frees everything
+        # the program builds: a cycle among its objects (say, a closure that
+        # refers to itself in a DP engine) would grow memory until the
+        # caller's collector runs, so it must fail here instead
+        files = {"g": tmp_path / "g.txt", "t": tmp_path / "t.txt",
+                 "g16": tmp_path / "g16.txt", "p": tmp_path / "p.txt",
+                 "td": tmp_path / "g.td"}
+        files["g"].write_text(emit_graph(grid(6, 6)))
+        files["t"].write_text(emit_graph(toroidal_grid(5, 6)))
+        files["g16"].write_text(emit_graph(grid(16, 16)))
+        files["p"].write_text("v 4\ne 0 1\ne 0 2\ne 0 3\n")
+        commands = [
+            (["decompose", "--method", "planar-bfs", "--input", "{g}",
+              "--out", "{td}"], 0),
+            (["decompose", "--method", "genus", "--input", "{t}"], 0),
+            (["solve", "--problem", "mis", "--input", "{g}"], 0),
+            (["solve", "--problem", "ds", "--input", "{g}"], 0),
+            (["ptas", "--problem", "ds", "--k", "2", "--input", "{g}"], 0),
+            (["subiso", "--pattern", "{p}", "--input", "{g}"], 0),
+            (["validate", "--graph", "{g}", "--td", "{td}"], 0),
+            (["ptas", "--problem", "ds", "--k", "12", "--input", "{g16}"],
+             1),                                  # the DP state budget
+        ]
+        gc.collect()                        # garbage from before this test
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            codes = [invoke(capsys, monkeypatch,
+                            [a.format(**files) for a in argv])[0]
+                     for argv, _ in commands]
+            gc.collect()
+            ours = [repr(obj)[:80] for obj in gc.garbage
+                    if type(obj).__module__.startswith("shallowtd")
+                    or (isinstance(obj, types.FunctionType)
+                        and (obj.__module__ or "").startswith("shallowtd"))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert codes == [code for _, code in commands]
+        assert ours == []
 
 
 # ---------------------------------------------------------------------------

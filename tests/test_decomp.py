@@ -110,6 +110,22 @@ class TestMakeNice:
         self._check_nice(nd)
         assert nd.width == td.width
 
+    @pytest.mark.parametrize("td, violation", [
+        pytest.param(TreeDecomposition(nodes=2, tree_edges=[(0, 1)],
+                                       bags=[(0, 1)]),
+                     "bag count does not match node count", id="short-bags"),
+        pytest.param(TreeDecomposition(nodes=1, tree_edges=[], bags=[]),
+                     "bag count does not match node count", id="no-bags"),
+        pytest.param(TreeDecomposition(nodes=2, tree_edges=[],
+                                       bags=[(0,), (0,)]),
+                     "decomposition edges do not form a tree", id="forest"),
+    ])
+    def test_malformed_shape_is_a_typed_error(self, td, violation):
+        # the same shape check as validate's, raised, not an IndexError
+        assert validate(td, build_graph(2, [])).violation == violation
+        with pytest.raises(GraphInputError, match=violation):
+            make_nice(td)
+
     # The DP engines walk node ids in ascending order: every child must be
     # numbered below its parent, and the root last.
     @pytest.mark.parametrize("build", [

@@ -352,6 +352,30 @@ class TestResultChecks:
             lambda: reference_dp.dp_ds(split, g, everyone))
 
 
+class TestHostVertexCheck:
+    """A nice decomposition naming a vertex outside the host is refused
+    with a typed error before any table is built."""
+
+    @pytest.mark.parametrize("bag, bad", [((0, 7), 7), ((-1, 0), -1)],
+                             ids=["past-the-host", "negative"])
+    @pytest.mark.parametrize("solve", [
+        pytest.param(dp_mis, id="mis"),
+        pytest.param(dp_vc, id="vc"),
+        pytest.param(dp_ds, id="ds"),
+        pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(2)),
+                     id="subiso")])
+    def test_a_non_host_vertex_is_refused(self, monkeypatch, solve, bag,
+                                          bad):
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        nd = make_nice(TreeDecomposition(nodes=1, tree_edges=[], bags=[bag]))
+        with pytest.raises(GraphInputError,
+                           match=f"names vertex {bad}, not a vertex of the "
+                                 f"3-vertex host"):
+            solve(nd, path_graph(3))
+        assert walks == []
+
+
 class TestStateBudget:
     """Every engine refuses a table past dp.MAX_STATES with a typed error
     naming the table size, the width and the budget."""
