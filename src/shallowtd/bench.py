@@ -64,9 +64,11 @@ def _long_face_host(kind: str, n: int):
     else:
         rng = random.Random(n)
         edges = [(rng.randrange(i), i) for i in range(1, n)]
-    g = build_graph(n, edges)
-    return embed(g, [[2 * eid + (g.edges[eid][0] != v) for eid in g.adj[v]]
-                     for v in range(n)])
+    rotation = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        rotation[u].append(2 * eid)
+        rotation[v].append(2 * eid + 1)
+    return embed(build_graph(n, edges), rotation)
 
 
 def _slice_every_offset(e) -> None:

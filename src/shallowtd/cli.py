@@ -4,11 +4,12 @@ approximate solving, pattern search, oracles, and the kernel benchmark.
 Every subcommand runs in one frame, `run`: the parser is built once per
 process, a handler returns `(report, exit_code)`, and `run` times it, maps a
 domain error to exit 1 and writes the report as one JSON line on stdout
-(`command` first, `version` and `wall_time` last; `generate` writes graph
-text instead).  The handler runs with the cyclic garbage collector paused:
-the program's data (edge tuples, adjacency, faces, bags, DP witness links)
-hold no reference cycles, so reference counting frees all of it, and the
-collector would only re-walk live, acyclic structures.  `run` restores the
+in one ``json.dumps`` write (`command` first, `version` and `wall_time`
+last; `generate` writes graph text instead).  The handler runs with the
+cyclic garbage collector paused: the program's data (edge tuples,
+adjacency, faces, bags, DP witness links) hold no reference cycles, so
+reference counting frees all of it, and the collector would only re-walk
+live, acyclic structures.  `run` restores the
 caller's collector state afterwards (a collector already off stays off);
 parsing and the report run unpaused, and library calls never pause it.
 Exit codes: 0 success, 1 domain error (invalid or infeasible input, or out
@@ -345,10 +346,10 @@ def run(argv: list[str] | None = None) -> int:
         if collecting:
             gc.enable()
     if report is not None:
-        json.dump({"command": args.cmd, **report, "version": __version__,
-                   "wall_time": round(time.perf_counter() - started, 6)},
-                  sys.stdout, default=sorted)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(
+            {"command": args.cmd, **report, "version": __version__,
+             "wall_time": round(time.perf_counter() - started, 6)},
+            default=sorted) + "\n")
     return code
 
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .graph import Graph, GraphInputError, text_records
+from .graph import MAX_VERTICES, Graph, GraphInputError, text_records
 
 
 @dataclass
@@ -293,7 +293,7 @@ def narrower_td(g: Graph) -> TreeDecomposition:
     nbrs = g.neighbor_sets()
     if g.n == 0 or width <= min(map(len, nbrs)):
         return td
-    sweep = _kernels.far_sweep(g.neighbor_lists())
+    sweep = _kernels.far_sweep(g.nbrs)
     if sweep is None:
         return td
     order = sorted(range(g.n), key=sweep[0].__getitem__, reverse=True)
@@ -362,6 +362,10 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
             if min(header[1], header[3]) < 0:
                 raise GraphInputError(f"line {lineno}: negative node or "
                                       "host vertex count")
+            if header[3] > MAX_VERTICES or header[1] > 2 * MAX_VERTICES:
+                raise GraphInputError(f"line {lineno}: over the budget of "
+                                      f"{MAX_VERTICES} host vertices and "
+                                      f"{2 * MAX_VERTICES} nodes")
         elif key == "b":
             node, bag = fields[0], fields[1:]
             if node in bags:

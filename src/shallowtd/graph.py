@@ -1,6 +1,8 @@
 """Undirected multigraphs, combinatorial embeddings, and BFS layerings.
 
-Edges carry stable integer ids (their position in the edge list).  A *dart*
+Edges carry stable integer ids (their position in the edge list).  A graph
+keeps one adjacency, ``nbrs``: per vertex, the other end of each incident
+edge in edge-id order, built together with the edge list.  A *dart*
 is a directed half of edge ``e``: dart ``2*e`` points from ``edges[e][0]`` to
 ``edges[e][1]``, dart ``2*e + 1`` the other way.  An embedding is a rotation
 system: the cyclic sequence of outgoing darts around each vertex.  Faces are
@@ -17,6 +19,11 @@ from dataclasses import dataclass, field
 from . import _kernels
 
 
+# The input-size budget: the most vertices a parsed graph or decomposition
+# header may declare, checked before anything of that size is allocated.
+MAX_VERTICES = 1 << 20
+
+
 class GraphInputError(ValueError):
     """Malformed construction input (bad endpoint, bad rotation, ...)."""
 
@@ -27,39 +34,21 @@ class EmbeddingError(ValueError):
 
 @dataclass
 class Graph:
-    """Undirected multigraph.  Loops appear twice in their vertex's adjacency."""
+    """Undirected multigraph.  ``nbrs[v]`` lists the other end of each edge
+    at v in edge-id order; a loop lists its vertex twice."""
 
     n: int
     edges: list[tuple[int, int]]
-    adj: list[list[int]]
+    nbrs: list[list[int]]
     _nbr_sets: list[set[int]] | None = field(default=None, repr=False, compare=False)
-    _nbr_lists: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if v == u else u
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.neighbor_lists()[v]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Per vertex, the other end of each incident edge in `adj` order (a
-        loop lists its vertex twice).  Cached and shared: do not mutate."""
-        if self._nbr_lists is None:
-            edges = self.edges
-            self._nbr_lists = [[edges[e][1] if edges[e][0] == v else edges[e][0]
-                                for e in incident]
-                               for v, incident in enumerate(self.adj)]
-        return self._nbr_lists
-
     def neighbor_sets(self) -> list[set[int]]:
         if self._nbr_sets is None:
-            self._nbr_sets = [set(nb) - {v}
-                              for v, nb in enumerate(self.neighbor_lists())]
+            self._nbr_sets = [set(nb) - {v} for v, nb in enumerate(self.nbrs)]
         return self._nbr_sets
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -71,14 +60,14 @@ def build_graph(n: int, edges) -> Graph:
     if n < 0:
         raise GraphInputError("vertex count must be nonnegative")
     edge_list: list[tuple[int, int]] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u}, {v}) has an endpoint out of range [0, {n})")
         edge_list.append((u, v))
-        adj[u].append(eid)
-        adj[v].append(eid)
-    return Graph(n=n, edges=edge_list, adj=adj)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(n=n, edges=edge_list, nbrs=nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +98,7 @@ def bfs_layering(g: Graph, root: int) -> Layering:
     between the two."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
-    level, parent = _kernels.bfs_levels(g.neighbor_lists(), root)
+    level, parent = _kernels.bfs_levels(g.nbrs, root)
     parent_edge = [-1] * g.n
     for eid, (u, v) in enumerate(g.edges):      # ascending: the first wins
         if parent[v] == u and parent_edge[v] < 0:
@@ -124,7 +113,7 @@ def eccentricity(g: Graph, v: int) -> float:
     """Largest distance from v; infinite when g is disconnected."""
     if not (0 <= v < g.n):
         raise GraphInputError(f"vertex {v} out of range [0, {g.n})")
-    level, _parent = _kernels.bfs_levels(g.neighbor_lists(), v)
+    level, _parent = _kernels.bfs_levels(g.nbrs, v)
     return math.inf if min(level) < 0 else max(level)
 
 
@@ -152,7 +141,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
+            for w in g.nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -361,8 +350,8 @@ def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, l
     queue = deque([sset[0]])
     while queue:
         v = queue.popleft()
-        for eid in g.adj[v]:
-            w = g.other_end(eid, v)
+        for eid in sorted(d >> 1 for d in e.rotation[v]):
+            w = sum(g.edges[eid]) - v            # the other end
             if w in in_set and w not in seen:
                 seen.add(w)
                 tree_edges.append(eid)
@@ -439,7 +428,7 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
         raise GraphInputError("triangulate requires at least 3 vertices")
 
     edges = list(g.edges)
-    adj = [list(incident) for incident in g.adj]
+    nbrs = [list(nb) for nb in g.nbrs]
     tail = [v for uv in edges for v in uv]
     succ = _rotation_successors(g.m, e.rotation)
     head = [cyc[0] for cyc in e.rotation]
@@ -476,8 +465,8 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
             eid = len(edges)
             p, q = 2 * eid, 2 * eid + 1
             edges.append((a, b))
-            adj[a].append(eid)
-            adj[b].append(eid)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
             succ[dart[px] ^ 1] = p
             succ.append(da)
             succ[db ^ 1] = q
@@ -504,7 +493,7 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
             d = succ[d]
         rotation.append(cyc)
     triangles.sort()
-    return EmbeddedGraph(graph=Graph(n=n, edges=edges, adj=adj),
+    return EmbeddedGraph(graph=Graph(n=n, edges=edges, nbrs=nbrs),
                          rotation=rotation, faces=triangles, euler_genus=0)
 
 
@@ -560,6 +549,9 @@ def parse_graph(text: str) -> Graph | EmbeddedGraph:
             if n is not None:
                 raise GraphInputError(f"line {lineno}: duplicate v line")
             n = fields[0]
+            if n > MAX_VERTICES:
+                raise GraphInputError(f"line {lineno}: {n} vertices exceed "
+                                      f"the budget of {MAX_VERTICES}")
         elif key == "e":
             u, v = fields
             if u == v:

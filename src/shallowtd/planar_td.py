@@ -389,7 +389,7 @@ def min_eccentricity_root(g: Graph) -> int:
     the root is 0, which the constructions then reject."""
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
-    sweep = _kernels.far_sweep(g.neighbor_lists())
+    sweep = _kernels.far_sweep(g.nbrs)
     if sweep is None:
         return 0
     level, parent = sweep

@@ -31,8 +31,10 @@ DIGON = "v 3\ne 0 1\ne 0 1\ne 1 2\nrot 0 0 2\nrot 1 1 3 4\nrot 2 5\n"
 def embed_outerplanar(g: Graph):
     """Embedding with darts at each vertex in edge-id order; planar for
     paths, cycles, stars, and trees (any rotation of a tree is planar)."""
-    rot = [[2 * e + (0 if g.edges[e][0] == v else 1) for e in g.adj[v]]
-           for v in range(g.n)]
+    rot = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        rot[u].append(2 * e)
+        rot[v].append(2 * e + 1)
     return embed(g, rot)
 
 

@@ -12,15 +12,16 @@ from shallowtd.graph import Graph
 
 
 def csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    # Built from the edge list alone, not from g.nbrs: the other end of
+    # each edge at v in edge-id order, a loop listed twice.
+    ends = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        ends[u].append(v)
+        ends[v].append(u)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adj[v])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    pos = indptr[:-1].copy()
-    for v in range(g.n):
-        for e in g.adj[v]:
-            indices[pos[v]] = g.other_end(e, v)
-            pos[v] += 1
+        indptr[v + 1] = indptr[v] + len(ends[v])
+    indices = np.array([w for nb in ends for w in nb], dtype=np.int64)
     return indptr, indices
 
 

@@ -242,7 +242,7 @@ def test_criterion_8_wall_structure():
     spec2, e2 = wall(2)
     g = e2.graph
     assert g.n == 24 and len(g.edges) == 30
-    assert max(len(g.adj[v]) for v in range(g.n)) == 3
+    assert max(len(g.nbrs[v]) for v in range(g.n)) == 3
     assert e2.euler_genus == 0
     central = {spec2.corner_points.index(c) for c in hexagon_corners((0, 0))}
     assert spec2.t_inner(1) == central and len(central) == 6

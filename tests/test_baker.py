@@ -181,9 +181,7 @@ class TestPtasDs:
 class TestDisconnectedInputs:
     def test_mis_and_vc_per_component(self):
         g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
-        rot = [[2 * e + (0 if g.edges[e][0] == v else 1) for e in g.adj[v]]
-               for v in range(g.n)]
-        e = embed(g, rot)
+        e = embed_outerplanar(g)
         mis = ptas_mis(e, 2)
         assert 6 in mis                       # the isolated vertex is free
         vc = ptas_vc(e, 2)

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +26,8 @@ from shallowtd.dp import MAX_STATES, check_solution, dp_mis
 from shallowtd.generators import (grid, random_planar_triangulation,
                                   toroidal_grid, wall)
 from shallowtd.genus_td import cut_graph
-from shallowtd.graph import GraphInputError, emit_graph, parse_graph
+from shallowtd.graph import (MAX_VERTICES, GraphInputError, emit_graph,
+                             parse_graph)
 from shallowtd.oracles import MAX_SET_PROBLEM, oracle_solve
 from shallowtd.planar_td import min_eccentricity_root, planar_bfs_td
 
@@ -158,6 +158,23 @@ class TestPipelines:
                                  "--td", str(tmp_path / "g.td")])
         assert code == 1 and out == ""
         assert "line 1: header width 9" in err
+
+    def test_size_budget_is_a_domain_error(self, capsys, monkeypatch,
+                                           tmp_path):
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "mis"],
+                                stdin=f"v {MAX_VERTICES + 1}\n")
+        assert code == 1 and out == ""
+        assert err == (f"error: line 1: {MAX_VERTICES + 1} vertices exceed "
+                       f"the budget of {MAX_VERTICES}\n")
+        (tmp_path / "g.g").write_text("v 2\ne 0 1\n")
+        (tmp_path / "g.td").write_text(f"td {2 * MAX_VERTICES + 1} 1 2\n")
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["validate", "--graph", str(tmp_path / "g.g"),
+                                 "--td", str(tmp_path / "g.td")])
+        assert code == 1 and out == ""
+        assert err == (f"error: line 1: over the budget of {MAX_VERTICES} "
+                       f"host vertices and {2 * MAX_VERTICES} nodes\n")
 
     def test_validate_reports_host_size_mismatch(self, capsys, monkeypatch,
                                                  tmp_path):
@@ -670,7 +687,9 @@ class TestFrame:
         # the pause is safe only while reference counting frees everything
         # the program builds: a cycle among its objects (say, a closure that
         # refers to itself in a DP engine) would grow memory until the
-        # caller's collector runs, so it must fail here instead
+        # caller's collector runs, so it must fail here instead.  After a
+        # warm-up run has built the parser, a command leaves no cyclic
+        # garbage at all: the report is one json.dumps (the C encoder)
         files = {"g": tmp_path / "g.txt", "t": tmp_path / "t.txt",
                  "g16": tmp_path / "g16.txt", "p": tmp_path / "p.txt",
                  "td": tmp_path / "g.td"}
@@ -690,24 +709,21 @@ class TestFrame:
             (["ptas", "--problem", "ds", "--k", "12", "--input", "{g16}"],
              1),                                  # the DP state budget
         ]
+        argvs = [[a.format(**files) for a in argv] for argv, _ in commands]
+        invoke(capsys, monkeypatch, argvs[0])   # warm-up: the parser, imports
         gc.collect()                        # garbage from before this test
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            codes = [invoke(capsys, monkeypatch,
-                            [a.format(**files) for a in argv])[0]
-                     for argv, _ in commands]
+            codes = [invoke(capsys, monkeypatch, argv)[0] for argv in argvs]
             gc.collect()
-            ours = [repr(obj)[:80] for obj in gc.garbage
-                    if type(obj).__module__.startswith("shallowtd")
-                    or (isinstance(obj, types.FunctionType)
-                        and (obj.__module__ or "").startswith("shallowtd"))]
+            garbage = [repr(obj)[:80] for obj in gc.garbage]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
         assert codes == [code for _, code in commands]
-        assert ours == []
+        assert garbage == []
 
 
 # ---------------------------------------------------------------------------

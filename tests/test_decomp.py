@@ -15,7 +15,7 @@ from shallowtd.generators import (apex_over_grid, grid,
                                   random_planar_triangulation, toroidal_grid,
                                   wall)
 from shallowtd.genus_td import genus_td
-from shallowtd.graph import GraphInputError, build_graph
+from shallowtd.graph import MAX_VERTICES, GraphInputError, build_graph
 from shallowtd.planar_td import band_host, planar_bfs_td
 
 
@@ -249,6 +249,16 @@ class TestTdTextFormat:
     def test_negative_count(self, header):
         with pytest.raises(GraphInputError, match="line 1: negative"):
             parse_td(header + "\nb 0 0 1\n")
+
+    def test_size_budget(self):
+        for header in (f"td 1 1 {MAX_VERTICES + 1}",
+                       f"td {2 * MAX_VERTICES + 1} 1 2"):
+            with pytest.raises(GraphInputError,
+                               match=f"line 1: over the budget of "
+                                     f"{MAX_VERTICES} host vertices and "
+                                     f"{2 * MAX_VERTICES} nodes"):
+                parse_td(header + "\nb 0 0 1\n")
+        parse_td(f"td {2 * MAX_VERTICES} 1 {MAX_VERTICES}\nb 0 0 1\n")
 
     def test_vertex_repeated_in_a_bag(self):
         with pytest.raises(GraphInputError, match="line 2: bag 0 lists"):

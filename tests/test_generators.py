@@ -45,7 +45,7 @@ class TestApexOverGrid:
     def test_removing_apex_leaves_grid(self):
         g = apex_over_grid(4)
         apex = g.n - 1
-        assert len(g.adj[apex]) == 16
+        assert len(g.nbrs[apex]) == 16
 
 
 class TestHexSetGraph:
@@ -82,7 +82,7 @@ class TestWall:
     def test_max_degree_three(self):
         for s in (1, 2, 3, 4):
             _, e = wall(s)
-            assert max(len(e.graph.adj[v]) for v in range(e.graph.n)) <= 3
+            assert max(len(e.graph.nbrs[v]) for v in range(e.graph.n)) <= 3
             assert e.euler_genus == 0
 
     def test_wall2_one_inner_is_central_corners(self):
@@ -162,7 +162,7 @@ class TestSubdivide:
         _, e = wall(2)
         s = subdivide(e, 3)
         assert s.euler_genus == 0
-        assert max(len(s.graph.adj[v]) for v in range(s.graph.n)) == 3
+        assert max(len(s.graph.nbrs[v]) for v in range(s.graph.n)) == 3
 
 
 class TestAgainstReference:

@@ -5,10 +5,11 @@ import pytest
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph)
 from shallowtd.generators import grid, toroidal_grid
-from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
-                             build_graph, contract_connected_set, diameter,
-                             embed, emit_graph, induced_embedded_subgraph,
-                             is_connected, parse_graph, planar_is_connected,
+from shallowtd.graph import (MAX_VERTICES, EmbeddingError, GraphInputError,
+                             bfs_layering, build_graph, contract_connected_set,
+                             diameter, embed, emit_graph,
+                             induced_embedded_subgraph, is_connected,
+                             parse_graph, planar_is_connected,
                              simple_embedding, triangulate)
 
 
@@ -26,8 +27,18 @@ class TestBuildGraph:
 
     def test_adjacency_consistency(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        incidences = sum(len(g.adj[v]) for v in range(g.n))
+        incidences = sum(len(g.nbrs[v]) for v in range(g.n))
         assert incidences == 2 * g.m
+        # a loop at 1 and a parallel edge 0-2: each other end in edge-id
+        # order, the loop's vertex and the parallel neighbour twice
+        g = build_graph(4, [(0, 2), (1, 1), (2, 1), (2, 0), (3, 2)])
+        assert g.nbrs == [[2, 2], [1, 1, 2], [0, 1, 0, 3], [2]]
+        derived = [[] for _ in range(g.n)]
+        for u, v in g.edges:
+            derived[u].append(v)
+            derived[v].append(u)
+        assert g.nbrs == derived
+        assert g.neighbor_sets() == [{2}, {2}, {0, 1, 3}, {2}]
 
 
 class TestEmbedding:
@@ -82,7 +93,7 @@ class TestBfsAndDiameter:
         while frontier:
             nxt = []
             for v in frontier:
-                for u in g.neighbors(v):
+                for u in g.nbrs[v]:
                     if u not in dist:
                         dist[u] = dist[v] + 1
                         nxt.append(u)
@@ -251,6 +262,13 @@ class TestTextFormat:
     def test_non_integer_field_names_its_line(self, text, message):
         with pytest.raises(GraphInputError, match=message):
             parse_graph(text)
+
+    def test_vertex_budget(self):
+        assert parse_graph(f"v {MAX_VERTICES}\n").n == MAX_VERTICES
+        with pytest.raises(GraphInputError,
+                           match=f"line 2: {MAX_VERTICES + 1} vertices exceed "
+                                 f"the budget of {MAX_VERTICES}"):
+            parse_graph(f"# too big\nv {MAX_VERTICES + 1}\ne 0 1\n")
 
 
 class TestSimpleEmbedding:

@@ -183,7 +183,7 @@ def _kernel_host(draw):
 def test_kernels_match_numpy_reference(data):
     g, corners = _kernel_host(data.draw)
     root = data.draw(st.integers(0, g.n - 1))
-    level, parent = _kernels.bfs_levels(g.neighbor_lists(), root)
+    level, parent = _kernels.bfs_levels(g.nbrs, root)
     ref_level, ref_parent = reference_kernels.bfs_levels(
         *reference_kernels.csr(g), root)
     assert (level, parent) == (ref_level.tolist(), ref_parent.tolist())
@@ -201,8 +201,8 @@ def test_kernels_match_numpy_reference(data):
 
 def test_kernels_leave_unreached_vertices_at_minus_one():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert _kernels.bfs_levels(g.neighbor_lists(), 1) == ([1, 0, 1, -1, -1],
-                                                          [1, -1, 1, -1, -1])
+    assert _kernels.bfs_levels(g.nbrs, 1) == ([1, 0, 1, -1, -1],
+                                              [1, -1, 1, -1, -1])
     assert (_kernels.three_path_bags([1, -1, 1, -1, -1], [[0, 2, 3], [4, 4, 3]])
             == [(0, 1, 2, 3), (3, 4)])
 
