@@ -16,9 +16,24 @@ present, so checking a newly introduced vertex against its bag suffices to
 see every edge exactly once per branch.  One state survives every
 transition (no bag vertex chosen for MIS, every bag vertex black for DS,
 no pattern vertex finished or mapped for the pattern search), so no table
-is ever empty.  A decomposition naming a vertex outside the host is refused
-with a GraphInputError before any table is built; any other mismatch with
-the graph is caught by the check of the returned witness.
+is ever empty.  A nice decomposition not shaped as ``make_nice`` builds
+one (no nodes, the root not last, a child listed after its parent or by
+two parents, a node with the wrong number of children, an introduce or
+forget naming no host vertex, and for MIS and DS an introduce whose vertex
+the bag above it lacks) is refused with a GraphInputError before any table
+is built; any other mismatch with the graph is caught by the check of the
+returned witness.
+
+Each engine counts a chosen vertex (for the pattern search, a mapped
+image) once and links it into the witness once, both at the forget where
+the vertex leaves the bag.  Introduces only extend states, and joins add
+their two sides plainly.  An entry's value is then the count of chosen
+vertices forgotten below its node; the entries that compete for one key
+hold the same chosen bag vertices, so they compare as their full counts
+would, and at the empty root bag the value is the witness size.  A vertex
+that an invalid decomposition forgets twice (in two disconnected
+subtrees) is counted twice: the value is off, but the witness set and its
+check are not.
 
 The MIS and DS tables are keyed by bitmasks over bag positions, not vertex
 ids (the pattern search, whose states hold vertex images, takes no
@@ -30,11 +45,11 @@ an int of at most width + 1 bits for MIS (the chosen bag vertices) and
 host; a minimum vertex cover is the complement of the MIS witness.  At
 every node the map from vertex ids to positions is one-to-one on the bag,
 so the tables hold the entries that vertex-id keys would, in the same
-order.  A table entry holds the optimum value of its state and one O(1)
-link of a witness chain shared with the child tables; the witness set is
-rebuilt once, at the root.  Transitions run in a fixed order and only a
-strictly better value replaces an entry (the first of equal values stays),
-so among several optima each solver returns one fixed witness.  The
+order.  A table entry holds the optimum value of its state and a witness
+chain shared with the child tables; the witness set is rebuilt once, at
+the root.  Transitions run in a fixed order and only a strictly better
+value replaces an entry (the first of equal values stays), so among
+several optima each solver returns one fixed witness.  The
 property tests hold it equal to the witness of a reference engine that
 copies a full witness set into every entry, so the level-slicing unions
 built from band witnesses do not drift when the engine changes.
@@ -61,7 +76,8 @@ reference's.
 
 from __future__ import annotations
 
-from .decomp import INTRODUCE, JOIN, LEAF, NiceDecomposition, make_nice
+from .decomp import (FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition,
+                     make_nice)
 from .graph import EmbeddedGraph, Graph, GraphInputError, diameter
 from .planar_td import band_hosts, level_windows, slice_td
 
@@ -108,17 +124,19 @@ def check_solution(problem: str, g: Graph, s, required=None) -> None:
 # An entry is the last link of a witness chain shared with the child tables.
 # A link (head, v, rest) records v on top of the child's entry rest; a join
 # (head, None, left, right) records the union of its children's chains; a
-# leaf is _LEAF_ENTRY.  The head is the value of the best partial solution
-# below the node in the MIS and DS engines, with v a chosen vertex, and a
-# twin class in the pattern engine, with v the image of a member.  Links are
-# shared, never copied, so a transition costs O(1) besides the state
-# arithmetic, and the witness is read once, from the root, by `_links`.
+# leaf is _LEAF_ENTRY.  Links are made only at forgets, where v leaves the
+# bag, and at joins; an introduce passes its child's entry on.  The head is
+# the count of chosen vertices forgotten below the node in the MIS and DS
+# engines, with v a chosen vertex, and a twin class in the pattern engine,
+# with v the image of a member.  Links are shared, never copied, so a
+# transition costs O(1) besides the state arithmetic, and the witness is
+# read once, from the root, by `_links`.
 
 _LEAF_ENTRY = (0, None, None)
 
 
 def _links(entry: tuple):
-    """The introduce links of the witness chain ending in `entry`."""
+    """The forget links of the witness chain ending in `entry`."""
     stack = [entry]
     while stack:
         link = stack.pop()
@@ -142,16 +160,44 @@ def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
-def _check_vertices(nd: NiceDecomposition, g: Graph) -> None:
-    """Refuse nd, before any table is built, when a node names a vertex
-    outside 0..g.n-1 (a negative id would silently wrap in a list)."""
-    named = set(nd.vertex)
-    named.discard(None)                 # leaf and join nodes name none
-    bad = [v for v in named if not 0 <= v < g.n]
-    if bad:
-        raise GraphInputError(
-            f"nice decomposition names vertex {min(bad)}, not a vertex of "
-            f"the {g.n}-vertex host")
+def _check_nice(nd: NiceDecomposition, g: Graph) -> None:
+    """Refuse nd, before any table is built, unless it has the shape that
+    `make_nice` builds: one or more nodes, the root last, every other node
+    the child of exactly one later node, each node with as many children
+    as its kind takes, and each introduce and forget naming a vertex in
+    0..g.n-1 (a negative id would silently wrap in a list)."""
+    count = nd.node_count
+    if not count or nd.root != count - 1:
+        raise GraphInputError(f"nice decomposition has root {nd.root} "
+                              f"among {count} nodes; the root must be the "
+                              "last of one or more")
+    if not len(nd.children) == len(nd.vertex) == count:
+        raise GraphInputError(f"nice decomposition lists {count} kinds, "
+                              f"{len(nd.children)} child tuples and "
+                              f"{len(nd.vertex)} vertices")
+    # children per node kind; a kind missing here names no nice node
+    arities = {LEAF: 0, INTRODUCE: 1, FORGET: 1, JOIN: 2}
+    has_parent = [False] * count
+    for node, (kind, kids, v) in enumerate(
+            zip(nd.kind, nd.children, nd.vertex)):
+        arity = arities.get(kind)
+        if arity != len(kids):
+            raise GraphInputError(f"nice decomposition node {node} of kind "
+                                  f"{kind!r} has {len(kids)} children")
+        for child in kids:
+            if not 0 <= child < node or has_parent[child]:
+                raise GraphInputError(
+                    f"nice decomposition node {node} lists child {child}, "
+                    "not an earlier node without another parent")
+            has_parent[child] = True
+        if arity == 1 and (v is None or not 0 <= v < g.n):
+            raise GraphInputError(
+                f"nice decomposition names vertex {v}, not a vertex of "
+                f"the {g.n}-vertex host")
+    if not all(has_parent[:-1]):
+        raise GraphInputError(f"nice decomposition node "
+                              f"{has_parent.index(False)} is neither the "
+                              "root nor a child")
 
 
 def _positions(nd: NiceDecomposition,
@@ -182,6 +228,10 @@ def _positions(nd: NiceDecomposition,
         elif kind != LEAF:
             v = vertex[node]
             if kind == INTRODUCE:
+                if v not in at:
+                    raise GraphInputError(
+                        f"nice decomposition introduces vertex {v} at node "
+                        f"{node}, but the bag above does not hold it")
                 pos[node] = at.pop(v)
                 vnbr = nbr[v]
                 near[node] = sum(b for u, b in at.items() if u in vnbr)
@@ -241,33 +291,35 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     A state is the bitmask, over bag positions, of the bag vertices chosen
     into the independent set.  A new vertex may join the chosen set only
     with no chosen bag neighbour, which keeps exactly the states extendable
-    to independent sets.  A join's value is left + right - |state|, as the
-    two witnesses share exactly the chosen bag vertices.
+    to independent sets.  A chosen vertex is counted and linked at its
+    forget, so a join's value is left + right.
 
     Introduces try "stay out" before "chosen", joins follow the left table's
     order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
     """
-    _check_vertices(nd, g)
+    _check_nice(nd, g)
     vertex = nd.vertex
     pos, near = _positions(nd, g)
 
     def introduce(node, child):
         # v's position is free in every child state, so no two outputs
         # share a key; vnear holds the positions of v's bag neighbours
-        v, bit, vnear = vertex[node], pos[node], near[node]
+        bit, vnear = pos[node], near[node]
         out = {}
         for state, entry in child.items():
             out[state] = entry
             if not vnear & state:              # v independent of chosen bag
-                out[state | bit] = (entry[0] + 1, v, entry)
+                out[state | bit] = entry
         return out
 
     def forget(node, child):
-        keep = ~pos[node]
+        v, bit = vertex[node], pos[node]
         out = {}
         for state, entry in child.items():
-            state &= keep
+            if state & bit:                    # v chosen: count and link it
+                state ^= bit
+                entry = (entry[0] + 1, v, entry)
             cur = out.get(state)
             if cur is None or entry[0] > cur[0]:
                 out[state] = entry
@@ -280,8 +332,7 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
         for state, entry in left.items():
             other = right.get(state)
             if other is not None:
-                out[state] = (entry[0] + other[0] - state.bit_count(),
-                              None, entry, other)
+                out[state] = (entry[0] + other[0], None, entry, other)
         return out
 
     return _walk(nd, 0, introduce, forget, join)
@@ -305,14 +356,15 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     neighbour; forgetting an undominated required vertex kills the state; a
     join pairs states with equal black masks, and a vertex stays undominated
     only if it is undominated on both sides (the AND of the two states).  A
-    join's value is left + right - |black|.
+    black vertex is counted and linked at its forget, so a join's value is
+    left + right.
 
     Introduces try black before plain, joins follow the left table's order
     and, per left state, the right table's order among equal black masks,
     and only a strictly smaller value replaces an entry: this order and tie
     rule fix which optimal witness is returned.
     """
-    _check_vertices(nd, g)
+    _check_nice(nd, g)
     required = set(range(g.n) if required is None else required)
     if not required:
         return set()
@@ -323,7 +375,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     low = (1 << span) - 1                 # the black half of a state
 
     def introduce(node, child):
-        v, bit, vnear = vertex[node], pos[node], near[node]
+        bit, vnear = pos[node], near[node]
         ubit = bit << span
         clear = ~(vnear << span)
         out = {}
@@ -331,21 +383,23 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
             # v chosen: its undominated bag neighbours become dominated.
             key = (state & clear) | bit
             cur = out.get(key)
-            if cur is None or entry[0] + 1 < cur[0]:
-                out[key] = (entry[0] + 1, v, entry)
+            if cur is None or entry[0] < cur[0]:
+                out[key] = entry
             # v not chosen, dominated now iff some bag neighbour is black;
             # no other output has this key.
             out[state if state & vnear else state | ubit] = entry
         return out
 
     def forget(node, child):
-        bit = pos[node]
-        dead = bit << span if vertex[node] in required else 0
+        v, bit = vertex[node], pos[node]
+        dead = bit << span if v in required else 0
         keep = ~(bit | bit << span)
         out = {}
         for state, entry in child.items():
             if state & dead:
                 continue
+            if state & bit:                    # v black: count and link it
+                entry = (entry[0] + 1, v, entry)
             key = state & keep
             cur = out.get(key)
             if cur is None or entry[0] < cur[0]:
@@ -358,11 +412,9 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
             buckets.setdefault(state & low, []).append((state, entry))
         out = {}
         for state, entry in left.items():
-            black = state & low
-            base = entry[0] - black.bit_count()
-            for rstate, other in buckets.get(black, ()):
+            for rstate, other in buckets.get(state & low, ()):
                 key = state & rstate               # equal black halves
-                value = base + other[0]
+                value = entry[0] + other[0]
                 cur = out.get(key)
                 if cur is None or value < cur[0]:
                     out[key] = (value, None, entry, other)
@@ -389,10 +441,11 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
 # is one vertex, and the states, their order and the returned mapping are
 # those of a per-vertex engine.
 #
-# A table entry is a witness chain of the shape above: an introduce link
-# (class, image, rest) gives a member of the class its image.  The root
-# entry is read once into one image set per class; a set, because a vertex
-# of a join bag is introduced on both branches.
+# A table entry is a witness chain of the shape above: a forget link
+# (class, image, rest) gives a member of the class its image as the image
+# leaves the bag.  The root entry is read once into one image set per
+# class; a valid decomposition forgets each vertex once, so a set only
+# absorbs an image that an invalid one forgets twice.
 
 
 def _twin_classes(h: Graph) -> list[list[int]]:
@@ -441,7 +494,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     twin-free pattern it is the per-vertex engine's; otherwise the members
     of each twin class get its images in ascending order.
     """
-    _check_vertices(nd, g)
+    _check_nice(nd, g)
     if h.n == 0:
         return {}
     if h.n > MAX_PATTERN:
@@ -487,8 +540,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                         and not (induced and near & ~joined[c])):
                     ns = (finished, images[:c] + (tuple(sorted(
                         images[c] + (v,))),) + images[c + 1:])
-                    if ns not in out:
-                        out[ns] = (c, v, wit)
+                    out.setdefault(ns, wit)
             if len(out) > MAX_STATES:
                 raise _over_budget(nd, out)
         return out
@@ -516,7 +568,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
             out.setdefault(
                 (finished[:c] + (finished[c] + 1,) + finished[c + 1:],
                  images[:c] + (found[:i] + found[i + 1:],) + images[c + 1:]),
-                wit)
+                (c, v, wit))
         return out
 
     def join(left, right):

@@ -10,7 +10,8 @@ import reference_dp
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
-from shallowtd.decomp import JOIN, TreeDecomposition, heuristic_td, make_nice
+from shallowtd.decomp import (JOIN, LEAF, NiceDecomposition, TreeDecomposition,
+                              heuristic_td, make_nice, narrower_td)
 from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
                           dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
                           verify_subiso)
@@ -21,6 +22,14 @@ from shallowtd.oracles import oracle_solve, subiso_backtracking
 
 def nice(g):
     return make_nice(heuristic_td(g))
+
+
+# every engine, each as solve(nd, g); the pattern search looks for an edge
+ENGINES = [pytest.param(dp_mis, id="mis"),
+           pytest.param(dp_vc, id="vc"),
+           pytest.param(dp_ds, id="ds"),
+           pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(2)),
+                        id="subiso")]
 
 
 class TestMisVc:
@@ -358,12 +367,7 @@ class TestHostVertexCheck:
 
     @pytest.mark.parametrize("bag, bad", [((0, 7), 7), ((-1, 0), -1)],
                              ids=["past-the-host", "negative"])
-    @pytest.mark.parametrize("solve", [
-        pytest.param(dp_mis, id="mis"),
-        pytest.param(dp_vc, id="vc"),
-        pytest.param(dp_ds, id="ds"),
-        pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(2)),
-                     id="subiso")])
+    @pytest.mark.parametrize("solve", ENGINES)
     def test_a_non_host_vertex_is_refused(self, monkeypatch, solve, bag,
                                           bad):
         walks = []
@@ -374,6 +378,127 @@ class TestHostVertexCheck:
                                  f"3-vertex host"):
             solve(nd, path_graph(3))
         assert walks == []
+
+
+# leaf, introduce 2, introduce 1, forget 2, introduce 0, forget 0, forget 1
+PATH3_NICE = nice(path_graph(3))
+
+
+def _path3_nice(root=6, **changes):
+    """PATH3_NICE with the list entries in `changes` ({field: {node:
+    value}}) replaced and `root` as its root."""
+    fields = {"kind": list(PATH3_NICE.kind),
+              "children": list(PATH3_NICE.children),
+              "vertex": list(PATH3_NICE.vertex)}
+    for name, entries in changes.items():
+        for node, value in entries.items():
+            fields[name][node] = value
+    return NiceDecomposition(**fields, root=root)
+
+
+class TestNiceShapeCheck:
+    """A nice decomposition not shaped as make_nice builds one is refused
+    with a typed error before any table is built."""
+
+    @pytest.mark.parametrize("nd, message", [
+        pytest.param(_path3_nice(children={3: (4,)}),
+                     "node 3 lists child 4, not an earlier node",
+                     id="child-after-its-parent"),
+        pytest.param(_path3_nice(vertex={4: None}),
+                     "names vertex None, not a vertex of the 3-vertex host",
+                     id="introduce-of-no-vertex"),
+        pytest.param(_path3_nice(root=5),
+                     "root 5 among 7 nodes; the root must be the last",
+                     id="root-not-last"),
+        pytest.param(_path3_nice(kind={3: JOIN}),
+                     "node 3 of kind 'join' has 1 children",
+                     id="join-with-one-child"),
+        pytest.param(NiceDecomposition([], [], [], 0),
+                     "root 0 among 0 nodes", id="no-nodes"),
+        pytest.param(_path3_nice(kind={5: LEAF}, children={5: ()}),
+                     "node 4 is neither the root nor a child",
+                     id="orphan-node"),
+        pytest.param(_path3_nice(children={5: (0,)}),
+                     "node 5 lists child 0, not an earlier node without "
+                     "another parent", id="child-of-two-parents"),
+        pytest.param(NiceDecomposition(PATH3_NICE.kind, PATH3_NICE.children,
+                                       PATH3_NICE.vertex[:-1], 6),
+                     "lists 7 kinds, 7 child tuples and 6 vertices",
+                     id="short-vertex-list")])
+    @pytest.mark.parametrize("solve", ENGINES)
+    def test_a_malformed_nice_form_is_refused(self, monkeypatch, solve, nd,
+                                              message):
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        with pytest.raises(GraphInputError, match=re.escape(message)):
+            solve(nd, path_graph(3))
+        assert walks == []
+
+    # the engines that take bag positions
+    @pytest.mark.parametrize("solve", ENGINES[:3])
+    def test_an_introduce_the_bag_above_lacks_is_refused(self, monkeypatch,
+                                                         solve):
+        # node 4 introduces 2 under a bag of 0 and 1
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        with pytest.raises(GraphInputError, match="introduces vertex 2 at "
+                           "node 4, but the bag above does not hold it"):
+            solve(_path3_nice(vertex={4: 2}), path_graph(3))
+        assert walks == []
+
+
+class TestForgetCharge:
+    """Each engine counts and links a chosen vertex once, at its forget:
+    on decompositions with joins the root chain holds one link per witness
+    vertex (one per pattern vertex for a found pattern), and the MIS and
+    DS root values are the witness sizes."""
+
+    HOSTS = [pytest.param(grid(6, 6).graph, id="grid6x6"),
+             pytest.param(wall(3)[1].graph, id="wall3"),
+             pytest.param(random_planar_triangulation(40, 1).graph,
+                          id="triangulation40")]
+
+    @staticmethod
+    def root_entry(monkeypatch, solve, key):
+        """solve()'s result and the entry under `key` of its root table."""
+        roots = []
+        walk = dp._walk
+
+        def kept(*args):
+            roots.append(walk(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(dp, "_walk", kept)
+        return solve(), roots[0][key]
+
+    @pytest.mark.parametrize("g", HOSTS)
+    @pytest.mark.parametrize("solve", [dp_mis, dp_ds], ids=["mis", "ds"])
+    def test_one_link_per_chosen_vertex(self, monkeypatch, g, solve):
+        nd = make_nice(narrower_td(g))
+        assert JOIN in nd.kind
+        witness, root = self.root_entry(monkeypatch, lambda: solve(nd, g), 0)
+        assert len(list(dp._links(root))) == len(witness) == root[0]
+        assert dp._unroll(root) == witness
+
+    @pytest.mark.parametrize("g, h", [
+        pytest.param(grid(6, 6).graph, cycle_graph(4), id="c4-grid6x6"),
+        pytest.param(grid(6, 6).graph, path_graph(5), id="p5-grid6x6"),
+        pytest.param(wall(3)[1].graph, cycle_graph(6), id="c6-wall3"),
+        pytest.param(wall(3)[1].graph, star_graph(3), id="claw-wall3"),
+        pytest.param(random_planar_triangulation(40, 1).graph,
+                     complete_graph(3), id="triangle-triangulation40"),
+        pytest.param(random_planar_triangulation(40, 1).graph,
+                     star_graph(3), id="claw-triangulation40")])
+    def test_one_link_per_pattern_vertex(self, monkeypatch, g, h):
+        nd = make_nice(narrower_td(g))
+        assert JOIN in nd.kind
+        sizes = tuple(map(len, dp._twin_classes(h)))
+        goal = (sizes, tuple(() for _ in sizes))
+        found, root = self.root_entry(monkeypatch,
+                                      lambda: dp_subiso(nd, g, h), goal)
+        assert found is not None
+        assert sorted(v for _c, v, _rest in dp._links(root)) == sorted(
+            found.values())
 
 
 class TestStateBudget:
@@ -389,12 +514,7 @@ class TestStateBudget:
         monkeypatch.setattr(dp, "MAX_STATES", 5)
         assert dp_mis(self.BAG, path_graph(3)) == {0, 2}
 
-    @pytest.mark.parametrize("solve", [
-        pytest.param(dp_mis, id="mis"),
-        pytest.param(dp_vc, id="vc"),
-        pytest.param(dp_ds, id="ds"),
-        pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(2)),
-                     id="subiso")])
+    @pytest.mark.parametrize("solve", ENGINES)
     def test_a_table_past_the_budget_is_refused(self, monkeypatch, solve):
         monkeypatch.setattr(dp, "MAX_STATES", 4)
         message = (r"table reached \d+ states on a decomposition of width 2;"

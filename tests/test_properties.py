@@ -16,7 +16,9 @@ level-order or min-degree elimination against its full-elimination
 reference, the nice form and its replayed bags against the builder that
 stored every bag, and the DP's bag positions: distinct within every bag,
 below width + 1, with table keys of at most 2 (width + 1) bits, on valid
-and invalid decompositions."""
+and invalid decompositions; and malformed tree and nice decompositions at
+the library entry points, which give a report or a typed error and
+nothing else."""
 
 import dataclasses
 from functools import cache
@@ -39,8 +41,10 @@ import reference_triangulate
 from reference_validate import validate_quadratic
 from shallowtd import _kernels, dp
 from shallowtd.baker import build_slices
-from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, TreeDecomposition,
-                              heuristic_td, make_nice, narrower_td, validate)
+from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
+                              NiceDecomposition, TreeDecomposition,
+                              ValidationReport, heuristic_td, make_nice,
+                              narrower_td, validate)
 from shallowtd.dp import (SolutionCheckError, dp_ds, dp_mis, dp_subiso, dp_vc,
                           verify_subiso)
 from shallowtd.generators import (apex_over_grid, grid,
@@ -1004,3 +1008,71 @@ def test_dp_positions_are_bag_local_on_invalid_decompositions(bags,
     nd = make_nice(td)
     _assert_positions_are_bag_local(nd, g)
     _assert_table_keys_fit(nd, g)
+
+
+# ---------------------------------------------------------------------------
+# Malformed decompositions at the library entry points: a report or a typed
+# error, nothing else
+
+PATTERNS = [build_graph(2, [(0, 1)]), build_graph(2, []),
+            build_graph(3, [(0, 1), (1, 2)]),
+            build_graph(3, [(0, 1), (1, 2), (0, 2)])]
+
+
+@st.composite
+def damaged_nice(draw, nd: NiceDecomposition, n: int) -> NiceDecomposition:
+    """nd with up to three random faults: a node's kind, child tuple, one
+    child id or vertex replaced, the root moved, one entry dropped from one
+    list, a node dropped from all three, or every node dropped."""
+    kind, children, vertex = list(nd.kind), list(nd.children), list(nd.vertex)
+    root = nd.root
+    for _ in range(draw(st.integers(0, 3))):
+        node_id = st.integers(-1, len(kind))
+        fault = draw(st.sampled_from(["kind", "children", "child", "vertex",
+                                      "root", "drop_entry", "drop_node",
+                                      "empty"]))
+        shortest = min(len(kind), len(children), len(vertex))
+        at = draw(st.integers(0, shortest - 1)) if shortest else None
+        if fault == "root":
+            root = draw(node_id)
+        elif fault == "empty":
+            kind, children, vertex = [], [], []
+        elif at is None:
+            continue
+        elif fault == "kind":
+            kind[at] = draw(st.sampled_from([LEAF, INTRODUCE, FORGET, JOIN,
+                                             "bogus"]))
+        elif fault == "children":
+            children[at] = tuple(draw(st.lists(node_id, max_size=3)))
+        elif fault == "child" and children[at]:
+            kids = list(children[at])
+            kids[draw(st.integers(0, len(kids) - 1))] = draw(node_id)
+            children[at] = tuple(kids)
+        elif fault == "vertex":
+            vertex[at] = draw(st.none() | st.integers(-1, n))
+        elif fault == "drop_entry":
+            draw(st.sampled_from([kind, children, vertex])).pop(at)
+        elif fault == "drop_node":
+            for fields in (kind, children, vertex):
+                fields.pop(at)
+    return NiceDecomposition(kind, children, vertex, root)
+
+
+@PROPERTY
+@given(random_tree_decompositions(), st.data())
+def test_malformed_decompositions_get_a_report_or_a_typed_error(case, data):
+    g, td = case
+    assert isinstance(validate(td, g), ValidationReport)
+    try:
+        nd = make_nice(td)
+    except GraphInputError:
+        nd = make_nice(TreeDecomposition(1, [], [()]))
+    nd = data.draw(damaged_nice(nd, g.n))
+    h = data.draw(st.sampled_from(PATTERNS))
+    induced = data.draw(st.booleans())
+    for solve in (dp_mis, dp_vc, dp_ds,
+                  lambda nd, g: dp_subiso(nd, g, h, induced)):
+        try:
+            solve(nd, g)
+        except (GraphInputError, SolutionCheckError):
+            pass
