@@ -16,12 +16,17 @@ present, so checking a newly introduced vertex against its bag suffices to
 see every edge exactly once per branch.  One state survives every
 transition (no bag vertex chosen for MIS, every bag vertex black for DS,
 no pattern vertex finished or mapped for the pattern search), so no table
-is ever empty.  A nice decomposition not shaped as ``make_nice`` builds
-one (no nodes, the root not last, a child listed after its parent or by
-two parents, a node with the wrong number of children, an introduce or
-forget naming no host vertex, and for MIS and DS an introduce whose vertex
-the bag above it lacks) is refused with a GraphInputError before any table
-is built; any other mismatch with the graph is caught by the check of the
+is ever empty.
+
+Every engine first runs one top-down pass, ``_positions``, that checks
+the form and gives every bag vertex a position in 0..width: the lowest
+free one at the forget where the vertex enters the bag going down, given
+back at its introduce.  A nice decomposition not shaped as ``make_nice``
+builds one (no nodes, the root not last, a child listed after its parent
+or by two parents, a node with the wrong number of children, an introduce
+or forget naming no host vertex, an introduce whose vertex the bag above
+it lacks) is refused there with a GraphInputError, before any table is
+built; any other mismatch with the graph is caught by the check of the
 returned witness.
 
 Each engine counts a chosen vertex (for the pattern search, a mapped
@@ -35,17 +40,15 @@ that an invalid decomposition forgets twice (in two disconnected
 subtrees) is counted twice: the value is off, but the witness set and its
 check are not.
 
-The MIS and DS tables are keyed by bitmasks over bag positions, not vertex
-ids (the pattern search, whose states hold vertex images, takes no
-positions).  One top-down pass, ``_positions``, gives every bag vertex a
-position in 0..width: the lowest free one at the forget where the vertex
-enters the bag going down, given back at its introduce.  A state is then
-an int of at most width + 1 bits for MIS (the chosen bag vertices) and
-2 (width + 1) for DS (the black and undominated ones), however large the
-host; a minimum vertex cover is the complement of the MIS witness.  At
-every node the map from vertex ids to positions is one-to-one on the bag,
-so the tables hold the entries that vertex-id keys would, in the same
-order.  A table entry holds the optimum value of its state and a witness
+Every table is keyed by bitmasks over bag positions, not vertex ids.  A
+state is an int of at most width + 1 bits for MIS (the chosen bag
+vertices), 2 (width + 1) for DS (the black and undominated ones), and
+one (width + 1)-bit mask per pattern twin class (its members' bag
+images), however large the host; a minimum vertex cover is the
+complement of the MIS witness.  At every node the map from vertex ids to
+positions is one-to-one on the bag, and a join's two children share one
+map, so the tables hold the entries that vertex-id keys would, in the
+same order.  A table entry holds the optimum value of its state and a witness
 chain shared with the child tables; the witness set is rebuilt once, at
 the root.  Transitions run in a fixed order and only a strictly better
 value replaces an entry (the first of equal values stays), so among
@@ -65,8 +68,8 @@ they stop as soon as their table passes it.
 
 The pattern search counts its states up to pattern twins (vertices with the
 same neighbours besides each other): per twin class, a state holds the
-count of members mapped to forgotten vertices and the sorted tuple of the
-members' bag images, not one copy per permutation of the class.  Its
+count of members mapped to forgotten vertices and the position mask of
+the members' bag images, not one copy per permutation of the class.  Its
 entries are shared witness links like those above, unrolled once at the
 root into one image set per class.  Its mapping is some valid embedding,
 fixed for each input: on a twin-free pattern it is the per-vertex
@@ -160,46 +163,6 @@ def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
-def _check_nice(nd: NiceDecomposition, g: Graph) -> None:
-    """Refuse nd, before any table is built, unless it has the shape that
-    `make_nice` builds: one or more nodes, the root last, every other node
-    the child of exactly one later node, each node with as many children
-    as its kind takes, and each introduce and forget naming a vertex in
-    0..g.n-1 (a negative id would silently wrap in a list)."""
-    count = nd.node_count
-    if not count or nd.root != count - 1:
-        raise GraphInputError(f"nice decomposition has root {nd.root} "
-                              f"among {count} nodes; the root must be the "
-                              "last of one or more")
-    if not len(nd.children) == len(nd.vertex) == count:
-        raise GraphInputError(f"nice decomposition lists {count} kinds, "
-                              f"{len(nd.children)} child tuples and "
-                              f"{len(nd.vertex)} vertices")
-    # children per node kind; a kind missing here names no nice node
-    arities = {LEAF: 0, INTRODUCE: 1, FORGET: 1, JOIN: 2}
-    has_parent = [False] * count
-    for node, (kind, kids, v) in enumerate(
-            zip(nd.kind, nd.children, nd.vertex)):
-        arity = arities.get(kind)
-        if arity != len(kids):
-            raise GraphInputError(f"nice decomposition node {node} of kind "
-                                  f"{kind!r} has {len(kids)} children")
-        for child in kids:
-            if not 0 <= child < node or has_parent[child]:
-                raise GraphInputError(
-                    f"nice decomposition node {node} lists child {child}, "
-                    "not an earlier node without another parent")
-            has_parent[child] = True
-        if arity == 1 and (v is None or not 0 <= v < g.n):
-            raise GraphInputError(
-                f"nice decomposition names vertex {v}, not a vertex of "
-                f"the {g.n}-vertex host")
-    if not all(has_parent[:-1]):
-        raise GraphInputError(f"nice decomposition node "
-                              f"{has_parent.index(False)} is neither the "
-                              "root nor a child")
-
-
 def _positions(nd: NiceDecomposition,
                g: Graph) -> tuple[list[int], list[int]]:
     """(pos, near): per node, the position bit of its introduced or
@@ -213,20 +176,53 @@ def _positions(nd: NiceDecomposition,
     children the map and a copy of it.  A vertex enters a bag of k vertices
     at a position below k, so no position reaches width + 1; a vertex that
     an invalid decomposition puts in two disconnected subtrees gets an
-    independent position in each."""
-    nbr = g.neighbor_sets()
+    independent position in each.
+
+    The same pass refuses nd, before any table is built, unless it has the
+    shape that `make_nice` builds: one or more nodes, the root last, every
+    other node the child of exactly one later node, each node with as many
+    children as its kind takes, each introduce and forget naming a vertex
+    in 0..g.n-1 (a negative id would silently wrap in a list), and each
+    introduce's vertex in the bag above it."""
+    count = nd.node_count
+    if not count or nd.root != count - 1:
+        raise GraphInputError(f"nice decomposition has root {nd.root} "
+                              f"among {count} nodes; the root must be the "
+                              "last of one or more")
     kinds, children, vertex = nd.kind, nd.children, nd.vertex
-    pos = [0] * nd.node_count
-    near = [0] * nd.node_count
+    if not len(children) == len(vertex) == count:
+        raise GraphInputError(f"nice decomposition lists {count} kinds, "
+                              f"{len(children)} child tuples and "
+                              f"{len(vertex)} vertices")
+    # children per node kind; a kind missing here names no nice node
+    arities = {LEAF: 0, INTRODUCE: 1, FORGET: 1, JOIN: 2}
+    nbr = g.neighbor_sets()
+    pos = [0] * count
+    near = [0] * count
     held = {nd.root: {}}
-    for node in range(nd.node_count - 1, -1, -1):
-        at = held.pop(node)         # held by no other node: updated in place
-        kind = kinds[node]
+    for node in range(count - 1, -1, -1):
+        at = held.pop(node, None)   # held by no other node: updated in place
+        if at is None:
+            raise GraphInputError(f"nice decomposition node {node} is "
+                                  "neither the root nor a child")
+        kind, kids = kinds[node], children[node]
+        if arities.get(kind) != len(kids):
+            raise GraphInputError(f"nice decomposition node {node} of kind "
+                                  f"{kind!r} has {len(kids)} children")
+        for child in kids:
+            if not 0 <= child < node or child in held:
+                raise GraphInputError(
+                    f"nice decomposition node {node} lists child {child}, "
+                    "not an earlier node without another parent")
+            held[child] = at
         if kind == JOIN:
-            left, right = children[node]
-            held[left], held[right] = at, at.copy()
+            held[kids[1]] = at.copy()
         elif kind != LEAF:
             v = vertex[node]
+            if v is None or not 0 <= v < g.n:
+                raise GraphInputError(
+                    f"nice decomposition names vertex {v}, not a vertex of "
+                    f"the {g.n}-vertex host")
             if kind == INTRODUCE:
                 if v not in at:
                     raise GraphInputError(
@@ -238,7 +234,6 @@ def _positions(nd: NiceDecomposition,
             else:
                 taken = sum(at.values())
                 pos[node] = at[v] = ~taken & (taken + 1)
-            held[children[node][0]] = at
     return pos, near
 
 
@@ -298,7 +293,6 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
     """
-    _check_nice(nd, g)
     vertex = nd.vertex
     pos, near = _positions(nd, g)
 
@@ -364,12 +358,11 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     and only a strictly smaller value replaces an entry: this order and tie
     rule fix which optimal witness is returned.
     """
-    _check_nice(nd, g)
+    pos, near = _positions(nd, g)
     required = set(range(g.n) if required is None else required)
     if not required:
         return set()
     vertex = nd.vertex
-    pos, near = _positions(nd, g)
     # width + 1, as the highest position bit handed out is 1 << width
     span = max(pos).bit_length()
     low = (1 << span) - 1                 # the black half of a state
@@ -434,9 +427,9 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
 # an equivalence relation, each class is a clique or an independent set, and
 # swapping two twins is an automorphism of the pattern, so a state need not
 # say which member of a class has which image.  A state is the pair
-# (finished, images): per class, the number of members mapped to forgotten
-# vertices, and the sorted tuple of its members' bag images; the other
-# members are unseen.  A per-vertex state would store one copy per
+# (finished, masks): per class, the number of members mapped to forgotten
+# vertices, and the mask of the bag positions holding its members' images;
+# the other members are unseen.  A per-vertex state would store one copy per
 # permutation of the class (120 for K5).  On a twin-free pattern every class
 # is one vertex, and the states, their order and the returned mapping are
 # those of a per-vertex engine.
@@ -484,17 +477,17 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
               induced: bool = False) -> dict[int, int] | None:
     """Injective map V(h) -> V(g) preserving edges (and non-edges if
     induced), or None.  State: per twin class of h, the count of members
-    finished (mapped to forgotten vertices) and the sorted tuple of the
-    members' bag images.  An introduce offers v to each class with an
-    unseen member; forgetting an image requires every pattern neighbour of
-    its member to be mapped.  A join pairs states with equal images whose
-    finished members fit into each class.
+    finished (mapped to forgotten vertices) and the mask of the bag
+    positions holding the members' images.  An introduce offers v to each
+    class with an unseen member; forgetting an image requires every
+    pattern neighbour of its member to be mapped.  A join pairs states with
+    equal masks whose finished members fit into each class.
 
     The mapping is some valid embedding, fixed for each input: on a
     twin-free pattern it is the per-vertex engine's; otherwise the members
     of each twin class get its images in ascending order.
     """
-    _check_nice(nd, g)
+    pos, near = _positions(nd, g)
     if h.n == 0:
         return {}
     if h.n > MAX_PATTERN:
@@ -517,41 +510,41 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
     vertex = nd.vertex
 
     def introduce(node, child):
-        v = vertex[node]
-        gv = gnbr[v]
+        bit, vnear = pos[node], near[node]
+        vfar = ~vnear
+        vdegree = len(gnbr[vertex[node]])
+        free = [c for c in indices if vdegree >= degree[c]]
         out: dict[tuple, tuple] = {}
-        free = [c for c in indices if len(gv) >= degree[c]]
         for state, wit in child.items():
             out.setdefault(state, wit)           # v stays outside the image
             # a member of class c may take v iff no class in joined[c] has
             # an image away from v (and, if induced, no class outside it has
             # one next to v)
-            finished, images = state
-            near = far = 0
-            for c, found in enumerate(images):
-                for u in found:
-                    if u in gv:
-                        near |= 1 << c
-                    else:
-                        far |= 1 << c
+            finished, masks = state
+            close = apart = 0
+            for c, m in enumerate(masks):
+                if m & vnear:
+                    close |= 1 << c
+                if m & vfar:
+                    apart |= 1 << c
             for c in free:
-                if (finished[c] + len(images[c]) < size[c]
-                        and not joined[c] & far
-                        and not (induced and near & ~joined[c])):
-                    ns = (finished, images[:c] + (tuple(sorted(
-                        images[c] + (v,))),) + images[c + 1:])
+                if (finished[c] + masks[c].bit_count() < size[c]
+                        and not joined[c] & apart
+                        and not (induced and close & ~joined[c])):
+                    ns = (finished,
+                          masks[:c] + (masks[c] | bit,) + masks[c + 1:])
                     out.setdefault(ns, wit)
             if len(out) > MAX_STATES:
                 raise _over_budget(nd, out)
         return out
 
     def forget(node, child):
-        v = vertex[node]
+        v, bit = vertex[node], pos[node]
         out = {}
         for state, wit in child.items():
-            finished, images = state
-            for c, found in enumerate(images):
-                if v in found:
+            finished, masks = state
+            for c, m in enumerate(masks):
+                if m & bit:
                     break
             else:
                 out.setdefault(state, wit)
@@ -561,49 +554,47 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
             # mapped neighbour needs no check, as every mapped pattern edge
             # was checked at the introduce of its later endpoint and a join
             # pairs only equal images
-            if any(finished[d] + len(images[d]) < size[d]
+            if any(finished[d] + masks[d].bit_count() < size[d]
                    for d in indices if joined[c] >> d & 1):
                 continue
-            i = found.index(v)
             out.setdefault(
                 (finished[:c] + (finished[c] + 1,) + finished[c + 1:],
-                 images[:c] + (found[:i] + found[i + 1:],) + images[c + 1:]),
+                 masks[:c] + (m ^ bit,) + masks[c + 1:]),
                 (c, v, wit))
         return out
 
     def join(left, right):
         # the bag images must agree, and per class the finished members of
         # both sides must fit beside the images: finished_l + finished_r +
-        # len(images) <= size.  Finished counts never fall, so an overfull
+        # |images| <= size.  Finished counts never fall, so an overfull
         # state could never reach the goal: the fit test only prunes dead
         # states.  A side without finished members adds nothing to the
         # other, whose state fits already
         buckets: dict[tuple, list] = {}
-        for (finished, images), wit in right.items():
-            buckets.setdefault(images, []).append((finished, wit))
+        for (finished, masks), wit in right.items():
+            buckets.setdefault(masks, []).append((finished, wit))
         out = {}
         for state, wit in left.items():
-            finished, images = state
-            for rfinished, rwit in buckets.get(images, ()):
+            finished, masks = state
+            for rfinished, rwit in buckets.get(masks, ()):
                 if not any(rfinished):
                     merged = state
                 elif not any(finished):
-                    merged = (rfinished, images)
+                    merged = (rfinished, masks)
                 else:
                     total = tuple(a + b for a, b in zip(finished, rfinished))
-                    if any(t + len(found) > s
-                           for t, found, s in zip(total, images, size)):
+                    if any(t + m.bit_count() > s
+                           for t, m, s in zip(total, masks, size)):
                         continue
-                    merged = (total, images)
+                    merged = (total, masks)
                 if merged not in out:
                     out[merged] = (None, None, wit, rwit)
             if len(out) > MAX_STATES:
                 raise _over_budget(nd, out)
         return out
 
-    empty = tuple(() for _ in classes)
-    root = _walk(nd, (tuple(0 for _ in classes), empty),
-                 introduce, forget, join)
+    empty = tuple(0 for _ in classes)
+    root = _walk(nd, (empty, empty), introduce, forget, join)
     goal = root.get((tuple(size), empty))
     if goal is None:
         return None

@@ -382,18 +382,23 @@ class TestHostVertexCheck:
 
 # leaf, introduce 2, introduce 1, forget 2, introduce 0, forget 0, forget 1
 PATH3_NICE = nice(path_graph(3))
+# nodes 3-6 (leaf, introduce 0, introduce 1, forget 0) and 0-2, 7 (leaf,
+# introduce 1, introduce 2, forget 2) meet at join 8; node 9 forgets 1
+PATH3_JOIN = make_nice(TreeDecomposition(3, [(0, 1), (0, 2)],
+                                         [(1,), (0, 1), (1, 2)]))
 
 
-def _path3_nice(root=6, **changes):
-    """PATH3_NICE with the list entries in `changes` ({field: {node:
-    value}}) replaced and `root` as its root."""
-    fields = {"kind": list(PATH3_NICE.kind),
-              "children": list(PATH3_NICE.children),
-              "vertex": list(PATH3_NICE.vertex)}
+def _path3_nice(root=None, form=PATH3_NICE, **changes):
+    """`form` with the list entries in `changes` ({field: {node: value}})
+    replaced and `root` (by default the form's) as its root."""
+    fields = {"kind": list(form.kind),
+              "children": list(form.children),
+              "vertex": list(form.vertex)}
     for name, entries in changes.items():
         for node, value in entries.items():
             fields[name][node] = value
-    return NiceDecomposition(**fields, root=root)
+    return NiceDecomposition(**fields,
+                             root=form.root if root is None else root)
 
 
 class TestNiceShapeCheck:
@@ -418,8 +423,9 @@ class TestNiceShapeCheck:
         pytest.param(_path3_nice(kind={5: LEAF}, children={5: ()}),
                      "node 4 is neither the root nor a child",
                      id="orphan-node"),
-        pytest.param(_path3_nice(children={5: (0,)}),
-                     "node 5 lists child 0, not an earlier node without "
+        # node 7 claims node 2 before node 5 does
+        pytest.param(_path3_nice(form=PATH3_JOIN, children={5: (2,)}),
+                     "node 5 lists child 2, not an earlier node without "
                      "another parent", id="child-of-two-parents"),
         pytest.param(NiceDecomposition(PATH3_NICE.kind, PATH3_NICE.children,
                                        PATH3_NICE.vertex[:-1], 6),
@@ -434,8 +440,7 @@ class TestNiceShapeCheck:
             solve(nd, path_graph(3))
         assert walks == []
 
-    # the engines that take bag positions
-    @pytest.mark.parametrize("solve", ENGINES[:3])
+    @pytest.mark.parametrize("solve", ENGINES)
     def test_an_introduce_the_bag_above_lacks_is_refused(self, monkeypatch,
                                                          solve):
         # node 4 introduces 2 under a bag of 0 and 1
@@ -493,7 +498,7 @@ class TestForgetCharge:
         nd = make_nice(narrower_td(g))
         assert JOIN in nd.kind
         sizes = tuple(map(len, dp._twin_classes(h)))
-        goal = (sizes, tuple(() for _ in sizes))
+        goal = (sizes, tuple(0 for _ in sizes))
         found, root = self.root_entry(monkeypatch,
                                       lambda: dp_subiso(nd, g, h), goal)
         assert found is not None

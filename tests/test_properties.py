@@ -906,10 +906,10 @@ def test_make_nice_matches_stored_bag_reference_on_every_band():
 # DP bag positions: bag-local, and table keys of machine size
 
 
-def _table_keys(solve, nd, g) -> list[int]:
+def _table_keys(solve, nd, g) -> list:
     """Every key of every table that `solve` builds on nd, in build order;
     a witness that fails its check ends the run, not the test."""
-    keys: list[int] = []
+    keys: list = []
     walk = dp._walk
 
     def spy(nd, start, introduce, forget, join):
@@ -956,14 +956,28 @@ def _assert_positions_are_bag_local(nd, g) -> None:
         held.append(at)
 
 
+# patterns whose twin classes hold several bag images at once: the 4-cycle
+# (two pairs of opposite vertices) and the claw (a centre, three leaves)
+KEY_PATTERNS = [build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+                build_graph(4, [(0, 1), (0, 2), (0, 3)])]
+
+
 def _assert_table_keys_fit(nd, g) -> None:
     """Every MIS table key fits in width + 1 bits, every DS table key in
-    2 (width + 1)."""
+    2 (width + 1), and the image masks of every pattern table key fit in
+    width + 1 bits and are pairwise disjoint."""
     span = nd.width + 1
     assert all(key.bit_length() <= span
                for key in _table_keys(dp_mis, nd, g))
     assert all(key.bit_length() <= 2 * span
                for key in _table_keys(dp_ds, nd, g))
+    for h in KEY_PATTERNS:
+        for _finished, masks in _table_keys(
+                lambda nd, g: dp_subiso(nd, g, h), nd, g):
+            union = 0
+            for mask in masks:
+                assert mask.bit_length() <= span and not mask & union
+                union |= mask
 
 
 @PROPERTY
