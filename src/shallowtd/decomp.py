@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 from dataclasses import dataclass
+from operator import eq
 
 from . import _kernels
-from .graph import MAX_VERTICES, Graph, GraphInputError, text_records
+from .graph import MAX_VERTICES, Graph, GraphInputError, text_columns
 
 
 @dataclass
@@ -84,7 +84,9 @@ def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
     violation found is reported.  One pass over the bags builds
     ``holding[v]``, the nodes whose bag holds v, in increasing order.  An edge
     (u, v) is covered iff some node of the shorter of ``holding[u]`` and
-    ``holding[v]`` holds the other endpoint.  For the subtree condition: the
+    ``holding[v]`` holds the other endpoint; the first such node, which
+    holds it for most edges of a root-path decomposition, is tried before
+    the loop over them all.  For the subtree condition: the
     nodes holding v induce a forest in the tree, and a forest with k nodes and
     s edges has k - s components, so they are connected iff
     ``len(holding[v]) - shared[v] == 1``, where ``shared[v]`` counts the tree
@@ -111,8 +113,14 @@ def validate(td: TreeDecomposition, g: Graph) -> ValidationReport:
             return ValidationReport(False, width, "vertex not covered by any bag", v)
 
     for u, v in g.edges:
-        a, b = (u, v) if len(holding[u]) <= len(holding[v]) else (v, u)
-        if not any(b in bag_sets[i] for i in holding[a]):
+        hu, hv = holding[u], holding[v]
+        nodes, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
+        if other in bag_sets[nodes[0]]:
+            continue
+        for i in nodes:
+            if other in bag_sets[i]:
+                break
+        else:
             return ValidationReport(False, width, "edge endpoints never share a bag", (u, v))
 
     shared = [0] * g.n
@@ -200,31 +208,42 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         raise GraphInputError(f"input decomposition: {violation}")
     order, children = rooted
     kind, kids, vertex = [], [], []         # the fields, per nice node
+    bags = [set(b) for b in td.bags]
+    empty: set[int] = set()
 
-    def add(k: str, below: tuple[int, ...], v: int | None = None) -> int:
-        kind.append(k)
-        kids.append(below)
-        vertex.append(v)
-        return len(kind) - 1
-
-    def morph(node: int, source, target) -> int:    # node's bag is source
-        src, tgt = set(source), set(target)
-        for v in sorted(src - tgt):
-            node = add(FORGET, (node,), v)
-        for v in sorted(tgt - src):
-            node = add(INTRODUCE, (node,), v)
+    def morph(node: int, source: set[int], target: set[int]) -> int:
+        """The top of a chain from `node`, whose bag is `source`, to a node
+        whose bag is `target`: forgets, then introduces, each sorted."""
+        for v in sorted(source - target):
+            kind.append(FORGET)
+            kids.append((node,))
+            vertex.append(v)
+            node = len(kind) - 1
+        for v in sorted(target - source):
+            kind.append(INTRODUCE)
+            kids.append((node,))
+            vertex.append(v)
+            node = len(kind) - 1
         return node
 
     top = [0] * td.nodes            # per td node, the nice node atop its bag
     for x in reversed(order):
-        bag = td.bags[x]
-        morphed = ([morph(top[y], td.bags[y], bag) for y in children[x]]
-                   or [morph(add(LEAF, ()), (), bag)])
+        bag = bags[x]
+        if children[x]:
+            morphed = [morph(top[y], bags[y], bag) for y in children[x]]
+        else:
+            kind.append(LEAF)
+            kids.append(())
+            vertex.append(None)
+            morphed = [morph(len(kind) - 1, empty, bag)]
         node = morphed[0]
         for other in morphed[1:]:
-            node = add(JOIN, (node, other))
+            kind.append(JOIN)
+            kids.append((node, other))
+            vertex.append(None)
+            node = len(kind) - 1
         top[x] = node
-    return NiceDecomposition(kind, kids, vertex, morph(top[0], td.bags[0], ()))
+    return NiceDecomposition(kind, kids, vertex, morph(top[0], bags[0], empty))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +358,7 @@ def _td_from_elimination(order: list[int],
 def emit_td(td: TreeDecomposition, host_n: int) -> str:
     lines = [f"td {td.nodes} {td.width} {host_n}"]
     for i, bag in enumerate(td.bags):
-        lines.append("b " + str(i) + "".join(f" {v}" for v in bag))
+        lines.append(" ".join(["b", str(i), *map(str, bag)]))
     for a, c in td.tree_edges:
         lines.append(f"t {a} {c}")
     return "\n".join(lines) + "\n"
@@ -353,30 +372,48 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     bags: dict[int, tuple[int, ...]] = {}
     bag_line: dict[int, int] = {}       # node -> its b line's number
     tree_edges: list[tuple[int, int]] = []
-    for lineno, key, fields in text_records(
-            text, {"td": (3, 3), "b": (1, math.inf), "t": (2, 2)}):
-        if key == "td":
-            if header is not None:
-                raise GraphInputError(f"line {lineno}: duplicate td line")
-            header = (lineno, *fields)
-            if min(header[1], header[3]) < 0:
-                raise GraphInputError(f"line {lineno}: negative node or "
-                                      "host vertex count")
-            if header[3] > MAX_VERTICES or header[1] > 2 * MAX_VERTICES:
-                raise GraphInputError(f"line {lineno}: over the budget of "
-                                      f"{MAX_VERTICES} host vertices and "
-                                      f"{2 * MAX_VERTICES} nodes")
-        elif key == "b":
-            node, bag = fields[0], fields[1:]
-            if node in bags:
-                raise GraphInputError(f"line {lineno}: duplicate b line for "
-                                      f"node {node}")
-            if len(set(bag)) != len(bag):
-                raise GraphInputError(f"line {lineno}: bag {node} lists a "
-                                      "vertex twice")
-            bags[node], bag_line[node] = tuple(sorted(bag)), lineno
-        else:
-            tree_edges.append((fields[0], fields[1]))
+    for block in text_columns(text, {"td": 3, "b": None, "t": 2}):
+        faults = []             # the first (line number, fault) per keyword
+        if "td" in block:
+            for fields in zip(*block["td"]):
+                if header is not None:
+                    faults.append((fields[0], "duplicate td line"))
+                    break
+                header = fields
+                if min(header[1], header[3]) < 0:
+                    faults.append((fields[0], "negative node or host vertex "
+                                              "count"))
+                    break
+                if header[3] > MAX_VERTICES or header[1] > 2 * MAX_VERTICES:
+                    faults.append((fields[0], f"over the budget of "
+                                              f"{MAX_VERTICES} host vertices "
+                                              f"and {2 * MAX_VERTICES} nodes"))
+                    break
+        if "b" in block:
+            nums, nodes, members = block["b"]
+            sorted_bags = list(map(tuple, map(sorted, members)))
+            known = len(bags)
+            bags.update(zip(nodes, sorted_bags))
+            if (len(bags) != known + len(nodes) or not all(
+                    map(eq, map(len, map(set, sorted_bags)),
+                        map(len, sorted_bags)))):
+                for lineno, node, bag in zip(nums, nodes, sorted_bags):
+                    if node in bag_line:
+                        faults.append((lineno, f"duplicate b line for node "
+                                               f"{node}"))
+                        break
+                    if len(set(bag)) != len(bag):
+                        faults.append((lineno, f"bag {node} lists a vertex "
+                                               "twice"))
+                        break
+                    bag_line[node] = lineno
+            bag_line.update(zip(nodes, nums))
+        if "t" in block:
+            _nums, ends, other_ends = block["t"]
+            tree_edges.extend(zip(ends, other_ends))
+        if faults:
+            lineno, fault = min(faults)
+            raise GraphInputError(f"line {lineno}: {fault}")
     if header is None:
         raise GraphInputError("missing td header line")
     lineno, nodes, width, host_n = header

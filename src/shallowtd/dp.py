@@ -25,9 +25,12 @@ back at its introduce.  A nice decomposition not shaped as ``make_nice``
 builds one (no nodes, the root not last, a child listed after its parent
 or by two parents, a node with the wrong number of children, an introduce
 or forget naming no host vertex, an introduce whose vertex the bag above
-it lacks) is refused there with a GraphInputError, before any table is
-built; any other mismatch with the graph is caught by the check of the
-returned witness.
+it lacks, a host vertex forgotten twice or never) is refused there with a
+GraphInputError, before any table is built.  A host edge that no bag
+holds is not caught there: the engines never see it, so the check of the
+returned witness catches a witness that the edge makes infeasible, but
+not an optimum or a pattern embedding that the missing edge hides.
+``validate`` is the check for that.
 
 Each engine counts a chosen vertex (for the pattern search, a mapped
 image) once and links it into the witness once, both at the forget where
@@ -35,10 +38,7 @@ the vertex leaves the bag.  Introduces only extend states, and joins add
 their two sides plainly.  An entry's value is then the count of chosen
 vertices forgotten below its node; the entries that compete for one key
 hold the same chosen bag vertices, so they compare as their full counts
-would, and at the empty root bag the value is the witness size.  A vertex
-that an invalid decomposition forgets twice (in two disconnected
-subtrees) is counted twice: the value is off, but the witness set and its
-check are not.
+would, and at the empty root bag the value is the witness size.
 
 Every table is keyed by bitmasks over bag positions, not vertex ids.  A
 state is an int of at most width + 1 bits for MIS (the chosen bag
@@ -174,16 +174,17 @@ def _positions(nd: NiceDecomposition,
     forget's child gets its map plus the vertex at the lowest free
     position, an introduce's child its map less the vertex, and a join's
     children the map and a copy of it.  A vertex enters a bag of k vertices
-    at a position below k, so no position reaches width + 1; a vertex that
-    an invalid decomposition puts in two disconnected subtrees gets an
-    independent position in each.
+    at a position below k, so no position reaches width + 1.
 
     The same pass refuses nd, before any table is built, unless it has the
     shape that `make_nice` builds: one or more nodes, the root last, every
     other node the child of exactly one later node, each node with as many
     children as its kind takes, each introduce and forget naming a vertex
-    in 0..g.n-1 (a negative id would silently wrap in a list), and each
-    introduce's vertex in the bag above it."""
+    in 0..g.n-1 (a negative id would silently wrap in a list), each
+    introduce's vertex in the bag above it, and each host vertex forgotten
+    by exactly one forget (one mark per host vertex): a vertex in two
+    disconnected subtrees would be counted twice, and one in no bag never
+    chosen."""
     count = nd.node_count
     if not count or nd.root != count - 1:
         raise GraphInputError(f"nice decomposition has root {nd.root} "
@@ -199,6 +200,7 @@ def _positions(nd: NiceDecomposition,
     nbr = g.neighbor_sets()
     pos = [0] * count
     near = [0] * count
+    forgotten = bytearray(g.n)      # per host vertex, forgotten yet
     held = {nd.root: {}}
     for node in range(count - 1, -1, -1):
         at = held.pop(node, None)   # held by no other node: updated in place
@@ -232,8 +234,15 @@ def _positions(nd: NiceDecomposition,
                 vnbr = nbr[v]
                 near[node] = sum(b for u, b in at.items() if u in vnbr)
             else:
+                if forgotten[v]:
+                    raise GraphInputError(f"nice decomposition forgets "
+                                          f"vertex {v} twice")
+                forgotten[v] = 1
                 taken = sum(at.values())
                 pos[node] = at[v] = ~taken & (taken + 1)
+    if not all(forgotten):
+        raise GraphInputError(f"nice decomposition never forgets vertex "
+                              f"{forgotten.index(0)}")
     return pos, near
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, itemgetter, ne, sub
 
 from . import _kernels
 
@@ -515,54 +517,157 @@ def emit_graph(obj: Graph | EmbeddedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def text_records(text: str, shapes: dict[str, tuple[int, float]]):
-    """(line number, keyword, integer fields) per non-blank line of `text`
-    without ``#`` comments; `shapes` maps keywords to least and most field
-    counts.  Any other line raises GraphInputError naming its number."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        shape = shapes.get(parts[0])
-        if shape is None or not shape[0] <= len(parts) - 1 <= shape[1]:
-            raise GraphInputError(f"line {lineno}: cannot parse {raw!r}")
+# Lines per block of `text_columns`; 512 to 4096 read alike.
+BLOCK_LINES = 2048
+
+
+def text_columns(text: str, shapes: dict[str, int | None]):
+    """The non-blank lines of `text` without ``#`` comments, as one dict
+    per block of BLOCK_LINES lines: keyword -> (line numbers, column, ...)
+    of the block's lines with that keyword, in file order.
+
+    `shapes` maps each keyword to its number of integer fields, which give
+    one column of ints each, or to None for one or more fields, which give
+    a column of first fields and a column of lists of the rest.  A block's
+    lines are split once and grouped by keyword, and each keyword's fields
+    are converted by one ``map(int, ...)``.  The first line in file order
+    with another keyword or field count ("cannot parse"), or else with a
+    field that is not an integer, raises a GraphInputError naming it, right
+    after the dict of the lines before it in its block; so a caller that
+    checks each dict in turn raises the error of the first faulty line.
+    The line list lives until the last block is read."""
+    lines = text.splitlines()
+    comments = "#" in text
+    for lo in range(0, len(lines), BLOCK_LINES):
+        columns, fault = _block_columns(lines[lo:lo + BLOCK_LINES], lo + 1,
+                                        shapes, comments)
+        yield columns
+        if fault is not None:
+            raise fault
+
+
+def _block_columns(raw: list[str], first: int, shapes: dict[str, int | None],
+                   comments: bool) -> tuple[dict, GraphInputError | None]:
+    """(columns, fault): `text_columns`' dict of the lines of `raw`
+    (numbered from `first`) before its first faulty line, and that line's
+    error, or None when every line is well formed."""
+    body = (map(itemgetter(0), map(str.partition, raw, repeat("#")))
+            if comments else raw)
+    rows = list(map(str.split, body))
+    nums = range(first, first + len(rows))
+    if not all(rows):                               # blank lines
+        nums = list(compress(nums, rows))
+        rows = list(filter(None, rows))
+    keys = list(map(itemgetter(0), rows))
+    kinds = set(keys)
+    faulty = []                     # per check, its first faulty line
+    if not kinds <= shapes.keys():
+        faulty.append(next(n for n, key in zip(nums, keys) if key not in shapes))
+    groups = {}                     # keyword -> (line numbers, rows)
+    for key in kinds & shapes.keys():
+        if len(kinds) == 1:
+            groups[key] = nums, rows
+        else:
+            chosen = list(map(key.__eq__, keys))
+            groups[key] = list(compress(nums, chosen)), list(compress(rows, chosen))
+        knums, krows = groups[key]
+        arity = shapes[key]
+        least, most = (2, math.inf) if arity is None else (arity + 1, arity + 1)
+        sizes = set(map(len, krows))
+        if not least <= min(sizes) <= max(sizes) <= most:
+            faulty.append(next(n for n, row in zip(knums, krows)
+                               if not least <= len(row) <= most))
+    if faulty:
+        lineno = min(faulty)
+        return _before(raw, first, lineno, shapes, comments,
+                       f"cannot parse {raw[lineno - first]!r}")
+
+    columns = {}
+    for key, (knums, krows) in groups.items():
         try:
-            fields = list(map(int, parts[1:]))
+            values = list(map(int, chain.from_iterable(
+                map(itemgetter(slice(1, None)), krows))))
         except ValueError:
-            raise GraphInputError(f"line {lineno}: a field of {raw!r} is not "
-                                  "an integer") from None
-        yield lineno, parts[0], fields
+            faulty.append(next(n for n, row in zip(knums, krows)
+                               if not _integers(row)))
+            continue
+        arity = shapes[key]
+        if arity is not None:
+            columns[key] = (knums, *(values[j::arity] for j in range(arity)))
+        else:       # row i's fields are values[starts[i]:starts[i + 1]]
+            starts = list(accumulate(map(sub, map(len, krows), repeat(1)),
+                                     initial=0))
+            columns[key] = (knums, [values[s] for s in starts[:-1]],
+                            [values[s + 1:t] for s, t in zip(starts, starts[1:])])
+    if faulty:
+        lineno = min(faulty)
+        return _before(raw, first, lineno, shapes, comments,
+                       f"a field of {raw[lineno - first]!r} is not an integer")
+    return columns, None
+
+
+def _before(raw: list[str], first: int, lineno: int,
+            shapes: dict[str, int | None], comments: bool,
+            what: str) -> tuple[dict, GraphInputError]:
+    """`_block_columns` of the lines of `raw` before line `lineno`, whose
+    own first fault, if any, comes before `what`, the fault of that line."""
+    columns, earlier = _block_columns(raw[:lineno - first], first, shapes,
+                                      comments)
+    return columns, earlier or GraphInputError(f"line {lineno}: {what}")
+
+
+def _integers(row: list[str]) -> bool:
+    try:
+        list(map(int, row[1:]))
+    except ValueError:
+        return False
+    return True
 
 
 def parse_graph(text: str) -> Graph | EmbeddedGraph:
     """Parse the `v/e/rot` format; returns an EmbeddedGraph when rotation
     lines are present.  Self-loop lines are rejected as malformed input; a
     loop that a library caller passes to ``build_graph`` constrains no
-    solver, checker or oracle."""
+    solver, checker or oracle.  Each block of ``text_columns`` is checked
+    before the next is read, so the first faulty line in file order is the
+    one named."""
     n = None
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}
     rot_line: dict[int, int] = {}       # vertex -> its rot line's number
-    for lineno, key, fields in text_records(
-            text, {"v": (1, 1), "e": (2, 2), "rot": (1, math.inf)}):
-        if key == "v":
-            if n is not None:
-                raise GraphInputError(f"line {lineno}: duplicate v line")
-            n = fields[0]
-            if n > MAX_VERTICES:
-                raise GraphInputError(f"line {lineno}: {n} vertices exceed "
-                                      f"the budget of {MAX_VERTICES}")
-        elif key == "e":
-            u, v = fields
-            if u == v:
-                raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u, v))
-        else:
-            v = fields[0]
-            if v in rot:
-                raise GraphInputError(f"line {lineno}: duplicate rot line "
-                                      f"for vertex {v}")
-            rot[v], rot_line[v] = fields[1:], lineno
+    for block in text_columns(text, {"v": 1, "e": 2, "rot": None}):
+        faults = []             # the first (line number, fault) per keyword
+        if "v" in block:
+            for lineno, count in zip(*block["v"]):
+                if n is not None:
+                    faults.append((lineno, "duplicate v line"))
+                    break
+                n = count
+                if n > MAX_VERTICES:
+                    faults.append((lineno, f"{n} vertices exceed the budget "
+                                           f"of {MAX_VERTICES}"))
+                    break
+        if "e" in block:
+            nums, us, vs = block["e"]
+            if not all(map(ne, us, vs)):
+                i = list(map(eq, us, vs)).index(True)
+                faults.append((nums[i], f"self-loop at vertex {us[i]}"))
+            edges.extend(zip(us, vs))
+        if "rot" in block:
+            nums, heads, tails = block["rot"]
+            known = len(rot)
+            rot.update(zip(heads, tails))
+            if len(rot) != known + len(heads):
+                for lineno, v in zip(nums, heads):
+                    if v in rot_line:
+                        faults.append((lineno, "duplicate rot line for "
+                                               f"vertex {v}"))
+                        break
+                    rot_line[v] = lineno
+            rot_line.update(zip(heads, nums))
+        if faults:
+            lineno, fault = min(faults)
+            raise GraphInputError(f"line {lineno}: {fault}")
     if n is None:
         raise GraphInputError("missing v line")
     stray = next((v for v in rot if not 0 <= v < n), None)

@@ -244,10 +244,11 @@ def _contract(nodes: int, tree_edges: list[tuple[int, int]], nested
             rep[ra] = rb
         elif nested(rb, ra):
             rep[rb] = ra
-    kept = [x for x in range(nodes) if find(x) == x]
+    root = [find(x) for x in range(nodes)]
+    kept = [x for x in range(nodes) if root[x] == x]
     new_id = {x: i for i, x in enumerate(kept)}
-    return kept, [(new_id[find(a)], new_id[find(b)]) for a, b in tree_edges
-                  if find(a) != find(b)]
+    return kept, [(new_id[root[a]], new_id[root[b]]) for a, b in tree_edges
+                  if root[a] != root[b]]
 
 
 # ---------------------------------------------------------------------------

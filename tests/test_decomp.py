@@ -2,11 +2,12 @@
 format."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from conftest import cycle_graph, path_graph
-from shallowtd import _kernels
+from shallowtd import _kernels, graph
 from shallowtd.baker import build_slices
 from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
                               TreeDecomposition, emit_td, heuristic_td,
@@ -263,6 +264,24 @@ class TestTdTextFormat:
     def test_vertex_repeated_in_a_bag(self):
         with pytest.raises(GraphInputError, match="line 2: bag 0 lists"):
             parse_td("td 1 1 2\nb 0 0 0 1 1\n")
+
+    @pytest.mark.parametrize("block", [1, 2, graph.BLOCK_LINES])
+    @pytest.mark.parametrize("text, message", [
+        ("td 2 1 2\nb 0 0 1\nb 0 1\nt 0 x\n",
+         "line 3: duplicate b line for node 0"),
+        ("td 2 1 2\nt 0 x\nb 0 0 1\nb 0 1\n",
+         "line 2: a field of 't 0 x' is not an integer"),
+        ("td 2 1 2\nb 1 1 1\nb 0 x\n", "line 2: bag 1 lists a vertex twice"),
+        ("td 2 1 2\nb 1 x\nt 0\n",
+         "line 2: a field of 'b 1 x' is not an integer"),
+        ("td 2 1 2\nt 0\nb 1 x\n", "line 2: cannot parse 't 0'"),
+        ("td 2 1 2\nb 1 1 0\nb 1 0 0\n",
+         "line 3: duplicate b line for node 1"),
+        ("b 0 1\nt 0 1\ntd 1 1 2\ntd -1 0 0\n", "line 4: duplicate td line")])
+    def test_first_faulty_line_is_named(self, block, text, message):
+        with mock.patch.object(graph, "BLOCK_LINES", block):
+            with pytest.raises(GraphInputError, match=message):
+                parse_td(text)
 
     def test_header_width_differs_from_the_bags(self):
         with pytest.raises(GraphInputError, match="line 1: header width 9"):

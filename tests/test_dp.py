@@ -6,11 +6,11 @@ import re
 
 import pytest
 
-import reference_dp
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
-from shallowtd.decomp import (JOIN, LEAF, NiceDecomposition, TreeDecomposition,
+from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
+                              NiceDecomposition, TreeDecomposition,
                               heuristic_td, make_nice, narrower_td)
 from shallowtd.dp import (SolutionCheckError, check_mapping, check_solution,
                           dp_ds, dp_mis, dp_subiso, dp_vc, subiso_driver,
@@ -318,47 +318,54 @@ class TestResultChecks:
 
     def test_a_mismatched_decomposition_fails_the_witness_check(
             self, triangle):
-        # no bag holds edges 0-2 and 1-2, so the engine never checks them
+        # no bag holds edges 0-2 and 1-2, so the engine never checks them;
+        # every vertex is forgotten once, so the form is not refused
         split = make_nice(TreeDecomposition(nodes=2, tree_edges=[(0, 1)],
                                             bags=[(0, 1), (2,)]))
         with pytest.raises(SolutionCheckError, match="not independent"):
             dp_mis(split, triangle)
         with pytest.raises(SolutionCheckError, match="misses edge"):
             dp_vc(split, triangle)
-        # vertex 2 is in no bag, so no forget asks for it to be dominated
-        edge = make_nice(TreeDecomposition(nodes=1, tree_edges=[],
-                                           bags=[(0, 1)]))
-        with pytest.raises(SolutionCheckError, match="2 not dominated"):
-            dp_ds(edge, build_graph(3, [(0, 1)]))
+
+
+class TestForgetCount:
+    """A nice decomposition that forgets some host vertex twice or never
+    is refused with a typed error before any table is built: the engines
+    would otherwise count the vertex twice, or never choose it."""
+
+    # leaf, introduce 0, introduce 1, forget 0, forget 1: vertex 2 of the
+    # path 0-1-2 is in no bag
+    NO_VERTEX_2 = NiceDecomposition(
+        [LEAF, INTRODUCE, INTRODUCE, FORGET, FORGET],
+        [(), (0,), (1,), (2,), (3,)], [None, 0, 1, 0, 1], 4)
+
+    @pytest.mark.parametrize("solve", ENGINES)
+    def test_a_vertex_in_no_bag_is_refused(self, monkeypatch, solve):
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        with pytest.raises(GraphInputError,
+                           match="nice decomposition never forgets vertex 2"):
+            solve(self.NO_VERTEX_2, build_graph(3, [(0, 1), (1, 2)]))
+        assert walks == []
 
     @pytest.mark.parametrize("g", [
         pytest.param(build_graph(2, [(0, 1)]), id="edge"),
         pytest.param(build_graph(3, [(0, 1), (0, 2)]), id="vertex-in-no-bag")])
-    def test_a_vertex_in_two_disconnected_subtrees_matches_the_reference(
-            self, g):
+    def test_a_vertex_in_two_disconnected_subtrees_is_refused(
+            self, monkeypatch, g):
         # vertex 0 is in the first and the last bag of the path, not in the
-        # middle one, so each end gives it its own bag position
+        # middle one, so two forgets name it; with the second host, vertex
+        # 2 is never forgotten either, and the first fault met is named
         split = make_nice(TreeDecomposition(
             nodes=3, tree_edges=[(0, 1), (1, 2)], bags=[(0, 1), (1,), (0, 1)]))
-
-        def outcome(solve):
-            try:
-                return solve()
-            except SolutionCheckError as exc:
-                return str(exc)
-
-        def checked(problem, witness):
-            check_solution(problem, g, witness)
-            return witness
-
-        everyone = set(range(g.n))
-        ref_mis = reference_dp.reference_mis(split, g)
-        assert outcome(lambda: dp_mis(split, g)) == outcome(
-            lambda: checked("mis", ref_mis))
-        assert outcome(lambda: dp_vc(split, g)) == outcome(
-            lambda: checked("vc", everyone - ref_mis))
-        assert outcome(lambda: dp_ds(split, g)) == outcome(
-            lambda: reference_dp.dp_ds(split, g, everyone))
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        for engine in ENGINES:
+            solve, = engine.values
+            with pytest.raises(GraphInputError, match="nice decomposition "
+                               "forgets vertex 0 twice"):
+                solve(split, g)
+        assert walks == []
 
 
 class TestHostVertexCheck:

@@ -1,9 +1,12 @@
 """Core graph type, BFS, embeddings, minors, triangulation, text format."""
 
+from unittest import mock
+
 import pytest
 
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph)
+from shallowtd import graph
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (MAX_VERTICES, EmbeddingError, GraphInputError,
                              bfs_layering, build_graph, contract_connected_set,
@@ -262,6 +265,30 @@ class TestTextFormat:
     def test_non_integer_field_names_its_line(self, text, message):
         with pytest.raises(GraphInputError, match=message):
             parse_graph(text)
+
+    # several faults on different lines and keywords: the first in file
+    # order is named, in blocks of one line, two lines and the full size
+    @pytest.mark.parametrize("block", [1, 2, graph.BLOCK_LINES])
+    @pytest.mark.parametrize("text, message", [
+        ("v 2\ne 0 1\nrot 0 x\ne 0 y\n",
+         "line 3: a field of 'rot 0 x' is not an integer"),
+        ("v 2\ne 0 y\nrot 0 x\n",
+         "line 2: a field of 'e 0 y' is not an integer"),
+        ("v 2\ne 0 0\ne 0 x\n", "line 2: self-loop at vertex 0"),
+        ("v 2\ne 0 x\ne 0 0\n",
+         "line 2: a field of 'e 0 x' is not an integer"),
+        ("v 2\ne 1 1\nq 0\ne 0 x\n", "line 2: self-loop at vertex 1"),
+        ("v 2\ne 0 x\nq 0\n",
+         "line 2: a field of 'e 0 x' is not an integer"),
+        ("v 2\nrot 0 0\ne 0 x y\nrot 0 1\n", "line 3: cannot parse"),
+        ("v 2\nrot 0 0\nrot 0 1\ne 0 x y\n",
+         "line 3: duplicate rot line for vertex 0"),
+        ("v 2\ne 0 1\nv 3\nrot 1 x\n", "line 3: duplicate v line"),
+        ("e 0 1\n\n# c\nv 2 # c\nv 2\n", "line 5: duplicate v line")])
+    def test_first_faulty_line_is_named(self, block, text, message):
+        with mock.patch.object(graph, "BLOCK_LINES", block):
+            with pytest.raises(GraphInputError, match=message):
+                parse_graph(text)
 
     def test_vertex_budget(self):
         assert parse_graph(f"v {MAX_VERTICES}\n").n == MAX_VERTICES

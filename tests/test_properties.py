@@ -16,11 +16,13 @@ level-order or min-degree elimination against its full-elimination
 reference, the nice form and its replayed bags against the builder that
 stored every bag, and the DP's bag positions: distinct within every bag,
 below width + 1, with table keys of at most 2 (width + 1) bits, on valid
-and invalid decompositions; and malformed tree and nice decompositions at
+decompositions and on invalid ones that forget every host vertex once,
+and the refusal of those that do not; and malformed tree and nice decompositions at
 the library entry points, which give a report or a typed error and
 nothing else."""
 
 import dataclasses
+from collections import Counter
 from functools import cache
 from unittest import mock
 
@@ -929,12 +931,24 @@ def _table_keys(solve, nd, g) -> list:
     return keys
 
 
-def _assert_positions_are_bag_local(nd, g) -> None:
+def _assert_positions_are_bag_local(nd, g) -> bool:
     """Replay `dp._positions` bottom-up: each bag's vertices hold distinct
     one-bit positions below width + 1, a forget takes back the position its
     vertex holds, a join's two children agree on their bag's positions, and
     an introduce's near mask is the positions of its vertex's bag
-    neighbours."""
+    neighbours.  A form that forgets some host vertex twice or never is
+    refused instead, naming a vertex forgotten twice or else the lowest one
+    never forgotten; False then."""
+    forgets = Counter(v for kind, v in zip(nd.kind, nd.vertex) if kind == FORGET)
+    twice = {f"nice decomposition forgets vertex {v} twice"
+             for v, count in forgets.items() if count > 1}
+    never = [f"nice decomposition never forgets vertex {v}"
+             for v in range(g.n) if not forgets[v]]
+    if twice or never:
+        with pytest.raises(GraphInputError) as refusal:
+            dp._positions(nd, g)
+        assert str(refusal.value) in (twice or never[:1])
+        return False
     pos, near = dp._positions(nd, g)
     span = nd.width + 1
     nbr = g.neighbor_sets()
@@ -954,6 +968,7 @@ def _assert_positions_are_bag_local(nd, g) -> None:
         assert all(b.bit_count() == 1 and b.bit_length() <= span
                    for b in at.values())
         held.append(at)
+    return True
 
 
 # patterns whose twin classes hold several bag images at once: the 4-cycle
@@ -991,8 +1006,8 @@ def test_dp_positions_are_bag_local_on_random_bags(case):
         nd = make_nice(td)
     except GraphInputError:
         return                          # not a tree
-    _assert_positions_are_bag_local(nd, g)
-    _assert_table_keys_fit(nd, g)
+    if _assert_positions_are_bag_local(nd, g):
+        _assert_table_keys_fit(nd, g)
 
 
 @PROPERTY
@@ -1003,9 +1018,8 @@ def test_dp_positions_are_bag_local_on_nice_inputs(data):
     g = build_graph(n, _random_graph(data.draw, n,
                                      data.draw(st.floats(0.1, 0.9))))
     nd = make_nice(td)
-    _assert_positions_are_bag_local(nd, g)
-    if nd.width <= 6:                   # 3^w DS tables: wider ones are slow
-        _assert_table_keys_fit(nd, g)
+    if _assert_positions_are_bag_local(nd, g) and nd.width <= 6:
+        _assert_table_keys_fit(nd, g)   # 3^w DS tables: wider ones are slow
 
 
 @pytest.mark.parametrize("bags, tree_edges, n", [
@@ -1020,8 +1034,8 @@ def test_dp_positions_are_bag_local_on_invalid_decompositions(bags,
     td = TreeDecomposition(len(bags), tree_edges, bags)
     g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
     nd = make_nice(td)
-    _assert_positions_are_bag_local(nd, g)
-    _assert_table_keys_fit(nd, g)
+    if _assert_positions_are_bag_local(nd, g):
+        _assert_table_keys_fit(nd, g)
 
 
 # ---------------------------------------------------------------------------
