@@ -25,12 +25,9 @@ back at its introduce.  A nice decomposition not shaped as ``make_nice``
 builds one (no nodes, the root not last, a child listed after its parent
 or by two parents, a node with the wrong number of children, an introduce
 or forget naming no host vertex, an introduce whose vertex the bag above
-it lacks, a host vertex forgotten twice or never) is refused there with a
-GraphInputError, before any table is built.  A host edge that no bag
-holds is not caught there: the engines never see it, so the check of the
-returned witness catches a witness that the edge makes infeasible, but
-not an optimum or a pattern embedding that the missing edge hides.
-``validate`` is the check for that.
+it lacks, a host vertex forgotten twice or never, a host edge that no bag
+holds) is refused there with a GraphInputError, before any table is
+built.
 
 Each engine counts a chosen vertex (for the pattern search, a mapped
 image) once and links it into the witness once, both at the forget where
@@ -181,10 +178,13 @@ def _positions(nd: NiceDecomposition,
     other node the child of exactly one later node, each node with as many
     children as its kind takes, each introduce and forget naming a vertex
     in 0..g.n-1 (a negative id would silently wrap in a list), each
-    introduce's vertex in the bag above it, and each host vertex forgotten
-    by exactly one forget (one mark per host vertex): a vertex in two
-    disconnected subtrees would be counted twice, and one in no bag never
-    chosen."""
+    introduce's vertex in the bag above it, each host vertex forgotten
+    by exactly one forget (one mark per host vertex), and each host edge
+    held by some bag: a vertex in two disconnected subtrees would be
+    counted twice, one in no bag never chosen, and an edge in no bag never
+    checked.  A vertex's bags are the subtree below its forget, so an edge
+    whose ends share a bag has one end in the bag of the other's forget,
+    and the edges are counted there, each once."""
     count = nd.node_count
     if not count or nd.root != count - 1:
         raise GraphInputError(f"nice decomposition has root {nd.root} "
@@ -201,6 +201,7 @@ def _positions(nd: NiceDecomposition,
     pos = [0] * count
     near = [0] * count
     forgotten = bytearray(g.n)      # per host vertex, forgotten yet
+    edges = 0                       # host edges held by some bag
     held = {nd.root: {}}
     for node in range(count - 1, -1, -1):
         at = held.pop(node, None)   # held by no other node: updated in place
@@ -238,11 +239,16 @@ def _positions(nd: NiceDecomposition,
                     raise GraphInputError(f"nice decomposition forgets "
                                           f"vertex {v} twice")
                 forgotten[v] = 1
+                edges += len(nbr[v].intersection(at))
                 taken = sum(at.values())
                 pos[node] = at[v] = ~taken & (taken + 1)
     if not all(forgotten):
         raise GraphInputError(f"nice decomposition never forgets vertex "
                               f"{forgotten.index(0)}")
+    total = sum(map(len, nbr)) // 2     # loops and parallels left out
+    if edges != total:
+        raise GraphInputError(f"nice decomposition bags hold {edges} of the "
+                              f"{total} host edges")
     return pos, near
 
 

@@ -313,18 +313,25 @@ def simple_embedding(e: EmbeddedGraph) -> EmbeddedGraph:
 
 def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
     """Induced embedded subgraph: surviving darts keep their cyclic order;
-    `e` itself when `keep` is every vertex."""
+    `e` itself when `keep` is every vertex.  The kept edges are read from
+    the kept vertices' rotations, in ascending id, so the cost follows
+    their degrees, not the size of `e`."""
     keep = sorted(set(keep))
-    if keep == list(range(e.n)):
+    if keep and not (0 <= keep[0] and keep[-1] < e.n):
+        bad = keep[0] if keep[0] < 0 else keep[-1]
+        raise GraphInputError(f"vertex {bad} out of range")
+    if len(keep) == e.n:
         return e, keep
     new_id = {v: i for i, v in enumerate(keep)}
+    rotation = [e.rotation[v] for v in keep]
     edge_map: dict[int, int] = {}
     edges = []
-    for eid, (u, v) in enumerate(e.graph.edges):
+    for eid in sorted({d >> 1 for cyc in rotation for d in cyc}):
+        u, v = e.graph.edges[eid]
         if u in new_id and v in new_id:
             edge_map[eid] = len(edges)
             edges.append((new_id[u], new_id[v]))
-    return reembed(len(keep), edges, edge_map, [e.rotation[v] for v in keep]), keep
+    return reembed(len(keep), edges, edge_map, rotation), keep
 
 
 def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, list[int]]:
@@ -530,68 +537,68 @@ def text_columns(text: str, shapes: dict[str, int | None]):
     one column of ints each, or to None for one or more fields, which give
     a column of first fields and a column of lists of the rest.  A block's
     lines are split once and grouped by keyword, and each keyword's fields
-    are converted by one ``map(int, ...)``.  The first line in file order
-    with another keyword or field count ("cannot parse"), or else with a
-    field that is not an integer, raises a GraphInputError naming it, right
-    after the dict of the lines before it in its block; so a caller that
-    checks each dict in turn raises the error of the first faulty line.
-    The line list lives until the last block is read."""
+    are converted by one ``map(int, ...)`` (``_columns``).  A block with a
+    faulty line is scanned once more, line by line in file order, under the
+    per-line rule: another keyword or field count ("cannot parse"), else a
+    field that is not an integer.  The first line that breaks it raises a
+    GraphInputError naming it, right after the dict of the lines before it
+    in its block; so a caller that checks each dict in turn raises the
+    error of the first faulty line.  The line list lives until the last
+    block is read."""
     lines = text.splitlines()
     comments = "#" in text
     for lo in range(0, len(lines), BLOCK_LINES):
-        columns, fault = _block_columns(lines[lo:lo + BLOCK_LINES], lo + 1,
-                                        shapes, comments)
+        raw = lines[lo:lo + BLOCK_LINES]
+        body = (map(itemgetter(0), map(str.partition, raw, repeat("#")))
+                if comments else raw)
+        rows = list(map(str.split, body))
+        nums = range(lo + 1, lo + 1 + len(rows))
+        if not all(rows):                           # blank lines
+            nums = list(compress(nums, rows))
+            rows = list(filter(None, rows))
+        columns = _columns(nums, rows, shapes)
+        if columns is None:     # the ordered scan for the first faulty line
+            for i, (lineno, row) in enumerate(zip(nums, rows)):
+                arity = shapes.get(row[0], 0)
+                if row[0] not in shapes or (len(row) < 2 if arity is None
+                                            else len(row) != arity + 1):
+                    what = "cannot parse {!r}"
+                else:
+                    try:
+                        list(map(int, row[1:]))
+                        continue
+                    except ValueError:
+                        what = "a field of {!r} is not an integer"
+                yield _columns(nums[:i], rows[:i], shapes)
+                raise GraphInputError(f"line {lineno}: "
+                                      + what.format(lines[lineno - 1]))
         yield columns
-        if fault is not None:
-            raise fault
 
 
-def _block_columns(raw: list[str], first: int, shapes: dict[str, int | None],
-                   comments: bool) -> tuple[dict, GraphInputError | None]:
-    """(columns, fault): `text_columns`' dict of the lines of `raw`
-    (numbered from `first`) before its first faulty line, and that line's
-    error, or None when every line is well formed."""
-    body = (map(itemgetter(0), map(str.partition, raw, repeat("#")))
-            if comments else raw)
-    rows = list(map(str.split, body))
-    nums = range(first, first + len(rows))
-    if not all(rows):                               # blank lines
-        nums = list(compress(nums, rows))
-        rows = list(filter(None, rows))
+def _columns(nums, rows: list[list[str]], shapes: dict[str, int | None]):
+    """`text_columns`' dict of the split non-blank lines `rows`, numbered
+    `nums`, or None as soon as one of them is faulty."""
     keys = list(map(itemgetter(0), rows))
     kinds = set(keys)
-    faulty = []                     # per check, its first faulty line
     if not kinds <= shapes.keys():
-        faulty.append(next(n for n, key in zip(nums, keys) if key not in shapes))
-    groups = {}                     # keyword -> (line numbers, rows)
-    for key in kinds & shapes.keys():
+        return None
+    columns = {}
+    for key in kinds:
         if len(kinds) == 1:
-            groups[key] = nums, rows
+            knums, krows = nums, rows
         else:
             chosen = list(map(key.__eq__, keys))
-            groups[key] = list(compress(nums, chosen)), list(compress(rows, chosen))
-        knums, krows = groups[key]
+            knums, krows = list(compress(nums, chosen)), list(compress(rows, chosen))
         arity = shapes[key]
         least, most = (2, math.inf) if arity is None else (arity + 1, arity + 1)
         sizes = set(map(len, krows))
         if not least <= min(sizes) <= max(sizes) <= most:
-            faulty.append(next(n for n, row in zip(knums, krows)
-                               if not least <= len(row) <= most))
-    if faulty:
-        lineno = min(faulty)
-        return _before(raw, first, lineno, shapes, comments,
-                       f"cannot parse {raw[lineno - first]!r}")
-
-    columns = {}
-    for key, (knums, krows) in groups.items():
+            return None
         try:
             values = list(map(int, chain.from_iterable(
                 map(itemgetter(slice(1, None)), krows))))
         except ValueError:
-            faulty.append(next(n for n, row in zip(knums, krows)
-                               if not _integers(row)))
-            continue
-        arity = shapes[key]
+            return None
         if arity is not None:
             columns[key] = (knums, *(values[j::arity] for j in range(arity)))
         else:       # row i's fields are values[starts[i]:starts[i + 1]]
@@ -599,29 +606,7 @@ def _block_columns(raw: list[str], first: int, shapes: dict[str, int | None],
                                      initial=0))
             columns[key] = (knums, [values[s] for s in starts[:-1]],
                             [values[s + 1:t] for s, t in zip(starts, starts[1:])])
-    if faulty:
-        lineno = min(faulty)
-        return _before(raw, first, lineno, shapes, comments,
-                       f"a field of {raw[lineno - first]!r} is not an integer")
-    return columns, None
-
-
-def _before(raw: list[str], first: int, lineno: int,
-            shapes: dict[str, int | None], comments: bool,
-            what: str) -> tuple[dict, GraphInputError]:
-    """`_block_columns` of the lines of `raw` before line `lineno`, whose
-    own first fault, if any, comes before `what`, the fault of that line."""
-    columns, earlier = _block_columns(raw[:lineno - first], first, shapes,
-                                      comments)
-    return columns, earlier or GraphInputError(f"line {lineno}: {what}")
-
-
-def _integers(row: list[str]) -> bool:
-    try:
-        list(map(int, row[1:]))
-    except ValueError:
-        return False
-    return True
+    return columns
 
 
 def parse_graph(text: str) -> Graph | EmbeddedGraph:

@@ -13,12 +13,19 @@ band, and the band to have the same back map.
 ``level_windows`` here walks the levels one at a time (delete) or moves a
 window start until a band reaches the last level (duplicate, dominate);
 the tests require the stride version to return the same triples.
+
+``induced_embedded_subgraph`` here is the edge scan that
+``shallowtd.graph.induced_embedded_subgraph`` ran before it read the kept
+vertices' rotations: every host edge is tested, once per call, which made
+``band_hosts`` quadratic in the number of components.  The tests require
+the same sub-embedding, byte for byte, and the same back map.
 """
 
 import numpy as np
 
 from shallowtd.decomp import TreeDecomposition
-from shallowtd.graph import EmbeddingError, GraphInputError, induced_subgraph
+from shallowtd.graph import (EmbeddedGraph, EmbeddingError, GraphInputError,
+                             induced_subgraph, reembed)
 from shallowtd.planar_td import Slice
 
 
@@ -106,3 +113,17 @@ def level_windows(depth: int, k: int, offset: int,
     else:
         raise GraphInputError(f"unknown slicing mode {mode!r}")
     return out
+
+
+def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
+    keep = sorted(set(keep))
+    if keep == list(range(e.n)):
+        return e, keep
+    new_id = {v: i for i, v in enumerate(keep)}
+    edge_map: dict[int, int] = {}
+    edges = []
+    for eid, (u, v) in enumerate(e.graph.edges):
+        if u in new_id and v in new_id:
+            edge_map[eid] = len(edges)
+            edges.append((new_id[u], new_id[v]))
+    return reembed(len(keep), edges, edge_map, [e.rotation[v] for v in keep]), keep

@@ -316,16 +316,17 @@ class TestResultChecks:
         with pytest.raises(SolutionCheckError, match="misses edge"):
             dp_vc(nice(g), g)
 
-    def test_a_mismatched_decomposition_fails_the_witness_check(
+    def test_a_mismatched_decomposition_is_refused_before_the_witness_check(
             self, triangle):
-        # no bag holds edges 0-2 and 1-2, so the engine never checks them;
-        # every vertex is forgotten once, so the form is not refused
+        # no bag holds edges 0-2 and 1-2, so the engine would never check
+        # them; every vertex is forgotten once, and the edge count refuses
+        # the form before a witness exists
         split = make_nice(TreeDecomposition(nodes=2, tree_edges=[(0, 1)],
                                             bags=[(0, 1), (2,)]))
-        with pytest.raises(SolutionCheckError, match="not independent"):
-            dp_mis(split, triangle)
-        with pytest.raises(SolutionCheckError, match="misses edge"):
-            dp_vc(split, triangle)
+        for solve in (dp_mis, dp_vc):
+            with pytest.raises(GraphInputError,
+                               match="bags hold 1 of the 3 host edges"):
+                solve(split, triangle)
 
 
 class TestForgetCount:
@@ -366,6 +367,35 @@ class TestForgetCount:
                                "forgets vertex 0 twice"):
                 solve(split, g)
         assert walks == []
+
+
+class TestEdgeCount:
+    """A nice decomposition whose bags leave some host edge out is refused
+    with a typed error before any table is built: the engines would never
+    check that edge, and answer for a host without it."""
+
+    # the path 0-1-2 under a form of its first edge: no bag holds 1-2, so
+    # dp_ds would return {1, 2} and dp_subiso miss the path itself
+    PATH3 = build_graph(3, [(0, 1), (1, 2)])
+    DROPS_1_2 = make_nice(heuristic_td(build_graph(3, [(0, 1)])))
+
+    @pytest.mark.parametrize("solve", ENGINES + [
+        pytest.param(lambda nd, g: dp_subiso(nd, g, path_graph(3)),
+                     id="subiso-path3")])
+    def test_an_edge_in_no_bag_is_refused(self, monkeypatch, solve):
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        with pytest.raises(GraphInputError, match="nice decomposition bags "
+                           "hold 1 of the 2 host edges"):
+            solve(self.DROPS_1_2, self.PATH3)
+        assert walks == []
+
+    @pytest.mark.parametrize("solve", ENGINES)
+    def test_loops_and_parallel_edges_need_no_bag(self, solve):
+        # a loop joins no two bag vertices, and a parallel edge is held
+        # with its first copy
+        g = build_graph(3, [(0, 1), (1, 1), (1, 2), (2, 1)])
+        solve(make_nice(heuristic_td(self.PATH3)), g)
 
 
 class TestHostVertexCheck:

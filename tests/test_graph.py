@@ -135,6 +135,14 @@ class TestMinorOps:
         sub, keep = induced_embedded_subgraph(e, reversed(range(e.n)))
         assert sub is e and keep == list(range(e.n))
 
+    @pytest.mark.parametrize("keep, bad", [
+        pytest.param([*range(11), 12], 12, id="n-ids-the-last-past-the-host"),
+        pytest.param([-1, 0, 1], -1, id="negative")])
+    def test_induced_subgraph_refuses_an_outside_id(self, keep, bad):
+        # grid(3, 4) has 12 vertices; a negative id would wrap in a list
+        with pytest.raises(GraphInputError, match=f"vertex {bad} out of range"):
+            induced_embedded_subgraph(grid(3, 4), keep)
+
     def test_induced_proper_subgraph_is_reembedded(self):
         e = grid(3, 4)
         sub, keep = induced_embedded_subgraph(e, range(1, e.n))
