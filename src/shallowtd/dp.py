@@ -9,7 +9,11 @@ Every engine runs on one walk, ``_walk``, and supplies only its introduce,
 forget and join transitions.  The walk visits the nice decomposition
 bottom-up, in ascending node ids (``make_nice`` numbers each node after its
 children and the root last), starts each leaf from the engine's start
-state, and drops each child table once its parent is built.  Edge checks
+state, and drops each child table once its parent is built.  An engine
+may skip a table: the independent-set engine builds none at an introduce
+whose parent forgets another vertex, and that forget reads the table
+below the introduce and applies both steps in one sweep (see
+``_run_subset_dp``).  Edge checks
 happen at introduce nodes: the minimal node whose bag contains both
 endpoints of a host edge is an introduce of one endpoint with the other
 present, so checking a newly introduced vertex against its bag suffices to
@@ -54,10 +58,24 @@ property tests hold it equal to the witness of a reference engine that
 copies a full witness set into every entry, so the level-slicing unions
 built from band witnesses do not drift when the engine changes.
 
+The dominating-set forget drops each entry (B, U) beside which
+(B, U less one bit) is stored with a value no larger: every completion of
+the dropped entry completes the kept one, at no larger cost, and every
+later node keeps that so.  An introduce extends both alike and keeps the
+kept mask inside the dropped one; a forget kills the kept entry only
+where it kills the dropped one; a join, which pairs equal black masks
+and ANDs the undominated ones, pairs the kept entry with every right
+entry the dropped one pairs with, into a mask inside theirs.  So the
+minimum stays.  The witness can move, as the kept entry may win a later
+tie the dropped one would have won; the reference engine drops the same
+entries, so the property tests still hold the witnesses equal.
+
 The walk refuses an input once one of its tables holds more than
 ``MAX_STATES`` entries, with a GraphInputError naming the table size, the
 decomposition width and the budget: a wide decomposition ends in a typed
-error, not in hours of work or an out-of-memory kill.  The dominating-set
+error, not in hours of work or an out-of-memory kill.  A table an engine
+skips is refused at the size it would have had, where it would have been
+built.  The dominating-set
 and pattern joins, whose output can outgrow both inputs, check the budget
 after each left state, and the pattern introduce, which can multiply its
 table by the number of twin classes plus one, after each child state, so
@@ -153,18 +171,21 @@ def _unroll(entry: tuple) -> set[int]:
     return {link[1] for link in _links(entry)}
 
 
-def _over_budget(nd: NiceDecomposition, table: dict) -> GraphInputError:
-    """The refusal an engine raises once a table outgrows MAX_STATES."""
+def _over_budget(nd: NiceDecomposition, size: int) -> GraphInputError:
+    """The refusal an engine raises once a table of `size` entries outgrows
+    MAX_STATES."""
     return GraphInputError(
-        f"dynamic program table reached {len(table)} states on a "
+        f"dynamic program table reached {size} states on a "
         f"decomposition of width {nd.width}; the budget is {MAX_STATES}")
 
 
-def _positions(nd: NiceDecomposition,
-               g: Graph) -> tuple[list[int], list[int]]:
+def _positions(nd: NiceDecomposition, g: Graph,
+               fold: bytearray | None = None) -> tuple[list[int], list[int]]:
     """(pos, near): per node, the position bit of its introduced or
     forgotten vertex, and per introduce the mask of the positions held by
-    that vertex's bag neighbours (0 at every other node).
+    that vertex's bag neighbours (0 at every other node).  When `fold` is
+    given, one byte per node, it gets a 1 at each introduce whose parent
+    forgets another vertex: the fold points of `_run_subset_dp`.
 
     One top-down pass, in descending ids from the empty root bag, keeps the
     {vertex: position bit} map of each bag whose node is still to visit: a
@@ -233,12 +254,19 @@ def _positions(nd: NiceDecomposition,
                         f"{node}, but the bag above does not hold it")
                 pos[node] = at.pop(v)
                 vnbr = nbr[v]
-                near[node] = sum(b for u, b in at.items() if u in vnbr)
+                mask = 0                # a loop: a generator sum costs more
+                for u, b in at.items():
+                    if u in vnbr:
+                        mask |= b
+                near[node] = mask
             else:
                 if forgotten[v]:
                     raise GraphInputError(f"nice decomposition forgets "
                                           f"vertex {v} twice")
                 forgotten[v] = 1
+                if (fold is not None and kinds[child] == INTRODUCE
+                        and vertex[child] != v):
+                    fold[child] = 1         # child: the forget's only one
                 edges += len(nbr[v].intersection(at))
                 taken = sum(at.values())
                 pos[node] = at[v] = ~taken & (taken + 1)
@@ -259,7 +287,9 @@ def _walk(nd: NiceDecomposition, start, introduce, forget, join) -> dict:
     is introduce(node, child) or forget(node, child), with node its id, so
     an engine reads the node's vertex and whatever it keeps per node; a
     join's is join(left, right).  Each child table is popped as its parent
-    is built, and a table past MAX_STATES is refused."""
+    is built, and a table past MAX_STATES is refused.  A step may return
+    its child table itself, for its parent to apply the step while reading
+    it; the step then refuses, by itself, the table it did not build."""
     tables: dict[int, dict] = {}
     for node in range(nd.node_count):
         kind = nd.kind[node]
@@ -272,7 +302,7 @@ def _walk(nd: NiceDecomposition, start, introduce, forget, join) -> dict:
             step = introduce if kind == INTRODUCE else forget
             out = step(node, tables.pop(children[0]))
         if len(out) > MAX_STATES:
-            raise _over_budget(nd, out)
+            raise _over_budget(nd, len(out))
         tables[node] = out
     return tables[nd.root]
 
@@ -307,14 +337,31 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     Introduces try "stay out" before "chosen", joins follow the left table's
     order, and only a strictly larger value replaces an entry: this order
     and tie rule fix which optimal witness is returned.
+
+    An introduce of u whose parent forgets another vertex (a fold point,
+    marked by `_positions`) builds no table: it hands its child table on,
+    and the forget reads each child state as "u out" and then, if u has no
+    chosen bag neighbour, "u in".  That is the order in which the
+    introduce would have stored them, under distinct keys, so every merge
+    and tie at the forget is the one it would have made.  The introduce
+    still takes the size of the table it skips and refuses it past the
+    budget, so a refusal comes where and as it would with the table built.
     """
-    vertex = nd.vertex
-    pos, near = _positions(nd, g)
+    vertex, kids = nd.vertex, nd.children
+    fold = bytearray(nd.node_count)
+    pos, near = _positions(nd, g, fold)
 
     def introduce(node, child):
         # v's position is free in every child state, so no two outputs
         # share a key; vnear holds the positions of v's bag neighbours
         bit, vnear = pos[node], near[node]
+        if fold[node]:
+            # the skipped table holds at most two entries per child state
+            if 2 * len(child) > MAX_STATES:
+                size = len(child) + sum(not vnear & state for state in child)
+                if size > MAX_STATES:
+                    raise _over_budget(nd, size)
+            return child
         out = {}
         for state, entry in child.items():
             out[state] = entry
@@ -324,14 +371,34 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
 
     def forget(node, child):
         v, bit = vertex[node], pos[node]
+        below = kids[node][0]
         out = {}
+        if not fold[below]:
+            for state, entry in child.items():
+                if state & bit:                # v chosen: count and link it
+                    state ^= bit
+                    entry = (entry[0] + 1, v, entry)
+                cur = out.get(state)
+                if cur is None or entry[0] > cur[0]:
+                    out[state] = entry
+            return out
+        # child is the table below the introduce of u, which is not v: each
+        # state is read as "u out", then as "u in" if u has no chosen bag
+        # neighbour, and both share v's count and link
+        ubit, unear = pos[below], near[below]
         for state, entry in child.items():
-            if state & bit:                    # v chosen: count and link it
+            free = not unear & state
+            if state & bit:
                 state ^= bit
                 entry = (entry[0] + 1, v, entry)
             cur = out.get(state)
             if cur is None or entry[0] > cur[0]:
                 out[state] = entry
+            if free:
+                state |= ubit
+                cur = out.get(state)
+                if cur is None or entry[0] > cur[0]:
+                    out[state] = entry
         return out
 
     def join(left, right):
@@ -372,15 +439,25 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
     and, per left state, the right table's order among equal black masks,
     and only a strictly smaller value replaces an entry: this order and tie
     rule fix which optimal witness is returned.
+
+    After its merge, a forget drops each entry (B, U) for which (B, U less
+    one bit) is stored with a value no larger; the module docstring gives
+    why the minimum stays.  A required vertex outside the host is refused
+    with a GraphInputError before any table is built.
     """
     pos, near = _positions(nd, g)
     required = set(range(g.n) if required is None else required)
+    bad = min((v for v in required if not 0 <= v < g.n), default=None)
+    if bad is not None:
+        raise GraphInputError(f"dominating set requires vertex {bad}, not a "
+                              f"vertex of the {g.n}-vertex host")
     if not required:
         return set()
     vertex = nd.vertex
     # width + 1, as the highest position bit handed out is 1 << width
     span = max(pos).bit_length()
     low = (1 << span) - 1                 # the black half of a state
+    high = ~low                           # the undominated half
 
     def introduce(node, child):
         bit, vnear = pos[node], near[node]
@@ -412,6 +489,20 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
             cur = out.get(key)
             if cur is None or entry[0] < cur[0]:
                 out[key] = entry
+        # drop an entry where one undominated vertex fewer costs no more;
+        # deleting keeps the order of the rest and copies no entry
+        dominated = []
+        for key, entry in out.items():
+            undominated = key & high
+            while undominated:
+                b = undominated & -undominated
+                other = out.get(key ^ b)
+                if other is not None and other[0] <= entry[0]:
+                    dominated.append(key)
+                    break
+                undominated ^= b
+        for key in dominated:
+            del out[key]
         return out
 
     def join(left, right):
@@ -427,7 +518,7 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required=None) -> set[int]:
                 if cur is None or value < cur[0]:
                     out[key] = (value, None, entry, other)
             if len(out) > MAX_STATES:
-                raise _over_budget(nd, out)
+                raise _over_budget(nd, len(out))
         return out
 
     witness = _unroll(_walk(nd, 0, introduce, forget, join)[0])
@@ -550,7 +641,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                           masks[:c] + (masks[c] | bit,) + masks[c + 1:])
                     out.setdefault(ns, wit)
             if len(out) > MAX_STATES:
-                raise _over_budget(nd, out)
+                raise _over_budget(nd, len(out))
         return out
 
     def forget(node, child):
@@ -605,7 +696,7 @@ def dp_subiso(nd: NiceDecomposition, g: Graph, h: Graph,
                 if merged not in out:
                     out[merged] = (None, None, wit, rwit)
             if len(out) > MAX_STATES:
-                raise _over_budget(nd, out)
+                raise _over_budget(nd, len(out))
         return out
 
     empty = tuple(0 for _ in classes)

@@ -132,23 +132,37 @@ def diameter(g: Graph) -> float:
     return best
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
+def component_labels(g: Graph) -> tuple[list[int], list[int]]:
+    """(label, sizes): per vertex the index of its connected component,
+    the components numbered in order of their lowest vertex, and per
+    component its vertex count; one walk, nothing sorted."""
+    label = [-1] * g.n
+    sizes: list[int] = []
     for s in range(g.n):
-        if seen[s]:
+        if label[s] >= 0:
             continue
-        comp = [s]
-        seen[s] = True
+        c = len(sizes)
+        label[s] = c
+        size = 1
         stack = [s]
         while stack:
             v = stack.pop()
             for w in g.nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+                if label[w] < 0:
+                    label[w] = c
+                    size += 1
                     stack.append(w)
-        comps.append(sorted(comp))
+        sizes.append(size)
+    return label, sizes
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """The components as ascending vertex lists, in order of their lowest
+    vertex."""
+    label, sizes = component_labels(g)
+    comps: list[list[int]] = [[] for _ in sizes]
+    for v, c in enumerate(label):
+        comps[c].append(v)
     return comps
 
 
@@ -233,22 +247,18 @@ def embed(g: Graph, rotation: list[list[int]]) -> EmbeddedGraph:
 
     faces = _trace_faces(g, rotation)
 
-    comps = connected_components(g)
+    vertex_comp, sizes = component_labels(g)
     genus = 0
-    vertex_comp = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            vertex_comp[v] = ci
-    m_per = [0] * len(comps)
+    m_per = [0] * len(sizes)
     for u, v in g.edges:
         m_per[vertex_comp[u]] += 1
-    f_per = [0] * len(comps)
+    f_per = [0] * len(sizes)
     for cyc in faces:
         f_per[vertex_comp[tails[cyc[0]]]] += 1
-    for ci, comp in enumerate(comps):
+    for ci, size in enumerate(sizes):
         if m_per[ci] == 0:
             continue
-        chi = len(comp) - m_per[ci] + f_per[ci]
+        chi = size - m_per[ci] + f_per[ci]
         if (2 - chi) % 2 != 0 or chi > 2:
             raise EmbeddingError(
                 f"component has Euler characteristic {chi}: non-orientable or invalid rotation")

@@ -91,7 +91,8 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
 
     Per bag vertex: chosen (black), not chosen but already dominated, or not
     chosen and so far undominated.  Introducing a black vertex upgrades its
-    bag neighbors; forgetting an undominated required vertex kills the state;
+    bag neighbors; forgetting an undominated required vertex kills the state,
+    and a forget drops the dominated states as the engine does (`_dominated`);
     joins OR the domination flags of matching black patterns.
     """
     required = set(required)
@@ -141,7 +142,8 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
                 if state[pos] == _UNDOM and v in required:
                     continue
                 _keep_min(out, state[:pos] + state[pos + 1:], wit)
-            tables[node] = out
+            tables[node] = {state: wit for state, wit in out.items()
+                            if not _dominated(out, state, wit)}
         else:  # JOIN
             left = tables.pop(nd.children[node][0])
             right = tables.pop(nd.children[node][1])
@@ -165,6 +167,19 @@ def dp_ds(nd: NiceDecomposition, g: Graph, required: set[int]) -> set[int]:
     witness = tables[nd.root][()]
     check_solution("ds", g, witness, required)
     return set(witness)
+
+
+def _dominated(out, state, wit) -> bool:
+    """The engine's forget rule: `state` is dropped when the state with one
+    of its undominated vertices dominated instead is stored with a witness
+    no larger.  Both complete alike, so the minimum stays, but which of two
+    equal witnesses a later tie keeps depends on it."""
+    for i, s in enumerate(state):
+        if s == _UNDOM:
+            other = out.get(state[:i] + (_DOM,) + state[i + 1:])
+            if other is not None and len(other) <= len(wit):
+                return True
+    return False
 
 
 def _keep_min(out, state, wit):

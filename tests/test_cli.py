@@ -306,6 +306,17 @@ class TestPipelines:
         assert f"the budget is {MAX_STATES}" in err and "Traceback" not in err
         assert time.perf_counter() - start < 30
 
+    def test_solve_ds_on_the_11x11_grid_fits_the_budget(self, capsys,
+                                                        monkeypatch):
+        # width 11: only the dominated entries the forgets drop keep every
+        # table within MAX_STATES (without them one holds 146,109)
+        text = self._grid_text(capsys, monkeypatch, rows=11, cols=11)
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["solve", "--problem", "ds"], stdin=text)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert (report["width"], report["value"]) == (11, 29)
+
     def test_ptas(self, capsys, monkeypatch):
         gtext = self._grid_text(capsys, monkeypatch)
         code, out, _ = invoke(capsys, monkeypatch,

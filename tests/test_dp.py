@@ -85,6 +85,20 @@ class TestDs:
         s = dp_ds(nice(g), g, {0, 1})
         assert len(s) == 1 and s <= {0, 1}
 
+    @pytest.mark.parametrize("bad", [7, -1], ids=["past-the-host",
+                                                 "negative"])
+    def test_a_required_non_host_vertex_is_refused(self, monkeypatch, bad):
+        # a vertex past the host would index out of its lists, and a
+        # negative one would wrap to the last vertex and fail the check
+        walks = []
+        monkeypatch.setattr(dp, "_walk", lambda *a: walks.append(a))
+        g = path_graph(3)
+        with pytest.raises(GraphInputError,
+                           match=f"requires vertex {bad}, not a vertex of "
+                                 "the 3-vertex host"):
+            dp_ds(nice(g), g, {1, bad})
+        assert walks == []
+
     def test_random_vs_oracle(self):
         rng = random.Random(41)
         for _ in range(20):
@@ -562,6 +576,16 @@ class TestStateBudget:
         message = (r"table reached \d+ states on a decomposition of width 2;"
                    r" the budget is 4$")
         with pytest.raises(GraphInputError, match=message):
+            solve(self.BAG, path_graph(3))
+
+    @pytest.mark.parametrize("solve", [dp_mis, dp_vc], ids=["mis", "vc"])
+    def test_a_skipped_introduce_table_is_refused_at_its_size(
+            self, monkeypatch, solve):
+        # the introduce of vertex 2 feeds the forget of vertex 0, which
+        # reads the three-state table below it; the five-state table the
+        # introduce skips is still refused, at its own size
+        monkeypatch.setattr(dp, "MAX_STATES", 4)
+        with pytest.raises(GraphInputError, match="reached 5 states"):
             solve(self.BAG, path_graph(3))
 
     @staticmethod

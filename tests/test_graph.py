@@ -9,7 +9,8 @@ from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
 from shallowtd import graph
 from shallowtd.generators import grid, toroidal_grid
 from shallowtd.graph import (MAX_VERTICES, EmbeddingError, GraphInputError,
-                             bfs_layering, build_graph, contract_connected_set,
+                             bfs_layering, build_graph, component_labels,
+                             connected_components, contract_connected_set,
                              diameter, embed, emit_graph,
                              induced_embedded_subgraph, is_connected,
                              parse_graph, planar_is_connected,
@@ -64,6 +65,23 @@ class TestEmbedding:
     def test_face_lengths_sum_to_2m(self):
         for e in (grid(3, 4), toroidal_grid(3, 4)):
             assert sum(len(f) for f in e.faces) == 2 * e.graph.m
+
+    def test_genus_adds_over_interleaved_components(self):
+        # two tori and a triangle, their vertices interleaved: each
+        # component counts its own edges, faces and vertices
+        parts = [toroidal_grid(3, 3), toroidal_grid(3, 4),
+                 embed_outerplanar(cycle_graph(3))]
+        n = sum(e.graph.n for e in parts)
+        label = list(range(0, n, 2)) + list(range(1, n, 2))
+        edges, rotation, base, darts = [], [None] * n, 0, 0
+        for e in parts:
+            edges += [(label[base + u], label[base + v])
+                      for u, v in e.graph.edges]
+            for v, cyc in enumerate(e.rotation):
+                rotation[label[base + v]] = [darts + d for d in cyc]
+            base, darts = base + e.graph.n, darts + 2 * e.graph.m
+        e = embed(build_graph(n, edges), rotation)
+        assert e.euler_genus == 2
 
     def test_bad_rotation_rejected(self):
         g = cycle_graph(3)
@@ -316,6 +334,12 @@ class TestSimpleEmbedding:
         assert e.graph.edges == [(0, 1), (1, 2)]
         assert e.rotation == [[0], [1, 2], [3]]
         assert e.euler_genus == 0 and e.faces == [[0, 2, 3, 1]]
+
+
+def test_components_are_numbered_by_their_lowest_vertex():
+    g = build_graph(7, [(5, 6), (1, 3), (3, 0)])
+    assert component_labels(g) == ([0, 0, 1, 0, 2, 3, 3], [3, 1, 1, 2])
+    assert connected_components(g) == [[0, 1, 3], [2], [4], [5, 6]]
 
 
 @pytest.mark.parametrize("e", [

@@ -31,7 +31,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_bands
@@ -675,6 +675,49 @@ def test_dp_matches_reference_and_oracle(data):
         assert len(mis) == oracle_solve("mis", g)[0]
         assert len(vc) == oracle_solve("vc", g)[0]
         assert len(ds) == oracle_solve("ds", g)[0]
+
+
+def _ds_forget_tables(nd, g) -> tuple[set[int], list[dict]]:
+    """dp_ds's witness on nd and every table its forgets return."""
+    tables: list[dict] = []
+    walk = dp._walk
+
+    def spy(nd, start, introduce, forget, join):
+        def kept(node, child):
+            tables.append(forget(node, child))
+            return tables[-1]
+        return walk(nd, start, introduce, kept, join)
+
+    with mock.patch.object(dp, "_walk", spy):
+        return dp_ds(nd, g), tables
+
+
+@PROPERTY
+@given(st.data())
+def test_dp_ds_forgets_keep_no_dominated_entry(data):
+    """No DS forget table holds an entry (B, U) beside (B, U less one bit)
+    of no larger value, and the pruned tables still give the optimum on
+    min-degree forms with joins."""
+    if data.draw(st.booleans()):
+        g = _maybe_relabelled(data.draw, wall(2)[1].graph)
+    else:
+        n = data.draw(st.integers(2, 14))
+        g = build_graph(n, _random_graph(data.draw, n,
+                                         data.draw(st.floats(0.1, 0.5))))
+    nd = make_nice(heuristic_td(g))
+    assume(JOIN in nd.kind)
+    witness, tables = _ds_forget_tables(nd, g)
+    assert len(witness) == oracle_solve("ds", g)[0]
+    # the engine's layout: black | undominated << span
+    span = max(dp._positions(nd, g)[0]).bit_length()
+    for table in tables:
+        for key, (value, *_rest) in table.items():
+            undominated = key >> span << span
+            while undominated:
+                bit = undominated & -undominated
+                other = table.get(key ^ bit)
+                assert other is None or other[0] > value
+                undominated ^= bit
 
 
 def _has_twins(h) -> bool:
