@@ -13,9 +13,11 @@ live, acyclic structures.  `run` restores the
 caller's collector state afterwards (a collector already off stays off);
 parsing and the report run unpaused, and library calls never pause it.
 Exit codes: 0 success, 1 domain error (invalid or infeasible input, or out
-of memory), 2 usage error (argparse, including `ptas --k` below 2 and
-`bench --repeats` below 1).  Diagnostics go to stderr.  Run it as
-`shallowtd` or as `python -m shallowtd.cli`.
+of memory), 2 usage error (argparse, including `ptas --k` below 2,
+`bench --repeats` below 1, `bench --max-edges` below 1000, which would
+time no grid, and `decompose --method heuristic` with a `--root`, which
+min-degree elimination has no use for).  Diagnostics go to stderr.  Run
+it as `shallowtd` or as `python -m shallowtd.cli`.
 """
 
 from __future__ import annotations
@@ -320,15 +322,19 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=_cmd_oracle)
 
     ben = sub.add_parser("bench", help="decomposition kernel benchmark")
-    ben.add_argument("--max-edges", type=int, default=100_000)
+    ben.add_argument("--max-edges", type=_at_least(1000), default=100_000)
     ben.add_argument("--repeats", type=_at_least(1), default=3)
     ben.set_defaults(func=_cmd_bench)
     return p
 
 
 def run(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if (args.cmd == "decompose" and args.method == "heuristic"
+                and args.root is not None):
+            parser.error("decompose --method heuristic takes no --root")
     except SystemExit as exc:          # argparse uses 2 for usage errors
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -372,23 +372,15 @@ def _run_subset_dp(nd: NiceDecomposition, g: Graph):
     def forget(node, child):
         v, bit = vertex[node], pos[node]
         below = kids[node][0]
+        # at a fold point, child is the table below the introduce of u,
+        # which is not v: each state is read as "u out", then as "u in" if
+        # u has no chosen bag neighbour, and both share v's count and link
+        ubit = pos[below] if fold[below] else 0
+        unear = near[below]
         out = {}
-        if not fold[below]:
-            for state, entry in child.items():
-                if state & bit:                # v chosen: count and link it
-                    state ^= bit
-                    entry = (entry[0] + 1, v, entry)
-                cur = out.get(state)
-                if cur is None or entry[0] > cur[0]:
-                    out[state] = entry
-            return out
-        # child is the table below the introduce of u, which is not v: each
-        # state is read as "u out", then as "u in" if u has no chosen bag
-        # neighbour, and both share v's count and link
-        ubit, unear = pos[below], near[below]
         for state, entry in child.items():
-            free = not unear & state
-            if state & bit:
+            free = ubit and not unear & state
+            if state & bit:                    # v chosen: count and link it
                 state ^= bit
                 entry = (entry[0] + 1, v, entry)
             cur = out.get(state)

@@ -278,11 +278,23 @@ def planar_is_connected(e: EmbeddedGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Minor operations
 
-def induced_subgraph(g: Graph, keep: list[int]) -> tuple[Graph, list[int]]:
-    keep = sorted(set(keep))
+def induced_edges(e: EmbeddedGraph,
+                  keep: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """(edges, ids): the edges of `e` with both ends in the ascending vertex
+    list `keep`, renumbered to positions there with their orientation, and
+    their ids in `e`, ascending.  Each edge is read at its first end's dart
+    in that end's rotation (a loop once), so the cost follows the kept
+    vertices' degrees, not the size of `e`."""
     new_id = {v: i for i, v in enumerate(keep)}
-    edges = [(new_id[u], new_id[v]) for (u, v) in g.edges if u in new_id and v in new_id]
-    return build_graph(len(keep), edges), keep
+    ends, rotation = e.graph.edges, e.rotation
+    edges, ids = [], []
+    for eid in sorted([d >> 1 for v in keep for d in rotation[v]
+                       if not d & 1]):
+        u, w = ends[eid]
+        if w in new_id:
+            edges.append((new_id[u], new_id[w]))
+            ids.append(eid)
+    return edges, ids
 
 
 def reembed(n: int, edges: list[tuple[int, int]], new_eid: dict[int, int],
@@ -323,25 +335,17 @@ def simple_embedding(e: EmbeddedGraph) -> EmbeddedGraph:
 
 def induced_embedded_subgraph(e: EmbeddedGraph, keep) -> tuple[EmbeddedGraph, list[int]]:
     """Induced embedded subgraph: surviving darts keep their cyclic order;
-    `e` itself when `keep` is every vertex.  The kept edges are read from
-    the kept vertices' rotations, in ascending id, so the cost follows
-    their degrees, not the size of `e`."""
+    `e` itself when `keep` is every vertex.  The kept edges are read by
+    ``induced_edges``, so the cost follows the kept vertices' degrees."""
     keep = sorted(set(keep))
     if keep and not (0 <= keep[0] and keep[-1] < e.n):
         bad = keep[0] if keep[0] < 0 else keep[-1]
         raise GraphInputError(f"vertex {bad} out of range")
     if len(keep) == e.n:
         return e, keep
-    new_id = {v: i for i, v in enumerate(keep)}
-    rotation = [e.rotation[v] for v in keep]
-    edge_map: dict[int, int] = {}
-    edges = []
-    for eid in sorted({d >> 1 for cyc in rotation for d in cyc}):
-        u, v = e.graph.edges[eid]
-        if u in new_id and v in new_id:
-            edge_map[eid] = len(edges)
-            edges.append((new_id[u], new_id[v]))
-    return reembed(len(keep), edges, edge_map, rotation), keep
+    edges, ids = induced_edges(e, keep)
+    return reembed(len(keep), edges, {eid: i for i, eid in enumerate(ids)},
+                   [e.rotation[v] for v in keep]), keep
 
 
 def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, list[int]]:

@@ -53,9 +53,10 @@ from .graph import (
     GraphInputError,
     Layering,
     bfs_layering,
+    build_graph,
     connected_components,
+    induced_edges,
     induced_embedded_subgraph,
-    induced_subgraph,
     planar_is_connected,
     simple_embedding,
     triangulate,
@@ -313,7 +314,8 @@ def slice_td(host: BandHost, lo: int, hi: int,
              core: tuple[int, int] | None = None) -> Slice:
     """Decompose the band of levels [lo, hi]; width <= 3 * (hi - lo + 1) - 1.
 
-    The band's induced subgraph gets its min-degree decomposition
+    The band's induced subgraph, its edges read from the band vertices'
+    rotations (``induced_edges``), gets its min-degree decomposition
     (``heuristic_td``) when that is within the bound, and the host's
     root-path decomposition restricted to the band (``restrict_td``)
     otherwise, which the bound holds for.  The core is the band's vertices
@@ -322,8 +324,9 @@ def slice_td(host: BandHost, lo: int, hi: int,
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
     level = host.layering.level
-    graph, back_map = induced_subgraph(
-        host.graph, [v for v in range(len(level)) if lo <= level[v] <= hi])
+    back_map = [v for v in range(len(level)) if lo <= level[v] <= hi]
+    graph = build_graph(len(back_map),
+                        induced_edges(host.embedding, back_map)[0])
     bound = 3 * (hi - lo + 1) - 1
     td = heuristic_td(graph)
     if td.width > bound:

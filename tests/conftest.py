@@ -1,11 +1,28 @@
 """Shared fixtures: small named graphs, embedded variants, relabelling of
-an embedded graph, and a DP table entry with a given witness."""
+an embedded graph, and a DP table entry with a given witness.
+
+Every ``shallowtd`` module is imported here, before any test module.
+Hypothesis draws examples partly from the literal constants of the
+non-test local modules already imported, so a derandomized property test
+would otherwise see other examples when run alone than in a run whose
+other tests import more of the package (``shallowtd.bench`` is imported
+only on demand).  An edit under ``src/`` that adds or removes a distinct
+literal (a string of at most 20 characters, an integer of magnitude 100
+or more, a float) still moves every derandomized example stream, as does
+another Hypothesis version."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import shallowtd
 from shallowtd.graph import Graph, build_graph, embed
+
+for _module in pkgutil.walk_packages(shallowtd.__path__, "shallowtd."):
+    importlib.import_module(_module.name)
 
 
 def path_graph(n: int) -> Graph:

@@ -19,13 +19,17 @@ the tests require the stride version to return the same triples.
 vertices' rotations: every host edge is tested, once per call, which made
 ``band_hosts`` quadratic in the number of components.  The tests require
 the same sub-embedding, byte for byte, and the same back map.
+``induced_subgraph`` is the same scan without the embedding, as
+``shallowtd.planar_td.slice_td`` ran it once per band before it read the
+band's edges from the host's rotations; ``slice_td`` here builds its band
+graph with it, and the tests require the same band graph.
 """
 
 import numpy as np
 
 from shallowtd.decomp import TreeDecomposition
-from shallowtd.graph import (EmbeddedGraph, EmbeddingError, GraphInputError,
-                             induced_subgraph, reembed)
+from shallowtd.graph import (EmbeddedGraph, EmbeddingError, Graph,
+                             GraphInputError, build_graph, reembed)
 from shallowtd.planar_td import Slice
 
 
@@ -34,6 +38,13 @@ def csr_bags(td: TreeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     indptr[1:] = np.cumsum([len(b) for b in td.bags])
     data = np.array([v for b in td.bags for v in b], dtype=np.int64)
     return indptr, data
+
+
+def induced_subgraph(g: Graph, keep: list[int]) -> tuple[Graph, list[int]]:
+    keep = sorted(set(keep))
+    new_id = {v: i for i, v in enumerate(keep)}
+    edges = [(new_id[u], new_id[v]) for (u, v) in g.edges if u in new_id and v in new_id]
+    return build_graph(len(keep), edges), keep
 
 
 def slice_td(host, lo: int, hi: int) -> Slice:

@@ -222,6 +222,17 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert f"root {root} out of range [0, 9)" in err
 
+    @pytest.mark.parametrize("root", ["0", "99", "-1"])
+    def test_decompose_heuristic_refuses_a_root(self, capsys, monkeypatch,
+                                                root):
+        # min-degree elimination takes no root, so any --root is refused
+        # before the input is read, in range or not
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["decompose", "--method", "heuristic",
+                                 "--root", root], stdin="v 2\ne 0 1\n")
+        assert code == 2 and out == ""
+        assert "decompose --method heuristic takes no --root" in err
+
     @pytest.mark.parametrize("method", ["planar-bfs", "genus"])
     @pytest.mark.parametrize("text, message", [
         ("v 4\ne 0 1\ne 2 3\nrot 0 0\nrot 1 1\nrot 2 2\nrot 3 3\n",
@@ -349,6 +360,16 @@ class TestPipelines:
                                 ["bench", "--repeats", repeats])
         assert code == 2 and out == ""
         assert "argument --repeats" in err
+
+    @pytest.mark.parametrize("max_edges", ["999", "500", "0", "x"])
+    def test_bench_max_edges_below_1000_or_not_int_is_usage_error(
+            self, capsys, monkeypatch, max_edges):
+        # the smallest timed grid has 1000 edges: a lower cap would report
+        # no rows and a vacuous within_bound
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["bench", "--max-edges", max_edges])
+        assert code == 2 and out == ""
+        assert "argument --max-edges" in err
 
     def test_subiso_and_oracle(self, capsys, monkeypatch, tmp_path):
         gtext = self._grid_text(capsys, monkeypatch)

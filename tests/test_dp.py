@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import reference_dp
 from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
                       path_graph, star_graph, witness_entry)
 from shallowtd import dp
@@ -501,6 +502,61 @@ class TestNiceShapeCheck:
                            "node 4, but the bag above does not hold it"):
             solve(_path3_nice(vertex={4: 2}), path_graph(3))
         assert walks == []
+
+
+def _form(*nodes):
+    """The nice decomposition of (kind, children, vertex) nodes in id
+    order, the last the root."""
+    kind, children, vertex = map(list, zip(*nodes))
+    return NiceDecomposition(kind, children, vertex, len(nodes) - 1)
+
+
+class TestForgetSweep:
+    """The independent-set forget, one sweep over its child table, on
+    hand-built forms of the 4-cycle, whose two maximum independent sets
+    tie: a forget sits above an introduce of another vertex (nodes 4 and
+    6 of the first form; their introduces are fold points, where the
+    forget also reads "u in"), above an introduce of the same vertex (node
+    4 of the second, no fold) or above a join (node 11 of the third).  The
+    MIS witness, and so the VC witness, its complement, equal the
+    frozenset reference's."""
+
+    FORMS = {
+        # bags {0}, {0,1}, {0,1,3}, {1,3}, {1,2,3}, {2,3}, {3}, {}
+        "introduce-of-another": (_form(
+            (LEAF, (), None), (INTRODUCE, (0,), 0), (INTRODUCE, (1,), 1),
+            (INTRODUCE, (2,), 3), (FORGET, (3,), 0), (INTRODUCE, (4,), 2),
+            (FORGET, (5,), 1), (FORGET, (6,), 2), (FORGET, (7,), 3)),
+            [3, 5]),
+        # bags {1}, {1,3}, {1,2,3}, {1,3}, {0,1,3}, {1,3}, {3}, {}
+        "introduce-of-the-same": (_form(
+            (LEAF, (), None), (INTRODUCE, (0,), 1), (INTRODUCE, (1,), 3),
+            (INTRODUCE, (2,), 2), (FORGET, (3,), 2), (INTRODUCE, (4,), 0),
+            (FORGET, (5,), 0), (FORGET, (6,), 1), (FORGET, (7,), 3)),
+            []),
+        # {1,3} plus 0 on the left and 2 on the right, joined, then {3}, {}
+        "join": (_form(
+            (LEAF, (), None), (INTRODUCE, (0,), 1), (INTRODUCE, (1,), 3),
+            (INTRODUCE, (2,), 0), (FORGET, (3,), 0),
+            (LEAF, (), None), (INTRODUCE, (5,), 3), (INTRODUCE, (6,), 1),
+            (INTRODUCE, (7,), 2), (FORGET, (8,), 2),
+            (JOIN, (4, 9), None), (FORGET, (10,), 1), (FORGET, (11,), 3)),
+            [])}
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_witnesses_match_the_reference(self, name):
+        nd, folds = self.FORMS[name]
+        g = cycle_graph(4)
+        fold = bytearray(nd.node_count)
+        dp._positions(nd, g, fold)
+        assert [node for node in range(nd.node_count) if fold[node]] == folds
+        mis, vc = dp_mis(nd, g), dp_vc(nd, g)
+        assert mis == reference_dp.reference_mis(nd, g)
+        # the cover is the complement of the independent set; the reference
+        # cover engine, which breaks the tie its own way, checks its size
+        assert vc == set(range(g.n)) - mis
+        assert len(vc) == len(reference_dp.reference_vc(nd, g))
+        assert len(mis) == oracle_solve("mis", g)[0] == 2
 
 
 class TestForgetCharge:

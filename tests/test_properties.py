@@ -5,7 +5,8 @@ level prefixes, the genus cut-graph pipeline against its reference, Euler
 genus against an independent planarity test, induced embedded subgraphs
 against the edge scan, width bounds of whole-host and level-band decompositions, whole-host and
 band-host decompositions against their uncontracted reference, the band
-restriction of the host decomposition against its numpy reference and no
+graph against the edge scan (also around a parallel pair or a loop) and the
+band restriction of the host decomposition against its numpy reference and no
 narrower than that of the uncontracted band host, each band's min-degree
 decomposition whenever it is within the band's bound, with the band DP
 against the oracle, the exact DP against its frozenset reference and the
@@ -622,14 +623,51 @@ def test_band_takes_min_degree_within_its_bound(data):
                 == oracle_solve("ds", _with_required(sl.graph, sl.core))[0])
 
 
+def _enclosed(e, draw):
+    """`e` (two or more edges) plus a vertex x joined to a vertex u, and
+    around x either a second copy of an edge uv, beside it in the rotations
+    of u and v, or a loop at u: the copy or loop bounds a face of four or
+    three darts holding x, and the face on its other side keeps or gains
+    darts, so no face has fewer than three."""
+    g = e.graph
+    m, x = g.m, e.n
+    rotation = [list(cyc) for cyc in e.rotation] + [[2 * m + 3]]
+    eid = draw(st.integers(0, m - 1))
+    u, v = g.edges[eid]
+    if draw(st.booleans()):                         # the parallel pair
+        at = rotation[u].index(2 * eid) + 1
+        rotation[u][at:at] = [2 * m + 2, 2 * m]
+        at = rotation[v].index(2 * eid + 1)
+        rotation[v][at:at] = [2 * m + 1]
+    else:                                           # the loop at u
+        v = u
+        at = draw(st.integers(0, len(rotation[u])))
+        rotation[u][at:at] = [2 * m, 2 * m + 2, 2 * m + 1]
+    return embed(build_graph(x + 1, list(g.edges) + [(u, v), (u, x)]),
+                 rotation)
+
+
 @PROPERTY
 @given(st.data())
 def test_band_matches_numpy_reference(data):
-    _e, _root, host, lo, hi = _band(data.draw)
+    """Also on hosts with a parallel pair or a loop around a vertex
+    (``_enclosed``), which the band host keeps: the band graph, read from
+    the host's rotations, equals the reference's edge scan."""
+    e = _band_embedding(data.draw)
+    if e.graph.m >= 2 and data.draw(st.booleans()):
+        e = _enclosed(e, data.draw)
+        assert e.euler_genus == 0 and min(map(len, e.faces)) >= 3
+    root = data.draw(st.integers(0, e.n - 1))
+    host = band_host(e, root)
+    assert host.graph.edges == e.graph.edges
+    lo = data.draw(st.integers(0, host.layering.depth))
+    hi = data.draw(st.integers(lo, host.layering.depth))
     sl = slice_td(host, lo, hi)
     cut = restrict_td(host.td, sl.back_map)
     ref = reference_bands.slice_td(host, lo, hi)
     assert sl.back_map == ref.back_map
+    assert (sl.graph.n, sl.graph.edges, sl.graph.nbrs) == (
+        ref.graph.n, ref.graph.edges, ref.graph.nbrs)
     assert cut.nodes == ref.td.nodes
     assert cut.tree_edges == ref.td.tree_edges
     assert cut.bags == ref.td.bags
@@ -675,6 +713,18 @@ def test_dp_matches_reference_and_oracle(data):
         assert len(mis) == oracle_solve("mis", g)[0]
         assert len(vc) == oracle_solve("vc", g)[0]
         assert len(ds) == oracle_solve("ds", g)[0]
+
+
+def test_dp_ds_on_the_torus_genus_form_matches_the_reference():
+    """A case the example stream above once drew: on this form the
+    dominance prune moves the witness, so the reference must prune the
+    same entries to agree, and the size is the optimum."""
+    e = toroidal_grid(3, 3)
+    g, nd, required = e.graph, make_nice(genus_td(e, 0)[0]), set(range(7))
+    ds = dp_ds(nd, g, required)
+    assert ds == reference_dp.dp_ds(nd, g, required)
+    assert (len(ds) + 1
+            == oracle_solve("ds", _with_required(g, required))[0])
 
 
 def _ds_forget_tables(nd, g) -> tuple[set[int], list[dict]]:
