@@ -17,22 +17,23 @@ small sort per bag.
 from __future__ import annotations
 
 
-def bfs_levels(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int]]:
-    """BFS levels and parents from `root` over neighbour lists; -1 marks an
-    unreached vertex (level) and the root or an unreached vertex (parent).
+def bfs_levels(nbrs: list[list[int]],
+               root: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """BFS levels and parents from `root` over neighbour lists, and the
+    levels as vertex lists: ``levels[d]`` holds the vertices at distance d,
+    ascending.  -1 marks an unreached vertex (level) and the root or an
+    unreached vertex (parent); unreached vertices are in no list.
 
     Level-synchronous: each frontier is sorted ascending, so the first
     discoverer of a vertex is its lowest-numbered neighbour in the preceding
-    level (the deterministic parent rule).
+    level (the deterministic parent rule), and the frontiers are the lists.
     """
     n = len(nbrs)
     level = [-1] * n
     parent = [-1] * n
     level[root] = 0
-    frontier = [root]
-    depth = 0
-    while frontier:
-        depth += 1
+    levels = [[root]]
+    for depth, frontier in enumerate(levels, 1):    # runs on as levels grow
         nxt = []
         for v in frontier:
             for w in nbrs[v]:
@@ -40,20 +41,22 @@ def bfs_levels(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int]]:
                     level[w] = depth
                     parent[w] = v
                     nxt.append(w)
-        nxt.sort()
-        frontier = nxt
-    return level, parent
+        if nxt:
+            nxt.sort()
+            levels.append(nxt)
+    return level, parent, levels
 
 
-def far_sweep(nbrs: list[list[int]]) -> tuple[list[int], list[int]] | None:
+def far_sweep(nbrs: list[list[int]]
+              ) -> tuple[list[int], list[int], list[list[int]]] | None:
     """The first half of a double BFS sweep over a non-empty vertex set:
-    BFS from vertex 0, and u is the lowest-id vertex at its largest level.
-    Returns ``bfs_levels(nbrs, u)``, or None when vertex 0 does not reach
-    every vertex."""
-    level, _parent = bfs_levels(nbrs, 0)
+    BFS from vertex 0, and u is the lowest-id vertex at its largest level,
+    the first of the last level list.  Returns ``bfs_levels(nbrs, u)``, or
+    None when vertex 0 does not reach every vertex."""
+    level, _parent, levels = bfs_levels(nbrs, 0)
     if min(level) < 0:
         return None
-    return bfs_levels(nbrs, level.index(max(level)))
+    return bfs_levels(nbrs, levels[-1][0])
 
 
 def three_path_bags(parent: list[int],

@@ -16,11 +16,11 @@ ratios up to about 3 are expected there.
 
 Level slicing is timed on those grids too: one ``band_host`` and the
 delete-mode bands of every offset for k = 3 (``build_slices``).  Each band
-scans every host vertex for its level, reads the edges of the subgraph it
-induces from its vertices' rotations, runs min-degree elimination on that
-subgraph, and restricts the host's root-path bags only when elimination is
-wider than the band's bound, so the level scan makes the time track the
-host's size times the number of bands.
+merges its vertices from the host's BFS level lists of its window, reads
+the edges of the subgraph it induces from its vertices' rotations, runs
+min-degree elimination on that subgraph, and restricts the host's
+root-path bags only when elimination is wider than the band's bound, so
+building a band costs its own size, not the host's.
 """
 
 from __future__ import annotations

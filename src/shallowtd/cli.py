@@ -15,9 +15,11 @@ parsing and the report run unpaused, and library calls never pause it.
 Exit codes: 0 success, 1 domain error (invalid or infeasible input, or out
 of memory), 2 usage error (argparse, including `ptas --k` below 2,
 `bench --repeats` below 1, `bench --max-edges` below 1000, which would
-time no grid, and `decompose --method heuristic` with a `--root`, which
-min-degree elimination has no use for).  Diagnostics go to stderr.  Run
-it as `shallowtd` or as `python -m shallowtd.cli`.
+time no grid, and an option the command would ignore: `--root` with
+`decompose --method heuristic`, which min-degree elimination has no use
+for, a `generate` option its `--kind` does not read, and `--pattern` or
+`--induced` with an `oracle` problem other than subiso).  Diagnostics go
+to stderr.  Run it as `shallowtd` or as `python -m shallowtd.cli`.
 """
 
 from __future__ import annotations
@@ -108,17 +110,22 @@ def _write_dot(path: str, text: str) -> None:
 # Subcommands.
 
 
+# per `generate --kind`, its generator and the options it reads, in the
+# generator's argument order, with their defaults; any other is refused
+_GENERATORS = {
+    "grid": (grid, {"rows": 3, "cols": 3}),
+    "torus": (toroidal_grid, {"rows": 3, "cols": 3}),
+    "apex": (apex_over_grid, {"size": 3}),
+    "wall": (lambda size: wall(size)[1], {"size": 3}),
+    "random-triangulation": (random_planar_triangulation,
+                             {"size": 3, "seed": 0}),
+}
+
+
 def _cmd_generate(args) -> tuple[None, int]:
-    if args.kind == "grid":
-        obj = grid(args.rows, args.cols)
-    elif args.kind == "torus":
-        obj = toroidal_grid(args.rows, args.cols)
-    elif args.kind == "apex":
-        obj = apex_over_grid(args.size)
-    elif args.kind == "wall":
-        obj = wall(args.size)[1]
-    else:  # random-triangulation; argparse restricts the choices
-        obj = random_planar_triangulation(args.size, args.seed)
+    make, defaults = _GENERATORS[args.kind]
+    obj = make(*(default if getattr(args, opt) is None else getattr(args, opt)
+                 for opt, default in defaults.items()))
     sys.stdout.write(emit_graph(obj))
     if args.dot:
         _write_dot(args.dot, _dot_graph(_plain(obj)))
@@ -270,13 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("generate", help="emit a graph in text format")
-    gen.add_argument("--kind", required=True,
-                     choices=["grid", "torus", "apex", "wall",
-                              "random-triangulation"])
-    gen.add_argument("--rows", type=int, default=3)
-    gen.add_argument("--cols", type=int, default=3)
-    gen.add_argument("--size", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--kind", required=True, choices=list(_GENERATORS))
+    gen.add_argument("--rows", type=int, help="grid and torus (default 3)")
+    gen.add_argument("--cols", type=int, help="grid and torus (default 3)")
+    gen.add_argument("--size", type=int,
+                     help="apex, wall and random-triangulation (default 3)")
+    gen.add_argument("--seed", type=int,
+                     help="random-triangulation (default 0)")
     gen.add_argument("--dot", metavar="FILE", default=None)
     gen.set_defaults(func=_cmd_generate)
 
@@ -328,13 +335,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _ignored_option(args) -> str | None:
+    """The usage error for the first option given that the command would
+    ignore, or None."""
+    if (args.cmd == "decompose" and args.method == "heuristic"
+            and args.root is not None):
+        return "decompose --method heuristic takes no --root"
+    if args.cmd == "generate":
+        used = _GENERATORS[args.kind][1]
+        for opt in ("rows", "cols", "size", "seed"):
+            if getattr(args, opt) is not None and opt not in used:
+                return f"generate --kind {args.kind} takes no --{opt}"
+    if args.cmd == "oracle" and args.problem != "subiso":
+        for opt, given in (("pattern", args.pattern is not None),
+                           ("induced", args.induced)):
+            if given:
+                return f"oracle --problem {args.problem} takes no --{opt}"
+    return None
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if (args.cmd == "decompose" and args.method == "heuristic"
-                and args.root is not None):
-            parser.error("decompose --method heuristic takes no --root")
+        ignored = _ignored_option(args)
+        if ignored:
+            parser.error(ignored)
     except SystemExit as exc:          # argparse uses 2 for usage errors
         return int(exc.code or 0)
     started = time.perf_counter()

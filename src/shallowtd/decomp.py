@@ -300,12 +300,13 @@ def narrower_td(g: Graph) -> TreeDecomposition:
 
     The levels come from the BFS of ``_kernels.far_sweep`` (rooted at the
     lowest-id vertex farthest from vertex 0), and vertices are eliminated in
-    (-level, id) order with `heuristic_td`'s live-neighbour update.  The run
-    stops, keeping min-degree, as soon as a live neighbourhood reaches
-    min-degree's width; and it does not start when that width is at most
-    the minimum degree, a lower bound on the treewidth (every stacked
-    triangulation).  A neighbour set is copied on its first change, so an
-    early stop has copied only the sets it touched.
+    (-level, id) order, the sweep's level lists read from the deepest up,
+    with `heuristic_td`'s live-neighbour update.  The run stops, keeping
+    min-degree, as soon as a live neighbourhood reaches min-degree's width;
+    and it does not start when that width is at most the minimum degree, a
+    lower bound on the treewidth (every stacked triangulation).  A
+    neighbour set is copied on its first change, so an early stop has
+    copied only the sets it touched.
     """
     td = heuristic_td(g)
     width = td.width
@@ -315,7 +316,7 @@ def narrower_td(g: Graph) -> TreeDecomposition:
     sweep = _kernels.far_sweep(g.nbrs)
     if sweep is None:
         return td
-    order = sorted(range(g.n), key=sweep[0].__getitem__, reverse=True)
+    order = [v for vs in reversed(sweep[2]) for v in vs]
     live: list[set[int] | None] = [None] * g.n     # None: still nbrs[v]
     later: list[set[int]] = []
     for v in order:

@@ -77,10 +77,12 @@ def build_graph(n: int, edges) -> Graph:
 
 @dataclass
 class Layering:
-    """BFS tree: levels are graph distances from the root.
+    """BFS tree: levels are graph distances from the root, and
+    ``levels[d]`` lists the vertices at level d in ascending order.
 
     As in the BFS kernel, -1 is the level of a vertex outside the root's
-    component, and the parent and parent edge of it and of the root.
+    component, and the parent and parent edge of it and of the root; such
+    a vertex is in no list of `levels`.
     """
 
     root: int
@@ -88,6 +90,7 @@ class Layering:
     parent: list[int]
     parent_edge: list[int]
     depth: int
+    levels: list[list[int]]
 
     @property
     def complete(self) -> bool:
@@ -100,23 +103,23 @@ def bfs_layering(g: Graph, root: int) -> Layering:
     between the two."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
-    level, parent = _kernels.bfs_levels(g.nbrs, root)
+    level, parent, levels = _kernels.bfs_levels(g.nbrs, root)
     parent_edge = [-1] * g.n
     for eid, (u, v) in enumerate(g.edges):      # ascending: the first wins
         if parent[v] == u and parent_edge[v] < 0:
             parent_edge[v] = eid
         elif parent[u] == v and parent_edge[u] < 0:
             parent_edge[u] = eid
-    depth = max((l for l in level if l >= 0), default=0)
-    return Layering(root=root, level=level, parent=parent, parent_edge=parent_edge, depth=depth)
+    return Layering(root=root, level=level, parent=parent, parent_edge=parent_edge,
+                    depth=len(levels) - 1, levels=levels)
 
 
 def eccentricity(g: Graph, v: int) -> float:
     """Largest distance from v; infinite when g is disconnected."""
     if not (0 <= v < g.n):
         raise GraphInputError(f"vertex {v} out of range [0, {g.n})")
-    level, _parent = _kernels.bfs_levels(g.nbrs, v)
-    return math.inf if min(level) < 0 else max(level)
+    level, _parent, levels = _kernels.bfs_levels(g.nbrs, v)
+    return math.inf if min(level) < 0 else len(levels) - 1
 
 
 def diameter(g: Graph) -> float:

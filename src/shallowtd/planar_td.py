@@ -314,17 +314,20 @@ def slice_td(host: BandHost, lo: int, hi: int,
              core: tuple[int, int] | None = None) -> Slice:
     """Decompose the band of levels [lo, hi]; width <= 3 * (hi - lo + 1) - 1.
 
-    The band's induced subgraph, its edges read from the band vertices'
-    rotations (``induced_edges``), gets its min-degree decomposition
-    (``heuristic_td``) when that is within the bound, and the host's
-    root-path decomposition restricted to the band (``restrict_td``)
-    otherwise, which the bound holds for.  The core is the band's vertices
-    in the inclusive level range `core`, the whole band when None.
+    The band's vertices are the host's level lists lo..hi merged in
+    ascending order, so collecting them costs the band's size, not the
+    host's.  Their induced subgraph, its edges read from the band
+    vertices' rotations (``induced_edges``), gets its min-degree
+    decomposition (``heuristic_td``) when that is within the bound, and
+    the host's root-path decomposition restricted to the band
+    (``restrict_td``) otherwise, which the bound holds for.  The core is
+    the band's vertices in the inclusive level range `core`, the whole band
+    when None.
     """
     if not (0 <= lo <= hi <= host.layering.depth):
         raise GraphInputError(f"invalid level range [{lo}, {hi}]")
-    level = host.layering.level
-    back_map = [v for v in range(len(level)) if lo <= level[v] <= hi]
+    level, levels = host.layering.level, host.layering.levels
+    back_map = sorted([v for vs in levels[lo:hi + 1] for v in vs])
     graph = build_graph(len(back_map),
                         induced_edges(host.embedding, back_map)[0])
     bound = 3 * (hi - lo + 1) - 1
@@ -396,9 +399,8 @@ def min_eccentricity_root(g: Graph) -> int:
     sweep = _kernels.far_sweep(g.nbrs)
     if sweep is None:
         return 0
-    level, parent = sweep
-    d = max(level)
-    v = level.index(d)
-    for _ in range((d + 1) // 2):
+    _level, parent, levels = sweep
+    v = levels[-1][0]
+    for _ in range(len(levels) // 2):
         v = parent[v]
     return v

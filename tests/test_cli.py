@@ -75,6 +75,45 @@ class TestGenerate:
         code3, out3, _ = invoke(capsys, monkeypatch, argv + ["--seed", "10"])
         assert code3 == 0 and out3 != out1
 
+    @pytest.mark.parametrize("kind, defaults", [
+        ("grid", ["--rows", "3", "--cols", "3"]),
+        ("torus", ["--rows", "3", "--cols", "3"]),
+        ("apex", ["--size", "3"]), ("wall", ["--size", "3"]),
+        ("random-triangulation", ["--size", "3", "--seed", "0"])])
+    def test_options_left_out_take_their_defaults(self, capsys, monkeypatch,
+                                                  kind, defaults):
+        argv = ["generate", "--kind", kind]
+        code, out, _ = invoke(capsys, monkeypatch, argv)
+        code2, out2, _ = invoke(capsys, monkeypatch, argv + defaults)
+        assert code == code2 == 0 and out == out2
+
+
+# the generate options each kind reads; any other given is a usage error
+GENERATE_READS = {"grid": ("rows", "cols"), "torus": ("rows", "cols"),
+                  "apex": ("size",), "wall": ("size",),
+                  "random-triangulation": ("size", "seed")}
+IGNORED_OPTIONS = [
+    pytest.param(["generate", "--kind", kind, f"--{opt}", "5"],
+                 f"generate --kind {kind} takes no --{opt}",
+                 id=f"generate-{kind}-{opt}")
+    for kind, reads in GENERATE_READS.items()
+    for opt in ("rows", "cols", "size", "seed") if opt not in reads
+] + [
+    pytest.param(["oracle", "--problem", problem, *flag],
+                 f"oracle --problem {problem} takes no {flag[0]}",
+                 id=f"oracle-{problem}-{flag[0][2:]}")
+    for problem in ("mis", "vc", "ds", "treewidth")
+    for flag in (["--pattern", "/nonexistent"], ["--induced"])]
+
+
+@pytest.mark.parametrize("argv, message", IGNORED_OPTIONS)
+def test_an_option_the_command_ignores_is_a_usage_error(capsys, monkeypatch,
+                                                        argv, message):
+    # refused before any input is read or any graph generated
+    code, out, err = invoke(capsys, monkeypatch, argv, stdin="v 2\ne 0 1\n")
+    assert code == 2 and out == ""
+    assert f"error: {message}\n" in err
+
 
 class TestPipelines:
     def _grid_text(self, capsys, monkeypatch, rows=4, cols=4):

@@ -1,5 +1,8 @@
 """Property tests: the linear validator against its quadratic reference,
-the list kernels against their numpy-scalar reference, the linear
+the list kernels against their numpy-scalar reference, the readers of the
+BFS level lists (the sweep's far vertex and root, the depth, the
+eccentricity, the level elimination order and every band's back map)
+against the scans of the level array they replaced, the linear
 triangulation against its quadratic reference, contraction of BFS
 level prefixes, the genus cut-graph pipeline against its reference, Euler
 genus against an independent planarity test, induced embedded subgraphs
@@ -25,6 +28,7 @@ nothing else."""
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 from functools import cache
 from unittest import mock
@@ -43,8 +47,9 @@ import reference_kernels
 import reference_nice
 import reference_planar
 import reference_triangulate
+from conftest import relabel_embedded
 from reference_validate import validate_quadratic
-from shallowtd import _kernels, dp
+from shallowtd import _kernels, decomp, dp
 from shallowtd.baker import build_slices
 from shallowtd.decomp import (FORGET, INTRODUCE, JOIN, LEAF,
                               NiceDecomposition, TreeDecomposition,
@@ -63,8 +68,9 @@ from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              triangulate)
 from shallowtd.oracles import (MAX_SET_PROBLEM, oracle_solve,
                                subiso_backtracking)
-from shallowtd.planar_td import (band_host, planar_bfs_td, restrict_td,
-                                 slice_td)
+from shallowtd.planar_td import (band_host, band_hosts,
+                                 min_eccentricity_root, planar_bfs_td,
+                                 restrict_td, slice_td)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -192,10 +198,13 @@ def _kernel_host(draw):
 def test_kernels_match_numpy_reference(data):
     g, corners = _kernel_host(data.draw)
     root = data.draw(st.integers(0, g.n - 1))
-    level, parent = _kernels.bfs_levels(g.nbrs, root)
+    level, parent, levels = _kernels.bfs_levels(g.nbrs, root)
     ref_level, ref_parent = reference_kernels.bfs_levels(
         *reference_kernels.csr(g), root)
     assert (level, parent) == (ref_level.tolist(), ref_parent.tolist())
+    # one ascending list per level, the reference's levels bucketed
+    assert levels == [np.flatnonzero(ref_level == d).tolist()
+                      for d in range(ref_level.max() + 1)]
     if corners is None:
         vertex = st.integers(0, g.n - 1)
         corners = data.draw(st.lists(st.lists(vertex, min_size=3, max_size=3),
@@ -211,7 +220,8 @@ def test_kernels_match_numpy_reference(data):
 def test_kernels_leave_unreached_vertices_at_minus_one():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
     assert _kernels.bfs_levels(g.nbrs, 1) == ([1, 0, 1, -1, -1],
-                                              [1, -1, 1, -1, -1])
+                                              [1, -1, 1, -1, -1],
+                                              [[1], [0, 2]])
     assert (_kernels.three_path_bags([1, -1, 1, -1, -1], [[0, 2, 3], [4, 4, 3]])
             == [(0, 1, 2, 3), (3, 4)])
 
@@ -965,6 +975,78 @@ def test_narrower_td_matches_full_elimination_reference(data):
     assert td.width <= md.width
     if td.width == md.width:                  # ties keep min-degree
         assert td == md
+
+
+# ---------------------------------------------------------------------------
+# Readers of the BFS level lists == the level scans they replaced
+
+
+@PROPERTY
+@given(st.data())
+def test_level_list_readers_match_the_level_scans(data):
+    """The far vertex, the sweep root, the depth, the eccentricity and the
+    level elimination order, each read from the kernel's level lists, equal
+    what the scans of the level array gave: ``level.index(max(level))``, a
+    walk of (d + 1) // 2 steps, the largest reached level, and the stable
+    deepest-first sort of all vertex ids."""
+    g = _min_degree_host(data.draw)
+    if g.n == 0:
+        return
+    root = data.draw(st.integers(0, g.n - 1))
+    level = _kernels.bfs_levels(g.nbrs, root)[0]
+    assert bfs_layering(g, root).depth == max(l for l in level if l >= 0)
+    assert eccentricity(g, root) == (math.inf if min(level) < 0
+                                     else max(level))
+    level0 = _kernels.bfs_levels(g.nbrs, 0)[0]
+    sweep = _kernels.far_sweep(g.nbrs)
+    if min(level0) < 0:
+        assert sweep is None and min_eccentricity_root(g) == 0
+        return
+    assert sweep == _kernels.bfs_levels(g.nbrs, level0.index(max(level0)))
+    level, parent, levels = sweep
+    d = max(level)
+    v = level.index(d)
+    for _ in range((d + 1) // 2):
+        v = parent[v]
+    assert min_eccentricity_root(g) == v
+    order = sorted(range(g.n), key=level.__getitem__, reverse=True)
+    assert [v for vs in reversed(levels) for v in vs] == order
+    with mock.patch.object(decomp, "_td_from_elimination",
+                           wraps=decomp._td_from_elimination) as built:
+        narrower_td(g)
+    # min-degree's elimination, then the level order's if it ran to the end
+    assert [c.args[0] for c in built.call_args_list[1:]] in ([], [order])
+
+
+@PROPERTY
+@given(st.data())
+def test_band_back_map_matches_the_level_scan(data):
+    """Every band of every mode and offset, on every component of a planar
+    host (a triangulation cut to a random vertex set, so often disconnected,
+    a grid or a wall; relabelled half the time), takes the host vertices
+    whose level lies in its window, ascending: the scan of the level array
+    that the merge of the window's level lists replaced."""
+    kind = data.draw(st.sampled_from(["cut", "grid", "wall"]))
+    if kind == "cut":
+        e = random_planar_triangulation(data.draw(st.integers(3, 40)),
+                                        data.draw(st.integers(0, 10**6)))
+        keep = data.draw(st.sets(st.integers(0, e.n - 1), min_size=1))
+        e = induced_embedded_subgraph(e, keep)[0]
+    elif kind == "grid":
+        e = grid(data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+    else:
+        e = wall(data.draw(st.integers(1, 3)))[1]
+    if data.draw(st.booleans()):
+        e = relabel_embedded(e, data.draw(st.permutations(range(e.n))))
+    k = data.draw(st.integers(2, 4))
+    for host, _back in band_hosts(e):
+        level = host.layering.level
+        for mode, offset in itertools.product(
+                ["delete", "duplicate", "dominate"], range(k)):
+            for sl in build_slices(host, k, offset, mode).slices:
+                lo, hi = sl.window
+                assert sl.back_map == [v for v in range(len(level))
+                                       if lo <= level[v] <= hi]
 
 
 # ---------------------------------------------------------------------------
