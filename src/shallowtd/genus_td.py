@@ -32,7 +32,8 @@ class CutGraph:
 
 
 def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
-    """Tree-cotree cut graph; |leftover| = 2g, |X| <= 2g*(2*depth+1) + 1."""
+    """Tree-cotree cut graph; |leftover| = 2g, |X| <= 2g*(2*depth+1) + 1.
+    X's tree edges are the ones ``tree_cotree`` picked for its BFS tree."""
     lay = bfs_layering(e.graph, root)
     pair = tree_cotree(e, lay)
     leftover = list(pair.leftover_edges)
@@ -51,7 +52,7 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
         for v in g.edges[eid]:
             while not in_x[v]:
                 in_x[v] = 1
-                xe.add(lay.parent_edge[v])
+                xe.add(pair.parent_edge[v])
                 v = lay.parent[v]
     return CutGraph(host=e, root=root,
                     x_vertices=tuple(v for v in range(g.n) if in_x[v]),

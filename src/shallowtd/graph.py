@@ -77,20 +77,24 @@ def build_graph(n: int, edges) -> Graph:
 
 @dataclass
 class Layering:
-    """BFS tree: levels are graph distances from the root, and
-    ``levels[d]`` lists the vertices at level d in ascending order.
+    """BFS tree, as the BFS kernel gives it: levels are graph distances
+    from the root, ``parent`` the tree, and ``levels[d]`` lists the
+    vertices at level d in ascending order.  The tree's edges are not
+    kept; ``planar_td.tree_cotree`` picks them on the graph it partitions.
 
     As in the BFS kernel, -1 is the level of a vertex outside the root's
-    component, and the parent and parent edge of it and of the root; such
-    a vertex is in no list of `levels`.
+    component, and the parent of it and of the root; such a vertex is in
+    no list of `levels`.
     """
 
     root: int
     level: list[int]
     parent: list[int]
-    parent_edge: list[int]
-    depth: int
     levels: list[list[int]]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def complete(self) -> bool:
@@ -99,19 +103,11 @@ class Layering:
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     """BFS from `root`; the parent of a vertex is its lowest-numbered
-    neighbor in the preceding level, and its parent edge the lowest-id edge
-    between the two."""
+    neighbor in the preceding level.  Reads the adjacency only, no edge."""
     if not (0 <= root < g.n):
         raise GraphInputError(f"root {root} out of range [0, {g.n})")
     level, parent, levels = _kernels.bfs_levels(g.nbrs, root)
-    parent_edge = [-1] * g.n
-    for eid, (u, v) in enumerate(g.edges):      # ascending: the first wins
-        if parent[v] == u and parent_edge[v] < 0:
-            parent_edge[v] = eid
-        elif parent[u] == v and parent_edge[u] < 0:
-            parent_edge[u] = eid
-    return Layering(root=root, level=level, parent=parent, parent_edge=parent_edge,
-                    depth=len(levels) - 1, levels=levels)
+    return Layering(root=root, level=level, parent=parent, levels=levels)
 
 
 def eccentricity(g: Graph, v: int) -> float:

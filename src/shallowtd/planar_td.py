@@ -65,58 +65,60 @@ from .graph import (
 
 @dataclass
 class DualTreePair:
-    """The dual spanning tree that crosses only edges outside a given
-    spanning tree of the host.  On planar hosts nothing is left over."""
+    """A spanning tree of the host and the dual spanning tree that crosses
+    only edges outside it.  On planar hosts nothing is left over."""
 
+    parent_edge: list[int]          # per vertex, its tree edge (-1 at the root)
     dual_parent: list[int]          # per face, parent face (-1 at the root face)
-    dual_parent_edge: list[int]     # per face, crossed primal edge id
     leftover_edges: list[int]       # edges in neither tree; empty iff genus 0
 
 
 def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
-    """Partition edges into tree (the parent edges of `layering`, which must
-    span e.graph), dual-tree-crossed, and leftover."""
+    """Partition the edges of e.graph into tree, dual-tree-crossed and
+    leftover.  `layering` must be a BFS tree spanning e.graph; a vertex's
+    tree edge is the lowest-id edge between it and its parent there, so an
+    edge added after it (such as a chord that ``triangulate`` appends)
+    never changes the choice.  The dual tree grows breadth-first from face
+    0, each face reading its darts in order."""
     g = e.graph
     if not layering.complete:
         raise GraphInputError("graph is not connected")
+    parent = layering.parent
+    parent_edge = [-1] * g.n
+    side = bytearray(g.m)               # 1: tree edge, 2: crossed, 0: leftover
+    for eid, (u, v) in enumerate(g.edges):      # ascending: the first wins
+        if parent[v] == u and parent_edge[v] < 0:
+            parent_edge[v] = eid
+            side[eid] = 1
+        elif parent[u] == v and parent_edge[u] < 0:
+            parent_edge[u] = eid
+            side[eid] = 1
     if not e.faces:                 # no edge, so no face and no dual tree
-        return DualTreePair([], [], [])
-    is_tree_edge = [False] * g.m
-    for pe in layering.parent_edge:
-        if pe >= 0:
-            is_tree_edge[pe] = True
+        return DualTreePair(parent_edge, [], [])
 
     face_of = [0] * (2 * g.m)
     for i, cyc in enumerate(e.faces):
         for d in cyc:
             face_of[d] = i
-    nfaces = len(e.faces)
-    dual_parent = [-2] * nfaces
-    dual_parent_edge = [-1] * nfaces
-    crossed = [False] * g.m
+    dual_parent = [-2] * len(e.faces)
     dual_parent[0] = -1
     queue = [0]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
+    for f in queue:                 # runs on as faces are appended
         for d in e.faces[f]:
             eid = d >> 1
-            if is_tree_edge[eid] or crossed[eid]:
+            if side[eid]:
                 continue
             f2 = face_of[d ^ 1]
             if dual_parent[f2] == -2:
-                crossed[eid] = True
+                side[eid] = 2
                 dual_parent[f2] = f
-                dual_parent_edge[f2] = eid
                 queue.append(f2)
-    if any(p == -2 for p in dual_parent):
+    if len(queue) < len(e.faces):
         raise EmbeddingError("dual spanning tree does not reach every face; "
                              "embedding is invalid")
-    leftover = [eid for eid in range(g.m)
-                if not is_tree_edge[eid] and not crossed[eid]]
-    return DualTreePair(dual_parent=dual_parent,
-                        dual_parent_edge=dual_parent_edge, leftover_edges=leftover)
+    return DualTreePair(parent_edge=parent_edge, dual_parent=dual_parent,
+                        leftover_edges=[eid for eid, s in enumerate(side)
+                                        if not s])
 
 
 def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
@@ -164,8 +166,9 @@ def _single_bag(n: int) -> TreeDecomposition:
 
 def _root_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
     """One node per maximal bag of the triangles of `tri`, joined along the
-    dual tree that avoids the spanning tree of `lay`, each bag the union of
-    its triangle's corners' root paths in that tree."""
+    dual tree that avoids the spanning tree of `lay` (its edges picked on
+    `tri` by ``tree_cotree``), each bag the union of its triangle's
+    corners' root paths in that tree."""
     pair = tree_cotree(tri, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
@@ -281,8 +284,10 @@ class BandHost:
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:
     """Band host of a connected planar embedding, levelled by the BFS tree
     of e.graph from `root` (not of its triangulation), so that every
-    root-path bag meets each level at most three times."""
-    e = _planar_component(e, root)     # the layering and bags share its edges
+    root-path bag meets each level at most three times.  The layering holds
+    vertices only: ``td`` has ``tree_cotree`` pick that tree's edges on the
+    triangulation it partitions."""
+    e = _planar_component(e, root)     # simple where triangulate needs it
     return BandHost(embedding=e, layering=bfs_layering(e.graph, root))
 
 

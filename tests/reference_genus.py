@@ -5,7 +5,9 @@ walk moved onto rotation successors.
 X is collected from full root paths into sets, its boundary is walked
 through a per-vertex dict of X-darts and their positions, and each sector
 is read with ``list.index`` in the full rotation.  The old
-``Layering.path_to_root`` lives on here as ``_path_to_root``.  The property
+``Layering.path_to_root`` lives on here as ``_path_to_root``, and the old
+``Layering.parent_edge`` scan as ``lowest_parent_edges``, so X's tree
+edges are chosen apart from ``tree_cotree``.  The property
 tests require the package to return the same cut graph, contraction,
 vertex map and decomposition, and to raise the same errors.
 """
@@ -24,6 +26,18 @@ def _path_to_root(lay: Layering, v: int) -> list[int]:
     return path
 
 
+def lowest_parent_edges(edges, parent: list[int]) -> list[int]:
+    """Per vertex, the lowest-id edge to its BFS parent (-1 at the root):
+    the scan ``bfs_layering`` ran before ``tree_cotree`` took it over."""
+    parent_edge = [-1] * len(parent)
+    for eid, (u, v) in enumerate(edges):
+        if parent[v] == u and parent_edge[v] < 0:
+            parent_edge[v] = eid
+        elif parent[u] == v and parent_edge[u] < 0:
+            parent_edge[u] = eid
+    return parent_edge
+
+
 def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
     """Tree-cotree cut graph; |leftover| = 2g, |X| <= 2g*(2*depth+1) + 1."""
     lay = bfs_layering(e.graph, root)
@@ -34,6 +48,7 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
             f"tree-cotree leftover count {len(leftover)} != 2g = {2 * e.euler_genus}")
 
     g = e.graph
+    parent_edge = lowest_parent_edges(g.edges, lay.parent)
     xv: set[int] = {root}
     xe: set[int] = set(leftover)
     for eid in leftover:
@@ -41,7 +56,7 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
             path = _path_to_root(lay, v)
             xv.update(path)
             for w in path:
-                pe = lay.parent_edge[w]
+                pe = parent_edge[w]
                 if pe >= 0:
                     xe.add(pe)
     return CutGraph(host=e, root=root, x_vertices=tuple(sorted(xv)),

@@ -15,6 +15,7 @@ from shallowtd.graph import (MAX_VERTICES, EmbeddingError, GraphInputError,
                              induced_embedded_subgraph, is_connected,
                              parse_graph, planar_is_connected,
                              simple_embedding, triangulate)
+from shallowtd.planar_td import tree_cotree
 
 
 class TestBuildGraph:
@@ -120,6 +121,29 @@ class TestBfsAndDiameter:
                         nxt.append(u)
             frontier = nxt
         assert [dist[v] for v in range(g.n)] == list(lay.level)
+
+    def test_layering_reads_no_edge(self):
+        # the BFS reads the adjacency only; the tree's edges are picked by
+        # planar_td.tree_cotree, which does read them
+        reads = []
+
+        class CountingList(list):
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        e = grid(4, 5)
+        g = graph.Graph(n=e.n, edges=CountingList(e.graph.edges),
+                        nbrs=e.graph.nbrs)
+        lay = bfs_layering(g, 7)
+        assert reads == []
+        assert lay == bfs_layering(e.graph, 7)
+        tree_cotree(graph.EmbeddedGraph(g, e.rotation, e.faces, 0), lay)
+        assert reads
 
     def test_diameter(self, triangle):
         assert diameter(cycle_graph(6)) == 3

@@ -24,12 +24,12 @@ class TestTreeCotree:
         e = triangulate(grid(3, 3))
         lay = bfs_layering(e.graph, 0)
         pair = tree_cotree(e, lay)
-        tree_edges = {pe for pe in lay.parent_edge if pe >= 0}
-        crossed = {eid for eid in pair.dual_parent_edge if eid >= 0}
+        tree_edges = {pe for pe in pair.parent_edge if pe >= 0}
         leftover = set(pair.leftover_edges)
+        crossed = set(range(e.graph.m)) - tree_edges - leftover
         assert not leftover
-        assert tree_edges | crossed == set(range(e.graph.m))
-        assert not (tree_edges & crossed)
+        assert len(tree_edges) == e.graph.n - 1
+        assert len(crossed) == len(e.faces) - 1
 
 
 class TestPlanarBfsTd:
@@ -94,7 +94,7 @@ class TestPlanarBfsTd:
         # its layering, triangulation and graph share the simple edge ids
         host = band_host(parse_graph(DIGON), 0)
         assert host.graph.edges == [(0, 1), (1, 2)]
-        assert host.layering.parent_edge == [-1, 0, 1]
+        assert tree_cotree(host.embedding, host.layering).parent_edge == [-1, 0, 1]
         assert validate(host.td, host.graph).valid
 
 

@@ -47,7 +47,7 @@ import reference_kernels
 import reference_nice
 import reference_planar
 import reference_triangulate
-from conftest import relabel_embedded
+from conftest import DIGON, relabel_embedded
 from reference_validate import validate_quadratic
 from shallowtd import _kernels, decomp, dp
 from shallowtd.baker import build_slices
@@ -65,12 +65,12 @@ from shallowtd.genus_td import (GenusPipelineError, contract_cut_graph,
 from shallowtd.graph import (EmbeddingError, GraphInputError, bfs_layering,
                              build_graph, contract_connected_set,
                              eccentricity, embed, induced_embedded_subgraph,
-                             triangulate)
+                             parse_graph, triangulate)
 from shallowtd.oracles import (MAX_SET_PROBLEM, oracle_solve,
                                subiso_backtracking)
 from shallowtd.planar_td import (band_host, band_hosts,
                                  min_eccentricity_root, planar_bfs_td,
-                                 restrict_td, slice_td)
+                                 restrict_td, slice_td, tree_cotree)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -474,6 +474,71 @@ def test_genus_pipeline_matches_its_reference(data):
         (td, bound), (ref_td, ref_bound) = got, ref
         assert (td.nodes, td.tree_edges, td.bags, bound) == (
             ref_td.nodes, ref_td.tree_edges, ref_td.bags, ref_bound)
+
+
+# ---------------------------------------------------------------------------
+# tree_cotree's tree edges == the lowest-id scan; the three sides partition
+
+
+def _tree_cotree_case(draw):
+    """An embedding and a BFS layering spanning it, from a random root: a
+    band host's triangulation levelled by the host (as ``BandHost.td``
+    partitions it; the chords can double a host edge) or by itself, a
+    torus, the digon (its parallel pair kept, or simplified by
+    ``band_host`` and maybe triangulated), or a relabelled grid."""
+    kind = draw(st.sampled_from(["triangulated", "torus", "digon", "grid"]))
+    if kind == "triangulated":
+        e = (random_planar_triangulation(draw(st.integers(3, 40)),
+                                         draw(st.integers(0, 10**6)))
+             if draw(st.booleans())
+             else grid(draw(st.integers(1, 6)), draw(st.integers(2, 6))))
+        extra = draw(st.sampled_from([None, 0.0, 0.3]))
+        if extra is not None:
+            e = _spanning_subgraph(e, draw(st.randoms(use_true_random=False)),
+                                   extra)
+    elif kind == "torus":
+        e = toroidal_grid(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    elif kind == "digon":
+        e = parse_graph(DIGON)
+    else:
+        e = grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        e = relabel_embedded(e, draw(st.permutations(range(e.n))))
+    root = draw(st.integers(0, e.n - 1))
+    if kind == "triangulated" or (kind == "digon" and draw(st.booleans())):
+        host = band_host(e, root)
+        e = host.embedding
+        if e.n > 2 and draw(st.booleans()):
+            e = triangulate(e)
+            if draw(st.booleans()):
+                return e, host.layering
+    return e, bfs_layering(e.graph, root)
+
+
+@PROPERTY
+@given(st.data())
+def test_tree_cotree_picks_the_lowest_id_tree_edges(data):
+    """Each vertex's tree edge is the lowest-id edge to its BFS parent (the
+    scan ``bfs_layering`` ran before ``tree_cotree`` took it over), and the
+    tree, crossed and leftover edges partition the edges: n - 1 tree edges,
+    one crossed edge per dual-tree edge, and 2g left over."""
+    e, lay = _tree_cotree_case(data.draw)
+    g = e.graph
+    pair = tree_cotree(e, lay)
+    assert pair.parent_edge == reference_genus.lowest_parent_edges(g.edges,
+                                                                   lay.parent)
+    tree = {pe for pe in pair.parent_edge if pe >= 0}
+    leftover = set(pair.leftover_edges)
+    assert len(tree) == g.n - 1 and not tree & leftover
+    assert len(leftover) == 2 * e.euler_genus
+    face_of = [0] * (2 * g.m)
+    for f, cyc in enumerate(e.faces):
+        for d in cyc:
+            face_of[d] = f
+    crossed = set(range(g.m)) - tree - leftover
+    assert sorted(tuple(sorted((face_of[2 * x], face_of[2 * x + 1])))
+                  for x in crossed) == sorted(
+        tuple(sorted((f, p))) for f, p in enumerate(pair.dual_parent)
+        if p >= 0)
 
 
 # ---------------------------------------------------------------------------
