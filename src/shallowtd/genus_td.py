@@ -35,7 +35,7 @@ def cut_graph(e: EmbeddedGraph, root: int) -> CutGraph:
     """Tree-cotree cut graph; |leftover| = 2g, |X| <= 2g*(2*depth+1) + 1.
     X's tree edges are the ones ``tree_cotree`` picked for its BFS tree."""
     lay = bfs_layering(e.graph, root)
-    pair = tree_cotree(e, lay)
+    pair = tree_cotree(e.graph, e.faces, lay)
     leftover = list(pair.leftover_edges)
     if len(leftover) != 2 * e.euler_genus:
         raise GenusPipelineError(

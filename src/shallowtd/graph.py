@@ -418,11 +418,15 @@ def contract_connected_set(e: EmbeddedGraph, vertices) -> tuple[EmbeddedGraph, l
 # ---------------------------------------------------------------------------
 # Triangulation
 
-def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
-    """Add chords until every face has exactly three darts (planar only).
+def triangulate(e: EmbeddedGraph) -> tuple[Graph, list[list[int]]]:
+    """(graph, triangles): `e`'s graph with chords added until every face
+    has exactly three darts, and those faces (planar only).
 
     Original edges keep their ids; added chords may duplicate existing edges
-    (the result is a multigraph) but never create loops.  Genus stays 0.
+    (the result is a multigraph) but never create loops.  The triangles are
+    the faces of a genus-0 embedding of the result: each starts at its
+    lowest dart and they are sorted by it, as ``embed`` would give them.
+    Only ``e.faces`` and the graph are read, never ``e.rotation``.
 
     The chord rule: each face of ``e.faces``, in order, is a ring of corners
     anchored at the first occurrence of its lowest vertex.  The ear at a
@@ -432,9 +436,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
     at first), the first valid ear is cut, even when its chord doubles an
     edge; the chord's dart takes c's place in the ring and the middle corner
     leaves it.  Each cut is O(1) and a scan stops at the first valid ear.
-    The result is built directly, not re-embedded: each triangle starts at
-    its lowest dart and the faces are sorted by it, as ``embed`` would give
-    them.
 
     Raises EmbeddingError for a nonzero genus, a face of fewer than three
     darts or a face with no valid ear, and GraphInputError for a
@@ -452,8 +453,6 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
     edges = list(g.edges)
     nbrs = [list(nb) for nb in g.nbrs]
     tail = [v for uv in edges for v in uv]
-    succ = _rotation_successors(g.m, e.rotation)
-    head = [cyc[0] for cyc in e.rotation]
     triangles: list[list[int]] = []
     for face in e.faces:
         size = len(face)
@@ -467,56 +466,32 @@ def triangulate(e: EmbeddedGraph) -> EmbeddedGraph:
         corner = [tail[d] for d in dart]
         nxt = list(range(1, size))
         nxt.append(0)
-        i = corner.index(min(corner))
-        prev = i - 1 if i else size - 1
+        x = corner.index(min(corner))
         while size > 3:
-            x, px = i, prev
             for _ in range(size):
                 x2 = nxt[nxt[x]]
                 a, b = corner[x], corner[x2]
                 if a != b:
                     break
-                px, x = x, nxt[x]
+                x = nxt[x]
             else:
                 raise EmbeddingError("no valid ear in face; embedding is degenerate")
-            # Cut the ear (q, da, db): chord p = a->b goes before da at a,
-            # q = b->a before dart[x2] at b.  In a face, the dart before
-            # dart[y] in its tail's rotation is the reverse of the ring dart
-            # before it.
-            da, db, dc = dart[x], dart[nxt[x]], dart[x2]
-            eid = len(edges)
-            p, q = 2 * eid, 2 * eid + 1
+            # Cut the ear (da, db, q): the chord's dart q = b->a closes it,
+            # and its dart a->b takes da's place in the ring.
+            da, db = dart[x], dart[nxt[x]]
+            q = 2 * len(edges) + 1
             edges.append((a, b))
             nbrs[a].append(b)
             nbrs[b].append(a)
-            succ[dart[px] ^ 1] = p
-            succ.append(da)
-            succ[db ^ 1] = q
-            succ.append(dc)
-            if head[a] == da:
-                head[a] = p
-            if head[b] == dc:
-                head[b] = q
             triangles.append([da, db, q] if da < db else [db, q, da])
-            dart[x] = p
+            dart[x] = q - 1
             nxt[x] = x2
-            i, prev = x, px
             size -= 1
-        t = [dart[i], dart[nxt[i]], dart[nxt[nxt[i]]]]
+        t = [dart[x], dart[nxt[x]], dart[nxt[nxt[x]]]]
         k = t.index(min(t))
         triangles.append(t[k:] + t[:k])
-
-    rotation = []
-    for h in head:
-        cyc = [h]
-        d = succ[h]
-        while d != h:
-            cyc.append(d)
-            d = succ[d]
-        rotation.append(cyc)
     triangles.sort()
-    return EmbeddedGraph(graph=Graph(n=n, edges=edges, nbrs=nbrs),
-                         rotation=rotation, faces=triangles, euler_genus=0)
+    return Graph(n=n, edges=edges, nbrs=nbrs), triangles
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,15 @@ The root is the one free choice, and the width bound is 3 times its BFS
 depth.  The default root (``min_eccentricity_root``) is the midpoint of a
 double BFS sweep: BFS from vertex 0 to its farthest vertex u, BFS from u to
 its farthest vertex w at distance d, and the root is the vertex ceil(d/2)
-steps from w on w's BFS-tree path to u (ties to the lowest id).  Two BFS;
-on grids and walls it gives narrower bags than a least-eccentricity pick.
+steps from w on w's BFS-tree path to u (ties to the lowest id).  Two BFS.
+On grids and walls that lowest-id parent chain runs along the boundary, so
+the midpoint lands on it, not in the middle: a corner of the 5x5, 9x9 and
+224x224 grids (vertices 4, 8 and 223) and an outer vertex of wall 6
+(vertex 108).  On the grids its eccentricity is the diameter, so the
+reported bound 3 * depth is the largest any root gives; the bags follow the
+BFS depth of the triangulation instead, and on the 9x9 and 20x20 grids and
+wall 6 they are narrower than from a least-eccentricity root (widths 13,
+30 and 18 against 14, 32 and 19), on the 5x5 grid wider (8 against 7).
 
 Neighbouring triangles mostly have nested bags, so ``planar_bfs_td`` first
 contracts every dual-tree edge whose one bag is nested in the other (the
@@ -73,14 +80,15 @@ class DualTreePair:
     leftover_edges: list[int]       # edges in neither tree; empty iff genus 0
 
 
-def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
-    """Partition the edges of e.graph into tree, dual-tree-crossed and
-    leftover.  `layering` must be a BFS tree spanning e.graph; a vertex's
-    tree edge is the lowest-id edge between it and its parent there, so an
-    edge added after it (such as a chord that ``triangulate`` appends)
-    never changes the choice.  The dual tree grows breadth-first from face
-    0, each face reading its darts in order."""
-    g = e.graph
+def tree_cotree(g: Graph, faces: list[list[int]],
+                layering: Layering) -> DualTreePair:
+    """Partition the edges of `g` into tree, dual-tree-crossed and leftover,
+    where `faces` are the faces of an embedding of `g`.  `layering` must be
+    a BFS tree spanning `g`; a vertex's tree edge is the lowest-id edge
+    between it and its parent there, so an edge added after it (such as a
+    chord that ``triangulate`` appends) never changes the choice.  The dual
+    tree grows breadth-first from face 0, each face reading its darts in
+    order."""
     if not layering.complete:
         raise GraphInputError("graph is not connected")
     parent = layering.parent
@@ -93,18 +101,18 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
         elif parent[u] == v and parent_edge[u] < 0:
             parent_edge[u] = eid
             side[eid] = 1
-    if not e.faces:                 # no edge, so no face and no dual tree
+    if not faces:                   # no edge, so no face and no dual tree
         return DualTreePair(parent_edge, [], [])
 
     face_of = [0] * (2 * g.m)
-    for i, cyc in enumerate(e.faces):
+    for i, cyc in enumerate(faces):
         for d in cyc:
             face_of[d] = i
-    dual_parent = [-2] * len(e.faces)
+    dual_parent = [-2] * len(faces)
     dual_parent[0] = -1
     queue = [0]
     for f in queue:                 # runs on as faces are appended
-        for d in e.faces[f]:
+        for d in faces[f]:
             eid = d >> 1
             if side[eid]:
                 continue
@@ -113,7 +121,7 @@ def tree_cotree(e: EmbeddedGraph, layering: Layering) -> DualTreePair:
                 side[eid] = 2
                 dual_parent[f2] = f
                 queue.append(f2)
-    if len(queue) < len(e.faces):
+    if len(queue) < len(faces):
         raise EmbeddingError("dual spanning tree does not reach every face; "
                              "embedding is invalid")
     return DualTreePair(parent_edge=parent_edge, dual_parent=dual_parent,
@@ -134,9 +142,9 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     e = _planar_component(e, root)
     if e.graph.n <= 2:
         return _single_bag(e.graph.n)
-    tri = triangulate(e)
-    lay = bfs_layering(tri.graph, root)
-    td = _root_path_td(tri, lay)
+    g, triangles = triangulate(e)
+    lay = bfs_layering(g, root)
+    td = _root_path_td(g, triangles, lay)
     bound = 3 * lay.depth
     if td.width > bound:
         raise EmbeddingError(f"planar decomposition has width {td.width} > "
@@ -164,17 +172,18 @@ def _single_bag(n: int) -> TreeDecomposition:
     return TreeDecomposition(nodes=1, tree_edges=[], bags=[tuple(range(n))])
 
 
-def _root_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
-    """One node per maximal bag of the triangles of `tri`, joined along the
-    dual tree that avoids the spanning tree of `lay` (its edges picked on
-    `tri` by ``tree_cotree``), each bag the union of its triangle's
-    corners' root paths in that tree."""
-    pair = tree_cotree(tri, lay)
+def _root_path_td(g: Graph, triangles: list[list[int]],
+                  lay: Layering) -> TreeDecomposition:
+    """One node per maximal bag of the `triangles` of the triangulation `g`,
+    joined along the dual tree that avoids the spanning tree of `lay` (its
+    edges picked on `g` by ``tree_cotree``), each bag the union of its
+    triangle's corners' root paths in that tree."""
+    pair = tree_cotree(g, triangles, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
                              "the embedding is invalid")
-    edges = tri.graph.edges
-    corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
+    edges = g.edges
+    corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in triangles]
     tree_edges = [(p, f) for f, p in enumerate(pair.dual_parent) if p >= 0]
     corners, tree_edges = _contract_nested(lay.parent, lay.root, corners,
                                            tree_edges)
@@ -278,7 +287,7 @@ class BandHost:
         layering's tree; one node per maximal bag."""
         e = self.embedding
         return (_single_bag(e.graph.n) if e.graph.n <= 2
-                else _root_path_td(triangulate(e), self.layering))
+                else _root_path_td(*triangulate(e), self.layering))
 
 
 def band_host(e: EmbeddedGraph, root: int) -> BandHost:
@@ -398,7 +407,13 @@ def min_eccentricity_root(g: Graph) -> int:
     largest level d.  The root is the vertex ceil(d/2) steps from w along
     w's BFS parent chain toward u.  Two BFS in all, the first half shared
     with `decomp.narrower_td` (`_kernels.far_sweep`).  On a disconnected graph
-    the root is 0, which the constructions then reject."""
+    the root is 0, which the constructions then reject.
+
+    On grids and walls the lowest-id parent chain runs along the boundary,
+    so the root lands on it: a corner of the k x k grid (vertex k - 1; 4,
+    8 and 223 for k = 5, 9 and 224), whose eccentricity is the diameter
+    2(k - 1), and an outer vertex of wall 6 (vertex 108, eccentricity 23
+    where the least is 13)."""
     if g.n == 0:
         raise GraphInputError("empty graph has no root")
     sweep = _kernels.far_sweep(g.nbrs)

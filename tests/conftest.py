@@ -1,5 +1,6 @@
 """Shared fixtures: small named graphs, embedded variants, relabelling of
-an embedded graph, and a DP table entry with a given witness.
+an embedded graph, the rotation certificate of a triangulation, and a DP
+table entry with a given witness.
 
 Every ``shallowtd`` module is imported here, before any test module.
 Hypothesis draws examples partly from the literal constants of the
@@ -63,6 +64,44 @@ def relabel_embedded(e, label):
     for v, darts in enumerate(e.rotation):
         rot[label[v]] = list(darts)
     return embed(g, rot)
+
+
+def rotation_from_faces(g: Graph, faces) -> list[list[int]]:
+    """The rotation system whose faces are `faces`, each dart in one face:
+    the successor of d ^ 1 is the dart after d in its face.  Each vertex's
+    cycle starts at its lowest dart."""
+    assert sorted(d for cyc in faces for d in cyc) == list(range(2 * g.m))
+    succ = [0] * (2 * g.m)
+    for cyc in faces:
+        for d, after in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[d ^ 1] = after
+    rotation: list[list[int]] = [[] for _ in range(g.n)]
+    for d0, v in enumerate(v for uv in g.edges for v in uv):
+        if not rotation[v]:
+            d = d0
+            while True:
+                rotation[v].append(d)
+                d = succ[d]
+                if d == d0:
+                    break
+    return rotation
+
+
+def assert_triangulation_matches(g: Graph, triangles, ref) -> None:
+    """(g, triangles), as ``graph.triangulate`` returns them, has the edges
+    and faces of the reference embedding `ref`, and is certified by the
+    rotation derived from its triangles: it embeds `g` at genus 0 with
+    exactly these faces, and each vertex's cycle is the reference's up to
+    where it starts."""
+    assert g == ref.graph
+    assert triangles == ref.faces
+    assert all(len(f) == 3 for f in triangles)
+    derived = rotation_from_faces(g, triangles)
+    again = embed(g, derived)
+    assert again.faces == triangles and again.euler_genus == 0
+    for cyc, ref_cyc in zip(derived, ref.rotation, strict=True):
+        k = ref_cyc.index(cyc[0])
+        assert cyc == ref_cyc[k:] + ref_cyc[:k]
 
 
 def witness_entry(vertices):

@@ -29,21 +29,22 @@ def planar_bfs_td(e: EmbeddedGraph, root: int) -> TreeDecomposition:
     e = _planar_component(e, root)
     if e.graph.n <= 2:
         return _single_bag(e.graph.n)
-    tri = triangulate(e)
-    return _three_path_td(tri, bfs_layering(tri.graph, root))
+    g, triangles = triangulate(e)
+    return _three_path_td(g, triangles, bfs_layering(g, root))
 
 
-def _three_path_td(tri: EmbeddedGraph, lay: Layering) -> TreeDecomposition:
-    """The decomposition of the triangulation `tri` with one node per
+def _three_path_td(g: Graph, triangles: list[list[int]],
+                   lay: Layering) -> TreeDecomposition:
+    """The decomposition of the triangulation `g` with one node per
     triangle, joined by the dual tree that avoids the spanning tree of
     `lay`, whose root paths form the bags."""
-    pair = tree_cotree(tri, lay)
+    pair = tree_cotree(g, triangles, lay)
     if pair.leftover_edges:
         raise EmbeddingError("tree-cotree left edges over on a planar embedding; "
                              "the embedding is invalid")
-    nfaces = len(tri.faces)
-    edges = tri.graph.edges
-    corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
+    nfaces = len(triangles)
+    edges = g.edges
+    corners = [[edges[d >> 1][d & 1] for d in cyc] for cyc in triangles]
     tree_edges = [(pair.dual_parent[f], f) for f in range(nfaces)
                   if pair.dual_parent[f] >= 0]
     return TreeDecomposition(nodes=nfaces, tree_edges=tree_edges,
@@ -65,7 +66,7 @@ def band_host(e: EmbeddedGraph, root: int) -> BandRecord:
     if e.graph.n <= 2:
         td = _single_bag(e.graph.n)
     else:
-        td = _three_path_td(triangulate(e), lay)
+        td = _three_path_td(*triangulate(e), lay)
     return BandRecord(graph=e.graph, layering=lay, td=td)
 
 

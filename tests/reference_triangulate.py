@@ -5,8 +5,11 @@ rings: each cut rebuilds the face's corner list and rescans it from the last
 cut, chords go into Python rotation lists with ``list.index``, and the result
 is re-embedded.  It holds the same chord rule: scanning from the last cut,
 the first valid ear (its two outer corners are different vertices) is cut,
-even when its chord doubles an edge.  The property tests require the linear
-routine to return the same edges, rotation and faces.
+even when its chord doubles an edge.  The linear routine returns a graph
+and its triangles, no rotation; the tests require the same edges and faces,
+and that the rotation derived from those triangles
+(``conftest.rotation_from_faces``) gives each vertex this reference's cycle
+up to where it starts.
 """
 
 from shallowtd.graph import (EmbeddedGraph, EmbeddingError, GraphInputError,

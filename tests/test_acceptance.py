@@ -211,7 +211,7 @@ def test_criterion_7_torus_pipeline():
         for c in (3, 4, 5):
             e = toroidal_grid(r, c)
             assert e.euler_genus == 1, f"torus {r}x{c}: genus {e.euler_genus}"
-            pair = tree_cotree(e, bfs_layering(e.graph, 0))
+            pair = tree_cotree(e.graph, e.faces, bfs_layering(e.graph, 0))
             assert len(pair.leftover_edges) == 2
             cg = cut_graph(e, 0)
             contracted, _ = contract_cut_graph(cg)

@@ -1,13 +1,17 @@
 """Core graph type, BFS, embeddings, minors, triangulation, text format."""
 
+import dataclasses
 from unittest import mock
 
 import pytest
 
-from conftest import (DIGON, complete_graph, cycle_graph, embed_outerplanar,
-                      path_graph, star_graph)
+import reference_triangulate
+from conftest import (DIGON, assert_triangulation_matches, complete_graph,
+                      cycle_graph, embed_outerplanar, path_graph,
+                      rotation_from_faces, star_graph)
 from shallowtd import graph
-from shallowtd.generators import grid, toroidal_grid
+from shallowtd.generators import (grid, random_planar_triangulation,
+                                  toroidal_grid, wall)
 from shallowtd.graph import (MAX_VERTICES, EmbeddingError, GraphInputError,
                              bfs_layering, build_graph, component_labels,
                              connected_components, contract_connected_set,
@@ -142,7 +146,7 @@ class TestBfsAndDiameter:
         lay = bfs_layering(g, 7)
         assert reads == []
         assert lay == bfs_layering(e.graph, 7)
-        tree_cotree(graph.EmbeddedGraph(g, e.rotation, e.faces, 0), lay)
+        tree_cotree(g, e.faces, lay)
         assert reads
 
     def test_diameter(self, triangle):
@@ -206,26 +210,34 @@ class TestMinorOps:
 
 class TestTriangulate:
     def test_c4(self):
-        t = triangulate(embed_outerplanar(cycle_graph(4)))
-        assert t.graph.n == 4 and t.graph.m == 6
-        assert all(len(f) == 3 for f in t.faces)
+        g, faces = triangulate(embed_outerplanar(cycle_graph(4)))
+        assert g.n == 4 and g.m == 6
+        assert all(len(f) == 3 for f in faces)
 
     def test_c6(self):
-        t = triangulate(embed_outerplanar(cycle_graph(6)))
-        assert all(len(f) == 3 for f in t.faces)
-        assert t.euler_genus == 0
+        g, faces = triangulate(embed_outerplanar(cycle_graph(6)))
+        assert all(len(f) == 3 for f in faces)
+        assert embed(g, rotation_from_faces(g, faces)).euler_genus == 0
 
     def test_k4_unchanged(self):
         g = complete_graph(4)
         rot = [[0, 2, 4], [1, 8, 6], [3, 7, 10], [5, 11, 9]]
-        t = triangulate(embed(g, rot))
-        assert t.graph.m == 6
+        t, faces = triangulate(embed(g, rot))
+        assert t.m == 6 and faces == embed(g, rot).faces
 
     def test_preserves_original_edges(self):
         e = grid(3, 4)
-        t = triangulate(e)
-        assert t.graph.edges[:e.graph.m] == e.graph.edges
-        assert t.euler_genus == 0
+        g, faces = triangulate(e)
+        assert g.edges[:e.graph.m] == e.graph.edges
+        assert embed(g, rotation_from_faces(g, faces)).euler_genus == 0
+
+    def test_reads_no_rotation(self):
+        # the faces and the graph are all it reads
+        for e in (grid(3, 4), embed_outerplanar(path_graph(5)),
+                  embed_outerplanar(star_graph(4)), wall(2)[1],
+                  random_planar_triangulation(20, 1)):
+            assert (triangulate(dataclasses.replace(e, rotation=None))
+                    == triangulate(e))
 
     @pytest.mark.parametrize("g, chords", [
         (cycle_graph(4), [(0, 2), (0, 2)]),
@@ -235,11 +247,11 @@ class TestTriangulate:
     def test_cuts_first_valid_ear(self, g, chords):
         # each scan from the last cut takes the first valid ear, even when
         # its chord doubles an edge
-        t = triangulate(embed_outerplanar(g))
-        assert t.graph.edges[g.m:] == chords
-        assert all(len(f) == 3 for f in t.faces)
-        assert embed(t.graph, t.rotation).faces == t.faces
-        assert t.euler_genus == 0
+        e = embed_outerplanar(g)
+        t, faces = triangulate(e)
+        assert t.edges[g.m:] == chords
+        assert_triangulation_matches(t, faces,
+                                     reference_triangulate.triangulate(e))
 
     def test_nonplanar_rejected(self):
         with pytest.raises(EmbeddingError, match="planar embedding"):

@@ -21,15 +21,15 @@ from shallowtd.planar_td import (band_host, band_hosts, level_windows,
 
 class TestTreeCotree:
     def test_partition_on_planar(self):
-        e = triangulate(grid(3, 3))
-        lay = bfs_layering(e.graph, 0)
-        pair = tree_cotree(e, lay)
+        g, faces = triangulate(grid(3, 3))
+        lay = bfs_layering(g, 0)
+        pair = tree_cotree(g, faces, lay)
         tree_edges = {pe for pe in pair.parent_edge if pe >= 0}
         leftover = set(pair.leftover_edges)
-        crossed = set(range(e.graph.m)) - tree_edges - leftover
+        crossed = set(range(g.m)) - tree_edges - leftover
         assert not leftover
-        assert len(tree_edges) == e.graph.n - 1
-        assert len(crossed) == len(e.faces) - 1
+        assert len(tree_edges) == g.n - 1
+        assert len(crossed) == len(faces) - 1
 
 
 class TestPlanarBfsTd:
@@ -94,7 +94,8 @@ class TestPlanarBfsTd:
         # its layering, triangulation and graph share the simple edge ids
         host = band_host(parse_graph(DIGON), 0)
         assert host.graph.edges == [(0, 1), (1, 2)]
-        assert tree_cotree(host.embedding, host.layering).parent_edge == [-1, 0, 1]
+        assert tree_cotree(host.graph, host.embedding.faces,
+                           host.layering).parent_edge == [-1, 0, 1]
         assert validate(host.td, host.graph).valid
 
 
@@ -174,9 +175,9 @@ class TestBandDecomposition:
         # one bag of the whole band is within the bound only on small bands
         built = []
 
-        def counted(tri, lay):
-            built.append(tri)
-            return root_path_td(tri, lay)
+        def counted(g, triangles, lay):
+            built.append(g)
+            return root_path_td(g, triangles, lay)
 
         root_path_td = planar_td._root_path_td
         monkeypatch.setattr(planar_td, "heuristic_td", lambda g: _one_bag(g.n))
@@ -201,7 +202,7 @@ class TestBandDecomposition:
     def test_band_wider_than_its_bound_is_refused(self, monkeypatch):
         monkeypatch.setattr(planar_td, "heuristic_td", lambda g: _one_bag(g.n))
         monkeypatch.setattr(planar_td, "_root_path_td",
-                            lambda tri, lay: _one_bag(len(lay.level)))
+                            lambda g, triangles, lay: _one_bag(len(lay.level)))
         host = band_host(grid(6, 6), 0)
         assert slice_td(host, 0, 1).td.width == 2       # 3 vertices, bound 5
         with pytest.raises(EmbeddingError, match=r"band \[2, 3\] "
@@ -265,11 +266,14 @@ class TestRootSelection:
     def test_known_roots(self, g, root):
         assert min_eccentricity_root(g) == root
 
-    def test_center_beats_corner(self):
+    def test_grid_root_is_a_corner_no_deeper_than_corner_zero(self):
+        # the lowest-id parent chain runs along the top row, so the sweep's
+        # midpoint is the corner 4, of eccentricity 8 like the corner 0
         g = grid(5, 5).graph
         root = min_eccentricity_root(g)
         ecc = bfs_layering(g, root).depth
         assert ecc <= bfs_layering(g, 0).depth
+        assert (root, ecc) == (4, 8)
 
     def test_min_eccentricity_root_deterministic(self):
         e = random_planar_triangulation(60, 3)

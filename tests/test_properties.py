@@ -47,7 +47,7 @@ import reference_kernels
 import reference_nice
 import reference_planar
 import reference_triangulate
-from conftest import DIGON, relabel_embedded
+from conftest import DIGON, assert_triangulation_matches, relabel_embedded
 from reference_validate import validate_quadratic
 from shallowtd import _kernels, decomp, dp
 from shallowtd.baker import build_slices
@@ -186,11 +186,11 @@ def _kernel_host(draw):
         return build_graph(a.n + b.n + isolated, edges), None
     if e.n < 3:
         return e.graph, None
-    tri = triangulate(e)
-    corners = [[tri.graph.edges[d >> 1][d & 1] for d in cyc] for cyc in tri.faces]
+    tri, triangles = triangulate(e)
+    corners = [[tri.edges[d >> 1][d & 1] for d in cyc] for cyc in triangles]
     # the pipeline runs the BFS on the triangulation (planar_bfs_td) or on
     # the host itself (band_host); both span the same vertices
-    return (tri.graph if draw(st.booleans()) else e.graph), corners
+    return (tri if draw(st.booleans()) else e.graph), corners
 
 
 @PROPERTY
@@ -280,14 +280,9 @@ def test_triangulate_matches_quadratic_reference(data):
     if extra is not None:
         e = _spanning_subgraph(e, data.draw(st.randoms(use_true_random=False)),
                                extra)
-    tri, ref = triangulate(e), reference_triangulate.triangulate(e)
-    assert tri.graph == ref.graph
-    assert tri.rotation == ref.rotation
-    assert tri.faces == ref.faces
-    assert all(len(f) == 3 for f in tri.faces)
-    again = embed(tri.graph, tri.rotation)
-    assert again.faces == tri.faces
-    assert again.euler_genus == tri.euler_genus == 0
+    g, triangles = triangulate(e)
+    assert_triangulation_matches(g, triangles,
+                                 reference_triangulate.triangulate(e))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +476,12 @@ def test_genus_pipeline_matches_its_reference(data):
 
 
 def _tree_cotree_case(draw):
-    """An embedding and a BFS layering spanning it, from a random root: a
-    band host's triangulation levelled by the host (as ``BandHost.td``
-    partitions it; the chords can double a host edge) or by itself, a
-    torus, the digon (its parallel pair kept, or simplified by
-    ``band_host`` and maybe triangulated), or a relabelled grid."""
+    """A graph, the faces of an embedding of it, its Euler genus and a BFS
+    layering spanning it, from a random root: a band host's triangulation
+    levelled by the host (as ``BandHost.td`` partitions it; the chords can
+    double a host edge) or by itself, a torus, the digon (its parallel pair
+    kept, or simplified by ``band_host`` and maybe triangulated), or a
+    relabelled grid."""
     kind = draw(st.sampled_from(["triangulated", "torus", "digon", "grid"]))
     if kind == "triangulated":
         e = (random_planar_triangulation(draw(st.integers(3, 40)),
@@ -508,10 +504,11 @@ def _tree_cotree_case(draw):
         host = band_host(e, root)
         e = host.embedding
         if e.n > 2 and draw(st.booleans()):
-            e = triangulate(e)
-            if draw(st.booleans()):
-                return e, host.layering
-    return e, bfs_layering(e.graph, root)
+            g, triangles = triangulate(e)
+            lay = (host.layering if draw(st.booleans())
+                   else bfs_layering(g, root))
+            return g, triangles, 0, lay
+    return e.graph, e.faces, e.euler_genus, bfs_layering(e.graph, root)
 
 
 @PROPERTY
@@ -521,17 +518,16 @@ def test_tree_cotree_picks_the_lowest_id_tree_edges(data):
     scan ``bfs_layering`` ran before ``tree_cotree`` took it over), and the
     tree, crossed and leftover edges partition the edges: n - 1 tree edges,
     one crossed edge per dual-tree edge, and 2g left over."""
-    e, lay = _tree_cotree_case(data.draw)
-    g = e.graph
-    pair = tree_cotree(e, lay)
+    g, faces, genus, lay = _tree_cotree_case(data.draw)
+    pair = tree_cotree(g, faces, lay)
     assert pair.parent_edge == reference_genus.lowest_parent_edges(g.edges,
                                                                    lay.parent)
     tree = {pe for pe in pair.parent_edge if pe >= 0}
     leftover = set(pair.leftover_edges)
     assert len(tree) == g.n - 1 and not tree & leftover
-    assert len(leftover) == 2 * e.euler_genus
+    assert len(leftover) == 2 * genus
     face_of = [0] * (2 * g.m)
-    for f, cyc in enumerate(e.faces):
+    for f, cyc in enumerate(faces):
         for d in cyc:
             face_of[d] = f
     crossed = set(range(g.m)) - tree - leftover
